@@ -1384,6 +1384,8 @@ let live_overhead () =
     let t_traced = best_of (fun () -> ignore (work ())) in
     Obs.set_progress_interval 0.1;
     let sock = Filename.temp_file "sciduction_bench" ".sock" in
+    (* a unique name, not a file: the endpoint refuses to replace one *)
+    Sys.remove sock;
     let ticker =
       Obs.Live.start ~interval_ms:100
         ~on_tick:(fun () -> Obs.check_stalls ~window:5.0)
@@ -1392,10 +1394,10 @@ let live_overhead () =
     let server =
       match Obs.Statsd.start ~path:sock ~ticker () with
       | Ok s -> s
-      | Error msg ->
+      | Error e ->
         Obs.Live.stop ticker;
         Obs.reset ();
-        failwith ("stats socket: " ^ msg)
+        failwith ("stats socket: " ^ Obs.Statsd.socket_error_message e)
     in
     let t_live =
       Fun.protect
@@ -1587,10 +1589,12 @@ let proof_overhead () =
    measurement prices that cost directly by running the same cold jobs
    against a journaling and a plain daemon.
 
-   Writes BENCH_serve.json. Gates: cached >= 10x over cold, warm >= 2x
-   over the one-shot baseline, journal overhead <= 5% of the cold path
-   (one re-measure before failing, since these ratios ride on single
-   runs of ~100ms sweeps). *)
+   Gates: cached >= 10x over cold, warm >= 2x over the one-shot
+   baseline, journal overhead <= 5% of the cold path (one re-measure of
+   the last two before failing, since they ride on single runs of
+   ~100ms sweeps). BENCH_serve.json records the values the gates decide
+   on, re-measures included, and is written before a failing gate
+   exits. *)
 let serve_bench () =
   section "Verification server: result cache and warm sessions";
   let tmp name =
@@ -1713,6 +1717,32 @@ let serve_bench () =
     let journal_overhead_pct = measure_overhead () in
     Format.printf "%-26s journal overhead %+.1f%% of the cold path@."
       "bmc/d60-journal" journal_overhead_pct;
+    (* the warm ratio and the journal overhead ride on short runs, so
+       scheduler noise gets one re-measure each before a gate fails; the
+       artifact records the values the gates decide on *)
+    let t_deep_cold, t_warm, s_warm =
+      if s_warm >= 2.0 then (t_deep_cold, t_warm, s_warm)
+      else begin
+        Format.printf "serve gate: warm %.1fx < 2x, re-measuring@." s_warm;
+        let _, _, t_deep_cold, t_warm = measure () in
+        let s_warm = t_deep_cold /. max 1e-9 t_warm in
+        Format.printf "%-26s cold %8.2fms | warm   %8.2fms | %8.1fx@."
+          "bmc/d24-overlap(retry)" (ms t_deep_cold) (ms t_warm) s_warm;
+        (t_deep_cold, t_warm, s_warm)
+      end
+    in
+    let journal_overhead_pct =
+      if journal_overhead_pct <= 5.0 then journal_overhead_pct
+      else begin
+        Format.printf
+          "serve gate: journal overhead %+.1f%% > 5%%, re-measuring@."
+          journal_overhead_pct;
+        let pct = measure_overhead () in
+        Format.printf "%-26s journal overhead %+.1f%% of the cold path@."
+          "bmc/d60-journal(retry)" pct;
+        pct
+      end
+    in
     let doc =
       Obs.Json.Obj
         [
@@ -1732,42 +1762,21 @@ let serve_bench () =
     output_char oc '\n';
     close_out oc;
     Format.printf "wrote BENCH_serve.json@.";
-    if s_cached < 10.0 then begin
-      Format.printf
-        "serve gate FAILED: cached repeat only %.1fx over cold (< 10x)@."
-        s_cached;
-      exit 1
-    end;
-    if s_warm < 2.0 then begin
-      (* the warm ratio is two single runs; scheduler noise gets one
-         retry before it counts as a regression *)
-      Format.printf "serve gate: warm %.1fx < 2x, re-measuring@." s_warm;
-      let _, _, t_deep_cold, t_warm = measure () in
-      let s_warm = t_deep_cold /. max 1e-9 t_warm in
-      Format.printf "%-26s cold %8.2fms | warm   %8.2fms | %8.1fx@."
-        "bmc/d24-overlap(retry)" (ms t_deep_cold) (ms t_warm) s_warm;
-      if s_warm < 2.0 then begin
-        Format.printf
-          "serve gate FAILED: warm overlap only %.1fx over cold (< 2x)@."
-          s_warm;
-        exit 1
-      end
-    end;
-    if journal_overhead_pct > 5.0 then begin
-      (* two single batches; scheduler noise gets one retry too *)
-      Format.printf "serve gate: journal overhead %+.1f%% > 5%%, re-measuring@."
+    let failed = ref false in
+    let fail fmt =
+      Format.kasprintf
+        (fun msg ->
+          Format.printf "serve gate FAILED: %s@." msg;
+          failed := true)
+        fmt
+    in
+    if s_cached < 10.0 then
+      fail "cached repeat only %.1fx over cold (< 10x)" s_cached;
+    if s_warm < 2.0 then fail "warm overlap only %.1fx over cold (< 2x)" s_warm;
+    if journal_overhead_pct > 5.0 then
+      fail "journal overhead %+.1f%% of the cold path (> 5%%)"
         journal_overhead_pct;
-      let pct = measure_overhead () in
-      Format.printf "%-26s journal overhead %+.1f%% of the cold path@."
-        "bmc/d60-journal(retry)" pct;
-      if pct > 5.0 then begin
-        Format.printf
-          "serve gate FAILED: journal overhead %+.1f%% of the cold path \
-           (> 5%%)@."
-          pct;
-        exit 1
-      end
-    end
+    if !failed then exit 1
 
 (* ================================================================== *)
 

@@ -200,9 +200,9 @@ let with_obs (trace, stats, quiet, jobs, stats_socket, stall_after, proof) f =
       in
       match Obs.Statsd.start ~path ~ticker () with
       | Ok server -> Ok (Some (ticker, server))
-      | Error msg ->
+      | Error e ->
         Obs.Live.stop ticker;
-        Error msg)
+        Error (Obs.Statsd.socket_error_message e))
   in
   match live with
   | Error msg ->

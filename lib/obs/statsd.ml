@@ -238,32 +238,75 @@ let serve t ticker =
   in
   loop ()
 
+(* ----- claiming a socket path ----- *)
+
+type socket_error =
+  | Live_server of string
+  | Not_a_socket of string
+  | Socket_failure of string
+
+let socket_error_message = function
+  | Live_server path -> Printf.sprintf "a live server is already on %s" path
+  | Not_a_socket path ->
+    Printf.sprintf "%s exists and is not a socket; refusing to replace it" path
+  | Socket_failure msg -> msg
+
+(* A leftover socket file from a crashed run must not block a restart,
+   but a live server's socket must: probe with a connect before
+   unlinking, and never unlink anything that is not a socket. *)
+let claim_socket path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
+  | exception Unix.Unix_error (e, _, _) ->
+    Error
+      (Socket_failure
+         (Printf.sprintf "cannot stat %s: %s" path (Unix.error_message e)))
+  | st when st.Unix.st_kind <> Unix.S_SOCK -> Error (Not_a_socket path)
+  | _ -> (
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false
+    in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    if live then Error (Live_server path)
+    else
+      match Unix.unlink path with
+      | () -> Ok ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Error
+          (Socket_failure
+             (Printf.sprintf "cannot replace stale socket %s: %s" path
+                (Unix.error_message e))))
+
 let start ~path ~ticker () =
   (* a dead client mid-write must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  (* replace a stale socket file from a crashed run; a live server on
-     the same path loses it, like rebinding a TCP port with SO_REUSEADDR *)
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 16
-  with
-  | () ->
-    let stop_r, stop_w = Unix.pipe ~cloexec:true () in
-    let t =
-      { sd_path = path; listen_fd = fd; stop_r; stop_w; thread = None;
-        stopped = false }
-    in
-    t.thread <- Some (Thread.create (fun () -> serve t ticker) ());
-    unlink_on_sigterm path;
-    Ok t
-  | exception Unix.Unix_error (err, _, _) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Error
-      (Printf.sprintf "cannot serve stats on %s: %s" path
-         (Unix.error_message err))
+  match claim_socket path with
+  | Error _ as e -> e
+  | Ok () -> (
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd 16
+    with
+    | () ->
+      let stop_r, stop_w = Unix.pipe ~cloexec:true () in
+      let t =
+        { sd_path = path; listen_fd = fd; stop_r; stop_w; thread = None;
+          stopped = false }
+      in
+      t.thread <- Some (Thread.create (fun () -> serve t ticker) ());
+      unlink_on_sigterm path;
+      Ok t
+    | exception Unix.Unix_error (err, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error
+        (Socket_failure
+           (Printf.sprintf "cannot serve stats on %s: %s" path
+              (Unix.error_message err))))
 
 let stop t =
   if not t.stopped then begin

@@ -18,11 +18,30 @@
 
 type t
 
-val start : path:string -> ticker:Live.t -> unit -> (t, string) result
-(** Bind and listen on Unix-domain socket [path] (a stale socket file
-    is replaced) and serve scrapes from a background systhread until
-    {!stop}. [Error] describes a bind/listen failure (bad directory,
-    path too long for a socket address, ...). *)
+(** Why a Unix-socket path could not be taken. *)
+type socket_error =
+  | Live_server of string
+      (** a server answers on this path; it is left untouched *)
+  | Not_a_socket of string
+      (** the path exists and is not a socket; it is never unlinked *)
+  | Socket_failure of string
+      (** a stat, unlink, bind or listen failure (bad directory, path
+          too long for a socket address, ...), described *)
+
+val socket_error_message : socket_error -> string
+
+val claim_socket : string -> (unit, socket_error) result
+(** Make a Unix-socket path free to bind: [Ok] when nothing is there or
+    a stale socket file (left by a crashed run: nothing accepts on it)
+    was removed. A live server's socket is probed with a connect and
+    refused, never taken over. Both socket servers — this endpoint and
+    the verification daemon — claim their path through here. *)
+
+val start :
+  path:string -> ticker:Live.t -> unit -> (t, socket_error) result
+(** Claim ({!claim_socket}), bind and listen on Unix-domain socket
+    [path] and serve scrapes from a background systhread until
+    {!stop}. *)
 
 val stop : t -> unit
 (** Stop the server, join its thread and remove the socket file.

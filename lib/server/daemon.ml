@@ -794,38 +794,6 @@ let acceptor t =
 
 (* ----- lifecycle ----- *)
 
-(* A leftover socket file from a crashed daemon must not block restart,
-   but a live daemon's socket must: probe with a connect before
-   unlinking (statsd just unlinks; the job server can afford the probe
-   and the stronger guarantee). *)
-let replace_stale_socket socket =
-  match Unix.lstat socket with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
-  | exception Unix.Unix_error (e, _, _) ->
-    Error
-      (Printf.sprintf "cannot stat %s: %s" socket (Unix.error_message e))
-  | st when st.Unix.st_kind <> Unix.S_SOCK ->
-    Error
-      (Printf.sprintf "%s exists and is not a socket; refusing to replace it"
-         socket)
-  | _ -> (
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect fd (Unix.ADDR_UNIX socket) with
-      | () -> true
-      | exception Unix.Unix_error _ -> false
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    if live then
-      Error (Printf.sprintf "a live server is already on %s" socket)
-    else
-      match Unix.unlink socket with
-      | () -> Ok ()
-      | exception Unix.Unix_error (e, _, _) ->
-        Error
-          (Printf.sprintf "cannot replace stale socket %s: %s" socket
-             (Unix.error_message e)))
-
 let start ?pool ?dispatchers ?(cache_capacity = 256) ?(aging_s = 5.0) ?journal
     ?(queue_limit = 64) ?(retry_after_s = 0.5) ?(degrade_after_s = 1.0)
     ?(restart_budget = 2) ?warm_capacity ~socket () =
@@ -836,8 +804,8 @@ let start ?pool ?dispatchers ?(cache_capacity = 256) ?(aging_s = 5.0) ?journal
     invalid_arg "Daemon.start: restart_budget must be >= 0";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  match replace_stale_socket socket with
-  | Error _ as e -> e
+  match Obs.Statsd.claim_socket socket with
+  | Error e -> Error (Obs.Statsd.socket_error_message e)
   | Ok () -> (
     let journal_state =
       match journal with

@@ -87,13 +87,15 @@ let reset_global_stats () =
 
 type t = {
   mutable ok : bool; (* false once an empty clause has been derived *)
-  mutable clauses : int array Vec.t;
-  mutable clbd : Ivec.t; (* per clause: -1 = problem clause, else LBD *)
+  mutable pages : int array array; (* the clause arena; see "clause arena" *)
+  mutable fill : int array; (* per page: words in use *)
+  mutable cur : int; (* the page new clauses go to; later pages are empty *)
+  mutable n_clauses : int; (* clauses in the arena, problem + learnt *)
   mutable watches : Ivec.t array;
-      (* indexed by literal; (clause index, blocking literal) pairs *)
+      (* indexed by literal; (clause offset, blocking literal) pairs *)
   mutable assign : int array; (* per var: 1 true, 0 false, -1 unassigned *)
   mutable level : int array;
-  mutable reason : int array; (* clause index or -1 *)
+  mutable reason : int array; (* clause offset or -1 *)
   mutable phase : bool array; (* saved polarity *)
   mutable activity : float array;
   mutable heap_pos : int array; (* position in [heap], -1 if absent *)
@@ -154,8 +156,10 @@ let create ?(learnt_limit = 0) ?(seed = 0) ?(default_phase = false)
   if restart_base < 1 then invalid_arg "Sat.create: restart_base must be >= 1";
   {
     ok = true;
-    clauses = Vec.create ();
-    clbd = Ivec.create ();
+    pages = [| [||] |];
+    fill = [| 0 |];
+    cur = 0;
+    n_clauses = 0;
     watches = [||];
     assign = [||];
     level = [||];
@@ -207,7 +211,7 @@ let create ?(learnt_limit = 0) ?(seed = 0) ?(default_phase = false)
   }
 
 let num_vars s = s.nvars
-let num_clauses s = Vec.size s.clauses
+let num_clauses s = s.n_clauses
 let num_conflicts s = s.conflicts
 let num_learnts s = s.n_learnts
 
@@ -221,7 +225,7 @@ let stats s =
     learnts = s.n_learnts;
     learnts_deleted = s.learnts_deleted;
     db_reductions = s.db_reductions;
-    clauses = Vec.size s.clauses;
+    clauses = s.n_clauses;
     vars = s.nvars;
     lbd_sum = s.lbd_sum;
     lbd_max = s.lbd_max;
@@ -332,16 +336,28 @@ let new_var s =
   heap_insert s v;
   v
 
+(* [Lit]'s encoding (2v for v, 2v+1 for its negation), restated: the
+   dev profile builds with [-opaque], so calls into [Lit] are never
+   inlined, and these run for every literal propagation touches. *)
+let[@inline] var l = l lsr 1
+
 let lit_value s l =
-  let a = s.assign.(Lit.var l) in
+  let a = s.assign.(var l) in
   if a < 0 then -1 else a lxor (l land 1)
+
+(* Unchecked truth tests for the propagation loop: [assign] is sized by
+   [new_var], so every literal of an allocated variable indexes it. *)
+let[@inline] lit_true assign l =
+  Array.unsafe_get assign (var l) = (l land 1) lxor 1
+
+let[@inline] lit_false assign l = Array.unsafe_get assign (var l) = l land 1
 
 let decision_level s = Ivec.size s.trail_lim
 
 let enqueue s p reason =
-  let v = Lit.var p in
+  let v = var p in
   assert (s.assign.(v) < 0);
-  s.assign.(v) <- (if Lit.sign p then 1 else 0);
+  s.assign.(v) <- (p land 1) lxor 1;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   Ivec.push s.trail p
@@ -353,8 +369,8 @@ let cancel_until s lvl =
     let bound = Ivec.get s.trail_lim lvl in
     for i = Ivec.size s.trail - 1 downto bound do
       let p = Ivec.get s.trail i in
-      let v = Lit.var p in
-      s.phase.(v) <- Lit.sign p;
+      let v = var p in
+      s.phase.(v) <- p land 1 = 0;
       s.assign.(v) <- -1;
       s.reason.(v) <- -1;
       heap_insert s v
@@ -379,26 +395,105 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
-(* ----- clauses ----- *)
+(* ----- clause arena ----- *)
 
-(* Watch lists hold (clause index, blocking literal) pairs; the blocker is
-   some other literal of the clause, checked before the clause itself is
-   touched so satisfied clauses cost one array read instead of a cache
-   miss on the clause. *)
-let attach s ci =
-  let c = Vec.get s.clauses ci in
-  Ivec.push s.watches.(c.(0)) ci;
-  Ivec.push s.watches.(c.(0)) c.(1);
-  Ivec.push s.watches.(c.(1)) ci;
-  Ivec.push s.watches.(c.(1)) c.(0)
+(* Every clause lives in an [int] arena, MiniSat/CaDiCaL style: two
+   header words — the size, then the LBD (-1 marks a problem clause) —
+   followed by the literals. A clause is named by its offset, the page
+   number in the high bits and the header's index in that page below
+   [page_bits]; watches and reasons hold offsets. Clauses are appended
+   in creation order, and compaction ([reduce_db], [simplify]) slides
+   survivors down in place, so offsets stay in creation order and
+   rebuilt watch lists come out in the same order every time.
 
-let push_clause s c ~lbd =
-  Vec.push s.clauses c;
-  Ivec.push s.clbd lbd;
-  let ci = Vec.size s.clauses - 1 in
+   The arena is paged rather than one flat array because a growing flat
+   array leaves each outgrown copy behind as major-heap garbage: on the
+   synthesis benchmark that raised peak RSS from about 23 MB to 28-35 MB.
+   Pages are never copied once full-sized; only page 0 grows (by
+   doubling, from [first_page_words] up to [page_words]), so small
+   solvers stay small. A clause never straddles pages, and one longer
+   than [page_words] gets a page of its own. *)
+let hdr = 2
+let page_bits = 32
+let index_mask = (1 lsl page_bits) - 1
+let page_words = 16384
+let first_page_words = 256
+let[@inline] page_of s c = s.pages.(c lsr page_bits)
+let[@inline] index_of c = c land index_mask
+
+(* Reserve room for a [size]-literal clause, write its header and return
+   its offset; the caller writes the literals after the header. *)
+let alloc_clause s size ~lbd =
+  let need = hdr + size in
+  let k = s.cur in
+  let len = Array.length s.pages.(k) in
+  if s.fill.(k) + need > len then begin
+    if k = 0 && s.fill.(0) + need <= page_words then begin
+      let grown = max (2 * len) (max first_page_words (s.fill.(0) + need)) in
+      let pg = Array.make (min page_words grown) 0 in
+      Array.blit s.pages.(0) 0 pg 0 s.fill.(0);
+      s.pages.(0) <- pg
+    end
+    else begin
+      let k = k + 1 in
+      if k = Array.length s.pages then begin
+        s.pages <- Array.append s.pages (Array.make (k + 1) [||]);
+        s.fill <- Array.append s.fill (Array.make (k + 1) 0)
+      end;
+      (* a spare page left by compaction is reused when it is big enough *)
+      if Array.length s.pages.(k) < need then
+        s.pages.(k) <- Array.make (max page_words need) 0;
+      s.cur <- k
+    end
+  end;
+  let k = s.cur in
+  let pg = s.pages.(k) and b = s.fill.(k) in
+  pg.(b) <- size;
+  pg.(b + 1) <- lbd;
+  s.fill.(k) <- b + need;
+  s.n_clauses <- s.n_clauses + 1;
   if lbd >= 0 then s.n_learnts <- s.n_learnts + 1;
-  attach s ci;
-  ci
+  (k lsl page_bits) lor b
+
+(* Watch lists hold (clause offset, blocking literal) pairs; the blocker
+   is some other literal of the clause, checked before the clause itself
+   is touched so satisfied clauses cost one array read instead of a
+   cache miss on the clause. *)
+let attach s c =
+  let pg = page_of s c and b = index_of c + hdr in
+  let l0 = pg.(b) and l1 = pg.(b + 1) in
+  Ivec.push s.watches.(l0) c;
+  Ivec.push s.watches.(l0) l1;
+  Ivec.push s.watches.(l1) c;
+  Ivec.push s.watches.(l1) l0
+
+let push_clause_list s lits ~lbd =
+  let c = alloc_clause s (List.length lits) ~lbd in
+  let pg = page_of s c and b = index_of c + hdr in
+  List.iteri (fun i l -> pg.(b + i) <- l) lits;
+  attach s c;
+  c
+
+(* The literals of the clause at [c], copied out for the proof and
+   share hooks (the arena itself is never handed out). *)
+let clause_lits s c =
+  let pg = page_of s c and b = index_of c in
+  Array.sub pg (b + hdr) pg.(b)
+
+(* [f] on the offset of every clause, in creation order. *)
+let iter_clauses s f =
+  for k = 0 to s.cur do
+    let pg = s.pages.(k) in
+    let b = ref 0 in
+    while !b < s.fill.(k) do
+      f ((k lsl page_bits) lor !b);
+      b := !b + hdr + pg.(!b)
+    done
+  done
+
+let reattach_all s =
+  Array.iter Ivec.clear s.watches;
+  iter_clauses s (attach s)
 
 (* Normalize a root-level clause: sorted literals, tautologies and
    clauses satisfied at level 0 signalled as [None], false literals
@@ -412,7 +507,7 @@ let normalize_root_clause s lits =
     | [] -> Some (List.rev acc)
     | l :: rest ->
       if match rest with
-        | l' :: _ -> Lit.var l' = Lit.var l
+        | l' :: _ -> var l' = var l
         | [] -> false
       then None (* p and ~p: tautology *)
       else (
@@ -442,7 +537,7 @@ let add_clause_permanent s lits =
     | Some [ p ] -> enqueue s p (-1)
     | Some lits ->
       Obs.Metrics.incr m_clauses_added;
-      ignore (push_clause s (Array.of_list lits) ~lbd:(-1))
+      ignore (push_clause_list s lits ~lbd:(-1))
   end
 
 (* ----- assumption-literal scopes ----- *)
@@ -470,54 +565,76 @@ let add_clause s lits =
 
 (* ----- propagation ----- *)
 
+(* The hot loop: no allocation, and unchecked reads of the arena, the
+   watch lists and [assign] (offsets come from watches, literals from
+   allocated variables). Watch list [ws] is compacted in place; a
+   replacement watch goes to the list of a non-false literal, never to
+   [ws] itself, so [ws]'s backing array stays put while it is scanned. *)
 let propagate s =
   let confl = ref (-1) in
-  while !confl < 0 && s.qhead < Ivec.size s.trail do
-    let p = Ivec.get s.trail s.qhead in
+  let trail = s.trail in
+  let pages = s.pages and assign = s.assign in
+  while !confl < 0 && s.qhead < trail.Ivec.sz do
+    let p = Array.unsafe_get trail.Ivec.data s.qhead in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    let false_lit = Lit.neg p in
-    let ws = s.watches.(false_lit) in
-    let n = Ivec.size ws in
-    let j = ref 0 in
-    let i = ref 0 in
-    let keep ci blocker =
-      Ivec.set ws !j ci;
-      Ivec.set ws (!j + 1) blocker;
-      j := !j + 2
-    in
+    let false_lit = p lxor 1 in
+    let ws = Array.unsafe_get s.watches false_lit in
+    let wd = ws.Ivec.data in
+    let n = ws.Ivec.sz in
+    let i = ref 0 and j = ref 0 in
     while !i < n do
-      let ci = Ivec.get ws !i in
-      let blocker = Ivec.get ws (!i + 1) in
+      let c = Array.unsafe_get wd !i in
+      let blocker = Array.unsafe_get wd (!i + 1) in
       i := !i + 2;
-      if !confl >= 0 then
-        (* conflict already found: keep remaining watches untouched *)
-        keep ci blocker
-      else if lit_value s blocker = 1 then keep ci blocker
+      if lit_true assign blocker then begin
+        Array.unsafe_set wd !j c;
+        Array.unsafe_set wd (!j + 1) blocker;
+        j := !j + 2
+      end
       else begin
-        let c = Vec.get s.clauses ci in
-        if c.(0) = false_lit then begin
-          c.(0) <- c.(1);
-          c.(1) <- false_lit
+        let pg = Array.unsafe_get pages (c lsr page_bits) in
+        let b = index_of c in
+        let w0 = b + hdr in
+        if Array.unsafe_get pg w0 = false_lit then begin
+          Array.unsafe_set pg w0 (Array.unsafe_get pg (w0 + 1));
+          Array.unsafe_set pg (w0 + 1) false_lit
         end;
-        let first = c.(0) in
-        if lit_value s first = 1 then keep ci first
+        let first = Array.unsafe_get pg w0 in
+        if lit_true assign first then begin
+          Array.unsafe_set wd !j c;
+          Array.unsafe_set wd (!j + 1) first;
+          j := !j + 2
+        end
         else begin
-          let len = Array.length c in
-          let k = ref 2 in
-          while !k < len && lit_value s c.(!k) = 0 do
+          let stop = w0 + Array.unsafe_get pg b in
+          let k = ref (w0 + 2) in
+          while !k < stop && lit_false assign (Array.unsafe_get pg !k) do
             incr k
           done;
-          if !k < len then begin
+          if !k < stop then begin
             (* found a replacement watch *)
-            c.(1) <- c.(!k);
-            c.(!k) <- false_lit;
-            Ivec.push s.watches.(c.(1)) ci;
-            Ivec.push s.watches.(c.(1)) first
+            let l = Array.unsafe_get pg !k in
+            Array.unsafe_set pg (w0 + 1) l;
+            Array.unsafe_set pg !k false_lit;
+            let wl = Array.unsafe_get s.watches l in
+            Ivec.push wl c;
+            Ivec.push wl first
           end
           else begin
-            keep ci first;
-            if lit_value s first = 0 then confl := ci else enqueue s first ci
+            Array.unsafe_set wd !j c;
+            Array.unsafe_set wd (!j + 1) first;
+            j := !j + 2;
+            if lit_false assign first then begin
+              confl := c;
+              (* conflict: keep the remaining watches untouched *)
+              while !i < n do
+                Array.unsafe_set wd !j (Array.unsafe_get wd !i);
+                incr i;
+                incr j
+              done
+            end
+            else enqueue s first c
           end
         end
       end
@@ -528,68 +645,114 @@ let propagate s =
 
 (* ----- learned-clause database reduction ----- *)
 
-let locked s ci =
-  let c = Vec.get s.clauses ci in
-  let v = Lit.var c.(0) in
-  s.assign.(v) >= 0 && s.reason.(v) = ci
+let locked s c =
+  let v = var (page_of s c).(index_of c + hdr) in
+  s.assign.(v) >= 0 && s.reason.(v) = c
+
+(* LBD value marking a clause [reduce_db] has condemned. *)
+let deleted = -2
+
+(* Slide the surviving clauses down the arena in place, keeping their
+   order. [keep page b] is the size the clause at index [b] of [page]
+   keeps, or [-1] to drop it; with [strengthen], a survivor's literals
+   false at the root are dropped on the way. The write cursor never
+   passes the read cursor: a survivor that does not fit in the rest of
+   the write page moves on to the next page, at worst back to the start
+   of its own page, and within one page literal [j] is read before index
+   [w + hdr + j' <= b + hdr + j] is written. A survivor's reason pointer
+   is forwarded as it moves: a reason clause propagated its slot-0
+   literal, so it is the reason of that literal's variable exactly when
+   it is locked. Pages past the last one written are emptied; one is
+   kept as a spare, the rest are released. *)
+let compact s ~strengthen keep =
+  let wk = ref 0 and w = ref 0 and n = ref 0 in
+  for k = 0 to s.cur do
+    let src = s.pages.(k) in
+    let r = ref 0 in
+    let stop = s.fill.(k) in
+    while !r < stop do
+      let b = !r in
+      r := b + hdr + src.(b);
+      let size = keep src b in
+      if size >= 0 then begin
+        while !w + hdr + size > Array.length s.pages.(!wk) do
+          s.fill.(!wk) <- !w;
+          incr wk;
+          w := 0
+        done;
+        let dst = s.pages.(!wk) and lbd = src.(b + 1) in
+        if strengthen then begin
+          let j = ref (!w + hdr) in
+          for i = b + hdr to b + hdr + src.(b) - 1 do
+            let l = src.(i) in
+            if lit_value s l <> 0 then begin
+              dst.(!j) <- l;
+              incr j
+            end
+          done
+        end
+        else Array.blit src (b + hdr) dst (!w + hdr) size;
+        dst.(!w) <- size;
+        dst.(!w + 1) <- lbd;
+        let v = var dst.(!w + hdr) in
+        if s.reason.(v) = (k lsl page_bits) lor b && s.assign.(v) >= 0 then
+          s.reason.(v) <- (!wk lsl page_bits) lor !w;
+        w := !w + hdr + size;
+        incr n
+      end
+    done
+  done;
+  s.fill.(!wk) <- !w;
+  for k = !wk + 1 to Array.length s.pages - 1 do
+    s.fill.(k) <- 0;
+    if k > !wk + 1 then s.pages.(k) <- [||]
+  done;
+  s.cur <- !wk;
+  s.n_clauses <- !n;
+  reattach_all s
 
 (* Delete the worst half of the learned clauses by LBD (ties broken
-   towards longer clauses); glue clauses (LBD <= 2) and clauses currently
-   acting as reasons are kept. The database is compacted in place:
-   surviving clauses are renumbered, watches rebuilt, reasons remapped. *)
+   towards longer clauses, then later ones); glue clauses (LBD <= 2) and
+   clauses currently acting as reasons are kept. The arena is compacted
+   in place, watches rebuilt, reasons forwarded. *)
 let reduce_db s =
   s.db_reductions <- s.db_reductions + 1;
   Obs.Metrics.incr m_db_reductions;
   let cand = ref [] in
   let ncand = ref 0 in
-  for ci = 0 to Vec.size s.clauses - 1 do
-    let lbd = Ivec.get s.clbd ci in
-    if lbd > 2 && not (locked s ci) then begin
-      cand := (lbd, Array.length (Vec.get s.clauses ci), ci) :: !cand;
-      incr ncand
-    end
-  done;
+  iter_clauses s (fun c ->
+      let pg = page_of s c and b = index_of c in
+      let lbd = pg.(b + 1) in
+      if lbd > 2 && not (locked s c) then begin
+        cand := (lbd, pg.(b), c) :: !cand;
+        incr ncand
+      end);
   (* worst first: highest LBD, then longest *)
   let cand = List.sort (fun a b -> compare b a) !cand in
   let ndelete = min !ncand (s.n_learnts / 2) in
-  let delete = Bytes.make (Vec.size s.clauses) '\000' in
   List.iteri
-    (fun i (_, _, ci) -> if i < ndelete then Bytes.set delete ci '\001')
+    (fun i (_, _, c) ->
+      if i < ndelete then (page_of s c).(index_of c + 1) <- deleted)
     cand;
   (* deletion lines keep an offline checker's database (and its unit
      propagation) small; on a shared spool they are suppressed — a
      clause this member discards may still be live in another *)
-  (match s.proof with
-  | Some sp when not (Proof.is_shared sp) ->
-    for ci = 0 to Vec.size s.clauses - 1 do
-      if Bytes.get delete ci = '\001' then
-        Proof.log_delete sp (Vec.get s.clauses ci)
-    done
-  | _ -> ());
-  let old_clauses = s.clauses and old_clbd = s.clbd in
-  let remap = Array.make (Vec.size old_clauses) (-1) in
-  let clauses = Vec.create () and clbd = Ivec.create () in
-  for ci = 0 to Vec.size old_clauses - 1 do
-    if Bytes.get delete ci = '\000' then begin
-      remap.(ci) <- Vec.size clauses;
-      Vec.push clauses (Vec.get old_clauses ci);
-      Ivec.push clbd (Ivec.get old_clbd ci)
-    end
-  done;
-  s.clauses <- clauses;
-  s.clbd <- clbd;
+  let log =
+    match s.proof with
+    | Some sp when not (Proof.is_shared sp) -> Some sp
+    | _ -> None
+  in
+  compact s ~strengthen:false (fun pg b ->
+      if pg.(b + 1) <> deleted then pg.(b)
+      else begin
+        (match log with
+        | Some sp -> Proof.log_delete sp (Array.sub pg (b + hdr) pg.(b))
+        | None -> ());
+        -1
+      end);
   s.n_learnts <- s.n_learnts - ndelete;
   s.learnts_deleted <- s.learnts_deleted + ndelete;
   Obs.Metrics.add m_learnts_deleted ndelete;
-  Array.iter Ivec.clear s.watches;
-  for ci = 0 to Vec.size s.clauses - 1 do
-    attach s ci
-  done;
-  (* only clauses locked as reasons survive, so the remap is total on the
-     reason pointers of assigned variables *)
-  for v = 0 to s.nvars - 1 do
-    if s.reason.(v) >= 0 then s.reason.(v) <- remap.(s.reason.(v))
-  done;
   s.max_learnts <- (s.max_learnts * 11 / 10) + 16
 
 (* ----- level-0 simplification ----- *)
@@ -606,54 +769,37 @@ let simplify s =
   (* root-level facts never need their reasons again: conflict analysis
      ignores level-0 literals — and this releases every clause lock *)
   for i = 0 to Ivec.size s.trail - 1 do
-    s.reason.(Lit.var (Ivec.get s.trail i)) <- -1
+    s.reason.(var (Ivec.get s.trail i)) <- -1
   done;
-  let old_clauses = s.clauses and old_clbd = s.clbd in
-  let clauses = Vec.create () and clbd = Ivec.create () in
-  for ci = 0 to Vec.size old_clauses - 1 do
-    let c = Vec.get old_clauses ci in
-    let len = Array.length c in
-    let sat = ref false in
-    let k = ref 0 in
-    for j = 0 to len - 1 do
-      match lit_value s c.(j) with
-      | 1 -> sat := true
-      | 0 -> ()
-      | _ ->
-        c.(!k) <- c.(j);
-        incr k
-    done;
-    if !sat then begin
-      if Ivec.get old_clbd ci >= 0 then begin
-        s.n_learnts <- s.n_learnts - 1;
-        s.learnts_deleted <- s.learnts_deleted + 1;
-        Obs.Metrics.incr m_learnts_deleted
-      end
-    end
-    else begin
-      let c = if !k = len then c else Array.sub c 0 !k in
-      Vec.push clauses c;
-      Ivec.push clbd (Ivec.get old_clbd ci)
-    end
-  done;
-  s.clauses <- clauses;
-  s.clbd <- clbd;
-  Array.iter Ivec.clear s.watches;
-  for ci = 0 to Vec.size s.clauses - 1 do
-    attach s ci
-  done;
+  compact s ~strengthen:true (fun pg b ->
+      let sat = ref false and k = ref 0 in
+      for i = b + hdr to b + hdr + pg.(b) - 1 do
+        match lit_value s pg.(i) with
+        | 1 -> sat := true
+        | 0 -> ()
+        | _ -> incr k
+      done;
+      if not !sat then !k
+      else begin
+        if pg.(b + 1) >= 0 then begin
+          s.n_learnts <- s.n_learnts - 1;
+          s.learnts_deleted <- s.learnts_deleted + 1;
+          Obs.Metrics.incr m_learnts_deleted
+        end;
+        -1
+      end);
   s.simp_trail <- Ivec.size s.trail
 
 (* ----- conflict analysis (first UIP) ----- *)
 
-(* Number of distinct decision levels among [n] literals produced by
-   [get]; the literal-block distance of Audemard–Simon. *)
-let lbd_of s n get =
+(* Number of distinct decision levels among the literals of [lits];
+   the literal-block distance of Audemard–Simon. *)
+let lbd_of s lits =
   s.mark_gen <- s.mark_gen + 1;
   let gen = s.mark_gen in
   let distinct = ref 0 in
-  for i = 0 to n - 1 do
-    let lvl = s.level.(Lit.var (get i)) in
+  for i = 0 to Ivec.size lits - 1 do
+    let lvl = s.level.(var (Ivec.get lits i)) in
     if s.level_mark.(lvl) <> gen then begin
       s.level_mark.(lvl) <- gen;
       incr distinct
@@ -661,10 +807,28 @@ let lbd_of s n get =
   done;
   !distinct
 
+(* Is literal [q], propagated by the clause at [r], implied by the learnt
+   clause? Every other literal of its reason must already be in the
+   clause (still marked seen) or assigned at level 0. *)
+let redundant s q r =
+  let pg = page_of s r and b = index_of r in
+  let qv = var q in
+  let stop = b + hdr + pg.(b) in
+  let k = ref (b + hdr) in
+  while
+    !k < stop
+    &&
+    let v = var pg.(!k) in
+    v = qv || Bytes.get s.seen v = '\001' || s.level.(v) = 0
+  do
+    incr k
+  done;
+  !k >= stop
+
 (* Fills [s.out_learnt] with the learnt clause (asserting literal first,
    a literal of the backjump level second) and returns the backjump
-   level. Uses the persistent [seen]/[out_learnt]/[scratch] buffers: no
-   lists are allocated on this path. *)
+   level. Uses the persistent [seen]/[out_learnt]/[scratch] buffers:
+   nothing is allocated on this path. *)
 let analyze s confl =
   let out = s.out_learnt in
   let seen = s.seen in
@@ -676,11 +840,11 @@ let analyze s confl =
   let confl = ref confl in
   let continue = ref true in
   while !continue do
-    let c = Vec.get s.clauses !confl in
+    let pg = page_of s !confl and b = index_of !confl in
     let start = if !p < 0 then 0 else 1 in
-    for j = start to Array.length c - 1 do
-      let q = c.(j) in
-      let v = Lit.var q in
+    for j = b + hdr + start to b + hdr + pg.(b) - 1 do
+      let q = pg.(j) in
+      let v = var q in
       if (not (Bytes.unsafe_get seen v = '\001')) && s.level.(v) > 0 then begin
         Bytes.unsafe_set seen v '\001';
         var_bump s v;
@@ -689,14 +853,14 @@ let analyze s confl =
       end
     done;
     (* find the next marked literal on the trail *)
-    while Bytes.get seen (Lit.var (Ivec.get s.trail !index)) <> '\001' do
+    while Bytes.get seen (var (Ivec.get s.trail !index)) <> '\001' do
       decr index
     done;
     p := Ivec.get s.trail !index;
     decr index;
-    Bytes.set seen (Lit.var !p) '\000';
+    Bytes.set seen (var !p) '\000';
     decr path_c;
-    if !path_c > 0 then confl := s.reason.(Lit.var !p) else continue := false
+    if !path_c > 0 then confl := s.reason.(var !p) else continue := false
   done;
   Ivec.set out 0 (Lit.neg !p);
   (* local clause minimization (Sörensson–Biere): a literal is redundant
@@ -710,17 +874,8 @@ let analyze s confl =
   let j = ref 1 in
   for i = 1 to Ivec.size out - 1 do
     let q = Ivec.get out i in
-    let r = s.reason.(Lit.var q) in
-    let redundant =
-      r >= 0
-      && Array.for_all
-           (fun pl ->
-             Lit.var pl = Lit.var q
-             || Bytes.get seen (Lit.var pl) = '\001'
-             || s.level.(Lit.var pl) = 0)
-           (Vec.get s.clauses r)
-    in
-    if not redundant then begin
+    let r = s.reason.(var q) in
+    if not (r >= 0 && redundant s q r) then begin
       Ivec.set out !j q;
       incr j
     end
@@ -728,7 +883,7 @@ let analyze s confl =
   Ivec.shrink out !j;
   (* clear marks of every literal considered, removed ones included *)
   for i = 1 to Ivec.size scratch - 1 do
-    Bytes.set seen (Lit.var (Ivec.get scratch i)) '\000'
+    Bytes.set seen (var (Ivec.get scratch i)) '\000'
   done;
   (* backjump level = max level among the non-asserting literals; that
      literal moves to slot 1 so it is watched after learning *)
@@ -736,13 +891,13 @@ let analyze s confl =
   else begin
     let best = ref 1 in
     for i = 2 to Ivec.size out - 1 do
-      if s.level.(Lit.var (Ivec.get out i)) > s.level.(Lit.var (Ivec.get out !best))
+      if s.level.(var (Ivec.get out i)) > s.level.(var (Ivec.get out !best))
       then best := i
     done;
     let tmp = Ivec.get out 1 in
     Ivec.set out 1 (Ivec.get out !best);
     Ivec.set out !best tmp;
-    s.level.(Lit.var (Ivec.get out 1))
+    s.level.(var (Ivec.get out 1))
   end
 
 (* ----- search ----- *)
@@ -755,14 +910,6 @@ let set_terminate s f =
   s.poll <- 0
 
 let set_share s sh = s.share <- sh
-
-(* Hand a freshly learned clause to the share hook. The array is the
-   live one about to enter the clause database: the callback must copy
-   whatever it decides to keep (Exchange.publish does). *)
-let export_learnt s ~lbd c =
-  match s.share with
-  | None -> ()
-  | Some sh -> sh.export ~lbd c
 
 (* Adopt foreign learnt clauses at a restart boundary (decision level
    0). Shared clauses are logical consequences of the common problem,
@@ -781,14 +928,13 @@ let import_shared s =
       (fun (lbd, lits) ->
         if
           s.ok
-          && Array.for_all (fun l -> Lit.var l < s.nvars) lits
+          && Array.for_all (fun l -> var l < s.nvars) lits
         then
           match normalize_root_clause s (Array.to_list lits) with
           | None -> () (* tautology, or already satisfied at level 0 *)
           | Some [] -> s.ok <- false
           | Some [ p ] -> enqueue s p (-1)
-          | Some lits ->
-            ignore (push_clause s (Array.of_list lits) ~lbd:(max 1 lbd)))
+          | Some lits -> ignore (push_clause_list s lits ~lbd:(max 1 lbd)))
       (sh.import ())
 
 let set_limits s l =
@@ -878,21 +1024,36 @@ let handle_conflict s ci =
      (match s.proof with
      | Some sp -> Proof.log_learnt_unit sp (Ivec.get out 0)
      | None -> ());
-     if s.share <> None then export_learnt s ~lbd:1 [| Ivec.get out 0 |];
+     (match s.share with
+     | Some sh -> sh.export ~lbd:1 [| Ivec.get out 0 |]
+     | None -> ());
      enqueue s (Ivec.get out 0) (-1)
    end
    else begin
-     let c = Array.init (Ivec.size out) (Ivec.get out) in
-     let lbd = lbd_of s (Array.length c) (Array.get c) in
+     let n = Ivec.size out in
+     let lbd = lbd_of s out in
      Obs.Metrics.observe m_lbd lbd;
      s.lbd_sum <- s.lbd_sum + lbd;
      if lbd > s.lbd_max then s.lbd_max <- lbd;
-     (match s.proof with
-     | Some sp -> Proof.log_learnt sp c
-     | None -> ());
-     export_learnt s ~lbd c;
-     let ci = push_clause s c ~lbd in
-     enqueue s c.(0) ci
+     let c = alloc_clause s n ~lbd in
+     let pg = page_of s c and b = index_of c + hdr in
+     for i = 0 to n - 1 do
+       pg.(b + i) <- Ivec.get out i
+     done;
+     (* the proof and share hooks get their own copy, made only when
+        one of them is installed *)
+     (match (s.proof, s.share) with
+     | None, None -> ()
+     | proof, share -> (
+       let lits = clause_lits s c in
+       (match proof with
+       | Some sp -> Proof.log_learnt sp lits
+       | None -> ());
+       match share with
+       | Some sh -> sh.export ~lbd lits
+       | None -> ()));
+     attach s c;
+     enqueue s (Ivec.get out 0) c
    end);
   var_decay s
 
@@ -911,7 +1072,7 @@ let analyze_final s seed_n seed_get =
     let seen = s.seen in
     let marked = ref 0 in
     let mark l =
-      let v = Lit.var l in
+      let v = var l in
       if s.level.(v) > 0 && Bytes.get seen v <> '\001' then begin
         Bytes.set seen v '\001';
         incr marked
@@ -925,7 +1086,7 @@ let analyze_final s seed_n seed_get =
     let i = ref (Ivec.size s.trail - 1) in
     while !marked > 0 && !i >= bound do
       let p = Ivec.get s.trail !i in
-      let v = Lit.var p in
+      let v = var p in
       if Bytes.get seen v = '\001' then begin
         Bytes.set seen v '\000';
         decr marked;
@@ -935,9 +1096,9 @@ let analyze_final s seed_n seed_get =
           (* slot 0 of a reason clause is the literal it propagated —
              marking it again would leave [v] seen forever and poison
              later conflict analyses *)
-          let c = Vec.get s.clauses r in
-          for j = 1 to Array.length c - 1 do
-            mark c.(j)
+          let pg = page_of s r and b = index_of r in
+          for j = b + hdr + 1 to b + hdr + pg.(b) - 1 do
+            mark pg.(j)
           done
         end
       end;
@@ -965,30 +1126,33 @@ let rec assume s assumptions =
       new_decision_level s;
       enqueue s p (-1);
       (* propagate before the next assumption so values are visible *)
-      let ci = propagate s in
-      if ci >= 0 then begin
-        let c = Vec.get s.clauses ci in
-        s.last_core <- analyze_final s (Array.length c) (Array.get c);
+      let c = propagate s in
+      if c >= 0 then begin
+        let pg = page_of s c and b = index_of c in
+        s.last_core <- analyze_final s pg.(b) (fun i -> pg.(b + hdr + i));
         raise (Found Unsat)
       end
       else assume s assumptions
   end
 
+(* Pop the most active unassigned variable; -1 once the heap runs dry. *)
+let rec pick_branch s =
+  if Ivec.size s.heap = 0 then -1
+  else
+    let v = heap_pop_max s in
+    if s.assign.(v) < 0 then v else pick_branch s
+
 let decide s =
-  let rec pick () =
-    if Ivec.size s.heap = 0 then None
-    else
-      let v = heap_pop_max s in
-      if s.assign.(v) < 0 then Some v else pick ()
-  in
-  match pick () with
-  | None ->
+  let v = pick_branch s in
+  if v < 0 then begin
     save_model s;
     raise (Found Sat)
-  | Some v ->
+  end
+  else begin
     s.decisions <- s.decisions + 1;
     new_decision_level s;
     enqueue s (Lit.make v s.phase.(v)) (-1)
+  end
 
 let search s assumptions budget =
   let local = ref 0 in
@@ -1033,7 +1197,7 @@ let run_solve s assumptions =
     end
     else
       s.max_learnts <-
-        max s.max_learnts (max 2000 ((Vec.size s.clauses - s.n_learnts) / 3));
+        max s.max_learnts (max 2000 ((s.n_clauses - s.n_learnts) / 3));
     (* scope activation literals are standing assumptions *)
     let assumptions =
       Array.of_list
@@ -1071,7 +1235,7 @@ let run_solve s assumptions =
 let set_name s v name = Hashtbl.replace s.names v name
 
 let name_of_lit s l =
-  match Hashtbl.find_opt s.names (Lit.var l) with
+  match Hashtbl.find_opt s.names (var l) with
   | Some n -> n
   | None -> Printf.sprintf "lit%d" (Lit.to_int l)
 
@@ -1126,7 +1290,7 @@ let solve_with_assumptions s assumptions =
         ("propagations", Obs.Int (s.propagations - p0));
         ("restarts", Obs.Int (s.restarts - r0));
         ("vars", Obs.Int s.nvars);
-        ("clauses", Obs.Int (Vec.size s.clauses));
+        ("clauses", Obs.Int s.n_clauses);
         ("learnts", Obs.Int s.n_learnts);
         ("assumptions", Obs.Int adepth);
       ]

@@ -221,8 +221,7 @@ type share = {
   export : lbd:int -> Lit.t array -> unit;
       (** called on every learned clause (unit learnts export with LBD
           1), from the search hot path: it must be cheap, must not
-          block, and must copy the array if it retains it — the solver
-          hands over its live clause *)
+          block, and must copy the array if it retains it *)
   import : unit -> (int * Lit.t array) list;
       (** polled at restart boundaries (decision level 0); returns
           [(lbd, literals)] pairs to adopt. Satisfied-at-root and

@@ -1,60 +1,5 @@
-type 'a t = { mutable data : 'a array; mutable sz : int }
-
-let create () = { data = [||]; sz = 0 }
-let make n x = { data = Array.make (max n 1) x; sz = n }
-let size v = v.sz
-let is_empty v = v.sz = 0
-
-let get v i =
-  assert (i >= 0 && i < v.sz);
-  v.data.(i)
-
-let set v i x =
-  assert (i >= 0 && i < v.sz);
-  v.data.(i) <- x
-
-let grow v x =
-  let cap = Array.length v.data in
-  let data = Array.make (max 4 (2 * cap)) x in
-  Array.blit v.data 0 data 0 v.sz;
-  v.data <- data
-
-let push v x =
-  if v.sz = Array.length v.data then grow v x;
-  v.data.(v.sz) <- x;
-  v.sz <- v.sz + 1
-
-let pop v =
-  assert (v.sz > 0);
-  v.sz <- v.sz - 1;
-  v.data.(v.sz)
-
-let last v =
-  assert (v.sz > 0);
-  v.data.(v.sz - 1)
-
-let clear v = v.sz <- 0
-
-let shrink v n =
-  assert (n >= 0 && n <= v.sz);
-  v.sz <- n
-
-let iter f v =
-  for i = 0 to v.sz - 1 do
-    f v.data.(i)
-  done
-
-let to_list v =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
-  go (v.sz - 1) []
-
-let of_list xs =
-  let v = create () in
-  List.iter (push v) xs;
-  v
-
 module Ivec = struct
-  type nonrec t = { mutable data : int array; mutable sz : int }
+  type t = { mutable data : int array; mutable sz : int }
 
   let create () = { data = [||]; sz = 0 }
   let size v = v.sz
@@ -92,11 +37,6 @@ module Ivec = struct
   let shrink v n =
     assert (n >= 0 && n <= v.sz);
     v.sz <- n
-
-  let iter f v =
-    for i = 0 to v.sz - 1 do
-      f v.data.(i)
-    done
 
   let to_list v =
     let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in

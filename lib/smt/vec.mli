@@ -1,29 +1,14 @@
-(** Growable arrays specialised for the SAT solver's hot loops.
-
-    [Vec.t] is a polymorphic growable array; [Ivec.t] is an unboxed
-    growable array of [int]s used for trails, watch lists and clauses. *)
-
-type 'a t
-
-val create : unit -> 'a t
-val make : int -> 'a -> 'a t
-val size : 'a t -> int
-val is_empty : 'a t -> bool
-val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
-val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a
-val last : 'a t -> 'a
-val clear : 'a t -> unit
-val shrink : 'a t -> int -> unit
-(** [shrink v n] truncates [v] to its first [n] elements. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-val to_list : 'a t -> 'a list
-val of_list : 'a list -> 'a t
+(** Growable arrays specialised for the SAT solver's hot loops: [Ivec.t]
+    is an unboxed growable array of [int]s, used for trails and watch
+    lists. *)
 
 module Ivec : sig
-  type t
+  type t = { mutable data : int array; mutable sz : int }
+  (** Concrete so the SAT solver's propagation loop can index the
+      backing array directly: the library is built with [-opaque] in
+      the dev profile, which rules out cross-module inlining of {!get}.
+      Slots [0 .. sz-1] are live; [data] is replaced when a push grows
+      it. *)
 
   val create : unit -> t
   val size : t -> int
@@ -34,6 +19,5 @@ module Ivec : sig
   val last : t -> int
   val clear : t -> unit
   val shrink : t -> int -> unit
-  val iter : (int -> unit) -> t -> unit
   val to_list : t -> int list
 end

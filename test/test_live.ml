@@ -107,6 +107,59 @@ let test_ticker_ring () =
 (* stats endpoint                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A second run handed the socket of a live one is refused with a typed
+   error and leaves the live endpoint serving; a socket file nobody
+   accepts on (a crashed run's leftover) is replaced. *)
+let fresh_socket_path () =
+  let path = Filename.temp_file "sciduction_stats" ".sock" in
+  Sys.remove path;
+  path
+
+let with_endpoint path f =
+  let ticker = Live.start ~interval_ms:600_000 () in
+  match Obs.Statsd.start ~path ~ticker () with
+  | Error e ->
+    Live.stop ticker;
+    Alcotest.fail (Obs.Statsd.socket_error_message e)
+  | Ok server ->
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Statsd.stop server;
+        Live.stop ticker)
+      f
+
+let test_statsd_live_path_refused () =
+  Obs.reset ();
+  let path = fresh_socket_path () in
+  with_endpoint path (fun () ->
+      let ticker = Live.start ~interval_ms:600_000 () in
+      (match Obs.Statsd.start ~path ~ticker () with
+      | Ok second ->
+        Obs.Statsd.stop second;
+        Alcotest.fail "a second endpoint took over a live socket"
+      | Error (Obs.Statsd.Live_server p) ->
+        Alcotest.(check string) "error names the path" path p
+      | Error e ->
+        Alcotest.failf "wrong refusal: %s" (Obs.Statsd.socket_error_message e));
+      Live.stop ticker;
+      match Obs.Statsd.fetch ~path ~target:"/healthz" () with
+      | Ok body ->
+        Alcotest.(check string) "live endpoint still serves" "ok\n" body
+      | Error msg -> Alcotest.failf "live endpoint harmed: %s" msg);
+  Alcotest.(check bool) "socket removed on stop" false (Sys.file_exists path)
+
+let test_statsd_stale_socket_replaced () =
+  Obs.reset ();
+  let path = fresh_socket_path () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  Alcotest.(check bool) "stale file present" true (Sys.file_exists path);
+  with_endpoint path (fun () ->
+      match Obs.Statsd.fetch ~path ~target:"/healthz" () with
+      | Ok body -> Alcotest.(check string) "replacement serves" "ok\n" body
+      | Error msg -> Alcotest.failf "stale socket not replaced: %s" msg)
+
 let test_statsd_roundtrip () =
   Obs.reset ();
   Obs.enable ();
@@ -117,8 +170,10 @@ let test_statsd_roundtrip () =
   let ticker = Live.start ~interval_ms:600_000 () in
   Live.tick_now ticker;
   let path = Filename.temp_file "sciduction_stats" ".sock" in
+  (* a unique name, not a file: the endpoint refuses to replace one *)
+  Sys.remove path;
   (match Obs.Statsd.start ~path ~ticker () with
-  | Error msg -> Alcotest.fail msg
+  | Error e -> Alcotest.fail (Obs.Statsd.socket_error_message e)
   | Ok server ->
     (* scrape from a second domain, the way a real client process
        would hit the socket from outside the run *)
@@ -323,6 +378,10 @@ let () =
       ( "statsd",
         [
           Alcotest.test_case "socket round trip" `Quick test_statsd_roundtrip;
+          Alcotest.test_case "live path refused" `Quick
+            test_statsd_live_path_refused;
+          Alcotest.test_case "stale socket replaced" `Quick
+            test_statsd_stale_socket_replaced;
         ] );
       ( "watchdog",
         [

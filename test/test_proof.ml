@@ -75,15 +75,10 @@ let test_with_core_obligation () =
 (* checker on hand-built proofs                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_strings cnf proof =
-  match (Drat.parse_dimacs cnf, Drat.parse_proof proof) with
-  | Ok c, Ok p -> Drat.check c p
-  | Error e, _ | _, Error e -> Error e
-
 let test_checker_accepts_rup () =
   (* 2-variable contradiction: [1] is RUP, then the empty clause is *)
   let cnf = "1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n" in
-  match check_strings cnf "1 0\n0\n" with
+  match Certs.check_strings cnf "1 0\n0\n" with
   | Error e -> Alcotest.failf "valid proof rejected: %s" e
   | Ok st ->
     Alcotest.(check int) "cnf clauses" 4 st.Drat.cnf_clauses;
@@ -92,20 +87,20 @@ let test_checker_accepts_rup () =
 let test_checker_root_conflict () =
   (* the formula refutes itself by unit propagation: an empty proof is
      already a certificate *)
-  match check_strings "1 0\n-1 2 0\n-2 0\n" "" with
+  match Certs.check_strings "1 0\n-1 2 0\n-2 0\n" "" with
   | Error e -> Alcotest.failf "root conflict not accepted: %s" e
   | Ok _ -> ()
 
 let test_checker_rejects_non_rup () =
   (* satisfiable formula: the empty clause can never be RUP *)
-  (match check_strings "1 2 0\n" "0\n" with
+  (match Certs.check_strings "1 2 0\n" "0\n" with
   | Ok _ -> Alcotest.fail "empty clause accepted over a satisfiable CNF"
   | Error e ->
     Alcotest.(check bool) "explains the offending line" true
       (String.length e > 0));
   (* a proof that checks line-by-line but never derives the empty
      clause proves nothing *)
-  match check_strings "1 2 0\n-2 0\n" "1 0\n" with
+  match Certs.check_strings "1 2 0\n-2 0\n" "1 0\n" with
   | Ok _ -> Alcotest.fail "incomplete proof accepted"
   | Error _ -> ()
 
@@ -115,7 +110,7 @@ let test_checker_deletions () =
   let cnf = "1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n1 2 3 0\n" in
   (* the deletions come first: once the unit [1] lands, propagation
      conflicts at the root and the remaining lines are vacuous *)
-  match check_strings cnf "d 1 2 3 0\nd 7 8 0\n1 0\n0\n" with
+  match Certs.check_strings cnf "d 1 2 3 0\nd 7 8 0\n1 0\n0\n" with
   | Error e -> Alcotest.failf "proof with deletions rejected: %s" e
   | Ok st ->
     Alcotest.(check int) "live deletion counted" 1 st.Drat.deletions
@@ -124,43 +119,6 @@ let test_checker_deletions () =
 (* certificate reconstruction (mirrors the CLI's check-proof)          *)
 (* ------------------------------------------------------------------ *)
 
-let read_prefix path n =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  really_input_string ic n
-
-let reconstruct entry =
-  let get f k =
-    match Option.bind (Json.member k entry) f with
-    | Some v -> v
-    | None -> Alcotest.failf "index entry lacks %s" k
-  in
-  let str k = get Json.to_str k in
-  let num k = get Json.to_int k in
-  let core =
-    match Json.member "core" entry with
-    | Some (Json.List l) -> List.filter_map Json.to_int l
-    | _ -> []
-  in
-  let cnf =
-    Printf.sprintf "p cnf %d %d\n" (num "maxvar")
-      (num "cnf_clauses" + List.length core)
-    ^ read_prefix (str "cnf") (num "cnf_bytes")
-    ^ String.concat ""
-        (List.map (fun l -> Printf.sprintf "%d 0\n" l) core)
-  in
-  let drat = read_prefix (str "drat") (num "drat_bytes") ^ "0\n" in
-  (cnf, drat)
-
-let cleanup_spools prefix =
-  let dir = Filename.dirname prefix and base = Filename.basename prefix in
-  Array.iter
-    (fun f ->
-      if String.length f > String.length base
-         && String.sub f 0 (String.length base) = base
-      then Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir)
-
 (* run [f] with the plane logging under a fresh prefix, hand the index
    entries to [use] while the spool files still exist, then clean up *)
 let with_plane tag f use =
@@ -168,7 +126,7 @@ let with_plane tag f use =
   Fun.protect
     ~finally:(fun () ->
       Proof.disable ();
-      cleanup_spools prefix)
+      Certs.cleanup_spools prefix)
   @@ fun () ->
   Proof.enable ~prefix;
   let () = f () in
@@ -182,8 +140,8 @@ let check_entries where entries =
     (entries <> []);
   List.iteri
     (fun i entry ->
-      let cnf, drat = reconstruct entry in
-      match check_strings cnf drat with
+      let cnf, drat = Certs.reconstruct entry in
+      match Certs.check_strings cnf drat with
       | Ok _ -> ()
       | Error e ->
         let dump ext text =
@@ -242,7 +200,7 @@ let test_verdicts_identical_proof_on_off () =
     Fun.protect
       ~finally:(fun () ->
         Proof.disable ();
-        cleanup_spools prefix)
+        Certs.cleanup_spools prefix)
     @@ fun () ->
     Proof.enable ~prefix;
     List.map (solve_problem ~seed:5) instances

@@ -326,6 +326,251 @@ let test_solver_push_pop () =
   | Solver.Unsat -> Alcotest.fail "still satisfiable after retraction"
   | Solver.Unknown _ -> Alcotest.fail "unexpected unknown"
 
+(* ------------------------------------------------------------------ *)
+(* search identity                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The solver is deterministic: these instances must take exactly the
+   search they have always taken (counts recorded before the clause
+   arena replaced per-clause arrays). A storage change that reordered
+   watch lists, reasons or the deletion order of [reduce_db] would move
+   them. *)
+let search_counts s =
+  let st = Sat.stats s in
+  (st.Sat.conflicts, st.Sat.decisions, st.Sat.propagations)
+
+let counts = Alcotest.(triple int int int)
+
+let pigeonhole_8_7 s =
+  let n = 7 in
+  for _ = 1 to (n + 1) * n do
+    ignore (Sat.new_var s)
+  done;
+  let v i h = (i * n) + h in
+  for i = 0 to n do
+    Sat.add_clause s (List.init n (fun h -> Lit.pos (v i h)))
+  done;
+  for h = 0 to n - 1 do
+    for i = 0 to n do
+      for j = i + 1 to n do
+        Sat.add_clause s [ Lit.neg_of (v i h); Lit.neg_of (v j h) ]
+      done
+    done
+  done
+
+let test_search_identity_pigeonhole () =
+  let s = Sat.create ~learnt_limit:20 () in
+  pigeonhole_8_7 s;
+  Alcotest.(check bool) "unsat" true (Sat.solve s = Sat.Unsat);
+  Alcotest.check counts "PHP(8,7): conflicts, decisions, propagations"
+    (9979, 12071, 137639) (search_counts s);
+  let st = Sat.stats s in
+  Alcotest.(check (pair int int)) "reductions, learnts deleted" (27, 8495)
+    (st.Sat.db_reductions, st.Sat.learnts_deleted)
+
+let test_search_identity_random () =
+  (* (seed, conflicts, decisions, propagations) *)
+  let expected =
+    [ (1, 44, 64, 633); (2, 32, 34, 394); (3, 15, 22, 324); (4, 77, 85, 1090);
+      (5, 84, 99, 1283); (6, 2, 12, 81); (7, 54, 65, 777); (8, 31, 36, 420);
+      (9, 10, 27, 208); (10, 37, 47, 435); (11, 16, 24, 235);
+      (12, 47, 50, 599); (13, 31, 40, 493); (14, 36, 50, 560);
+      (15, 25, 27, 362); (16, 24, 36, 374); (17, 28, 39, 395);
+      (18, 70, 89, 1063); (19, 24, 28, 316); (20, 11, 19, 226) ]
+  in
+  List.iter
+    (fun (seed, c, d, p) ->
+      let s, _ =
+        load ~learnt_limit:8
+          (Dimacs.to_string (random_cnf ~seed ~nvars:50 ~nclauses:215))
+      in
+      ignore (Sat.solve s : Sat.result);
+      Alcotest.check counts (Printf.sprintf "seed %d" seed) (c, d, p)
+        (search_counts s))
+    expected
+
+let test_search_identity_scoped () =
+  (* scopes, pops and permanent units: [simplify] compacts the arena
+     between solves and [reduce_db] runs inside them *)
+  let p = random_cnf ~seed:9 ~nvars:60 ~nclauses:240 in
+  let s, _ = load ~learnt_limit:8 (Dimacs.to_string p) in
+  let verdicts = Buffer.create 12 in
+  let solve () =
+    Buffer.add_char verdicts
+      (match Sat.solve s with
+      | Sat.Sat -> 's'
+      | Sat.Unsat -> 'u'
+      | Sat.Unknown _ -> '?')
+  in
+  for round = 1 to 6 do
+    let extra = random_cnf ~seed:(100 + round) ~nvars:60 ~nclauses:9 in
+    Sat.push s;
+    List.iter (Sat.add_clause s)
+      (List.filteri (fun i _ -> i < 8) extra.Dimacs.clauses);
+    solve ();
+    Sat.pop s;
+    Sat.add_clause s [ List.hd (List.nth extra.Dimacs.clauses 8) ];
+    solve ()
+  done;
+  Alcotest.(check string) "verdicts" "ususssuuuuuu" (Buffer.contents verdicts);
+  Alcotest.check counts "conflicts, decisions, propagations" (96, 141, 1993)
+    (search_counts s)
+
+(* ------------------------------------------------------------------ *)
+(* differential fuzzing                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Random incremental scripts over 3-12 variables, run against the
+   reference DPLL at every solve. A tiny learnt cap keeps [reduce_db]
+   compacting the clause arena mid-search, and pops and permanent units
+   make [simplify] compact it between solves, so stale offsets in
+   watches or reasons would surface as wrong verdicts or models. *)
+
+type op =
+  | Add of Lit.t list  (** scoped while a scope is open *)
+  | Unit of Lit.t  (** [add_clause_permanent]: survives every pop *)
+  | Push
+  | Pop  (** skipped without an open scope *)
+  | Solve of Lit.t list  (** under these assumptions *)
+
+let pp_lits c =
+  String.concat " " (List.map (fun l -> string_of_int (Lit.to_int l)) c)
+
+let pp_op = function
+  | Add c -> "add " ^ pp_lits c
+  | Unit l -> "unit " ^ pp_lits [ l ]
+  | Push -> "push"
+  | Pop -> "pop"
+  | Solve a -> "solve " ^ pp_lits a
+
+let arb_script =
+  let open QCheck.Gen in
+  let gen =
+    int_range 3 12 >>= fun nvars ->
+    let lit = map2 Lit.make (int_bound (nvars - 1)) bool in
+    let clause =
+      list_size (frequency [ (1, return 2); (6, return 3); (1, return 4) ]) lit
+    in
+    let solve = map (fun a -> Solve a) (list_size (int_bound 3) lit) in
+    let block =
+      frequency
+        [
+          (* a scope of random 3-CNF up to past the threshold density,
+             queried, and usually retracted again *)
+          ( 4,
+            map3
+              (fun adds solves pop ->
+                (Push :: List.map (fun c -> Add c) adds)
+                @ solves
+                @ if pop then [ Pop ] else [])
+              (list_size (int_range nvars (5 * nvars)) clause)
+              (list_size (int_range 1 6) solve)
+              (frequency [ (3, return true); (1, return false) ]) );
+          (1, map (fun c -> [ Add c ]) clause);
+          (1, map (fun l -> [ Unit l ]) lit);
+          (1, return [ Pop ]);
+          (1, map (fun s -> [ s ]) solve);
+        ]
+    in
+    map
+      (fun blocks -> (nvars, List.concat blocks))
+      (list_size (int_range 1 8) block)
+  in
+  QCheck.make gen ~print:(fun (nvars, ops) ->
+      Printf.sprintf "%d vars: %s" nvars
+        (String.concat "; " (List.map pp_op ops)))
+
+let fuzz_reductions = ref 0
+let fuzz_unsat = ref 0
+
+(* Run one script, checking every verdict against [Dpll.solve] and
+   every model with [Dpll.eval]; returns the verdicts, the final search
+   counts and the number of database reductions. *)
+let run_script (nvars, ops) =
+  let s = Sat.create ~learnt_limit:4 () in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s)
+  done;
+  let permanent = ref [] and scopes = ref [] in
+  let verdicts = ref [] in
+  let solve assumptions =
+    let active =
+      List.map (fun l -> [ l ]) assumptions @ !permanent @ List.concat !scopes
+    in
+    let got = Sat.solve_with_assumptions s assumptions in
+    (match (got, Dpll.solve ~nvars active) with
+    | Sat.Sat, Dpll.Sat _ ->
+      if not (Dpll.eval (Array.init nvars (Sat.value s)) active) then
+        QCheck.Test.fail_report "model violates an active clause"
+    | Sat.Unsat, Dpll.Unsat -> ()
+    | Sat.Unknown _, _ -> QCheck.Test.fail_report "unexpected unknown"
+    | _ -> QCheck.Test.fail_report "verdict disagrees with the reference");
+    verdicts := got :: !verdicts
+  in
+  List.iter
+    (function
+      | Add c -> (
+        Sat.add_clause s c;
+        match !scopes with
+        | [] -> permanent := c :: !permanent
+        | top :: rest -> scopes := (c :: top) :: rest)
+      | Unit l ->
+        Sat.add_clause_permanent s [ l ];
+        permanent := [ l ] :: !permanent
+      | Push ->
+        Sat.push s;
+        scopes := [] :: !scopes
+      | Pop -> (
+        match !scopes with
+        | [] -> ()
+        | _ :: rest ->
+          Sat.pop s;
+          scopes := rest)
+      | Solve a -> solve a)
+    ops;
+  solve [];
+  (List.rev !verdicts, search_counts s, (Sat.stats s).Sat.db_reductions)
+
+let fuzz_prop script =
+  let verdicts, plain_counts, reductions = run_script script in
+  fuzz_reductions := !fuzz_reductions + reductions;
+  let unsat = List.length (List.filter (( = ) Sat.Unsat) verdicts) in
+  fuzz_unsat := !fuzz_unsat + unsat;
+  (* the same script with the proof plane on: same search, and every
+     Unsat certified by the independent checker *)
+  let prefix = Filename.temp_file "sciduction_fuzz" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Smt.Proof.disable ();
+      Certs.cleanup_spools prefix)
+  @@ fun () ->
+  Smt.Proof.enable ~prefix;
+  let logged, logged_counts, _ = run_script script in
+  Smt.Proof.disable ();
+  if logged <> verdicts || logged_counts <> plain_counts then
+    QCheck.Test.fail_report "proof logging changed the search";
+  match Smt.Proof.read_index ~prefix with
+  | Error e -> QCheck.Test.fail_reportf "index unreadable: %s" e
+  | Ok entries ->
+    if List.length entries <> unsat then
+      QCheck.Test.fail_report "not one certificate per unsat verdict";
+    List.iter
+      (fun entry ->
+        let cnf, drat = Certs.reconstruct entry in
+        match Certs.check_strings cnf drat with
+        | Ok _ -> ()
+        | Error e -> QCheck.Test.fail_reportf "certificate rejected: %s" e)
+      entries;
+    true
+
+let test_fuzz_against_reference () =
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 20261017 |])
+    (QCheck.Test.make ~name:"sat vs dpll" ~count:1000 arb_script fuzz_prop);
+  (* the scripts must actually have reached the code under test *)
+  Alcotest.(check bool) "reduce_db ran" true (!fuzz_reductions > 0);
+  Alcotest.(check bool) "some verdicts were unsat" true (!fuzz_unsat > 0)
+
 let () =
   Alcotest.run "sat-regress"
     [
@@ -356,5 +601,18 @@ let () =
         [
           Alcotest.test_case "push/pop and retractables over QF_BV" `Quick
             test_solver_push_pop;
+        ] );
+      ( "search",
+        [
+          Alcotest.test_case "pigeonhole under reduction" `Quick
+            test_search_identity_pigeonhole;
+          Alcotest.test_case "random 3-CNF" `Quick test_search_identity_random;
+          Alcotest.test_case "scopes, pops and units" `Quick
+            test_search_identity_scoped;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "scripts vs DPLL and DRAT" `Quick
+            test_fuzz_against_reference;
         ] );
     ]

@@ -21,7 +21,6 @@ module Client = Server.Client
 module Journal = Server.Journal
 module Json = Obs.Json
 module Proof = Smt.Proof
-module Drat = Cert.Drat
 
 (* ------------------------------------------------------------------ *)
 (* fixtures                                                            *)
@@ -64,13 +63,16 @@ let shift_spec ?(len = 12) max_depth =
 
 (* a deep sweep over a wide counter: reliably outlives the instant
    between ack and cancel/disconnect, and stops quickly once its budget
-   cancel hook fires *)
+   cancel hook fires. Every test cancels it; it must outlast a test's
+   round trips on a loaded machine, so it runs for seconds (depth 800
+   takes about 3.5 s on one core of a 2-vCPU VM; the depth has to
+   track the SAT core's speed) *)
 let slow_spec =
   Jobs.Bmc
     {
       system =
         { shift = None; junk = 40; bits = 3; modulus = 6; bad_value = 7 };
-      max_depth = 500;
+      max_depth = 800;
     }
 
 let stat socket name =
@@ -490,43 +492,6 @@ let test_fault_is_typed_and_isolated () =
 (* --proof through the server                                          *)
 (* ------------------------------------------------------------------ *)
 
-let read_prefix path n =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  really_input_string ic n
-
-let reconstruct entry =
-  let get f k =
-    match Option.bind (Json.member k entry) f with
-    | Some v -> v
-    | None -> Alcotest.failf "index entry lacks %s" k
-  in
-  let str k = get Json.to_str k in
-  let num k = get Json.to_int k in
-  let core =
-    match Json.member "core" entry with
-    | Some (Json.List l) -> List.filter_map Json.to_int l
-    | _ -> []
-  in
-  let cnf =
-    Printf.sprintf "p cnf %d %d\n" (num "maxvar")
-      (num "cnf_clauses" + List.length core)
-    ^ read_prefix (str "cnf") (num "cnf_bytes")
-    ^ String.concat "" (List.map (fun l -> Printf.sprintf "%d 0\n" l) core)
-  in
-  let drat = read_prefix (str "drat") (num "drat_bytes") ^ "0\n" in
-  (cnf, drat)
-
-let cleanup_spools prefix =
-  let dir = Filename.dirname prefix and base = Filename.basename prefix in
-  Array.iter
-    (fun f ->
-      if
-        String.length f > String.length base
-        && String.sub f 0 (String.length base) = base
-      then Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir)
-
 let test_served_proofs_check () =
   let prefix =
     Filename.concat
@@ -536,7 +501,7 @@ let test_served_proofs_check () =
   Fun.protect
     ~finally:(fun () ->
       Proof.disable ();
-      cleanup_spools prefix)
+      Certs.cleanup_spools prefix)
   @@ fun () ->
   Proof.enable ~prefix;
   with_daemon (fun socket ->
@@ -552,14 +517,10 @@ let test_served_proofs_check () =
       (entries <> []);
     List.iteri
       (fun i entry ->
-        let cnf, drat = reconstruct entry in
-        match (Drat.parse_dimacs cnf, Drat.parse_proof drat) with
-        | Ok c, Ok p -> (
-          match Drat.check c p with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "certificate %d rejected: %s" i e)
-        | Error e, _ | _, Error e ->
-          Alcotest.failf "certificate %d unparseable: %s" i e)
+        let cnf, drat = Certs.reconstruct entry in
+        match Certs.check_strings cnf drat with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "certificate %d rejected: %s" i e)
       entries
 
 (* ------------------------------------------------------------------ *)
@@ -816,10 +777,13 @@ let test_degraded_mode_cycle () =
       `Err (P.error_code_to_string code, retry_after_s)
     | r -> Alcotest.failf "unexpected response %s" (P.response_to_line r)
   in
-  (* wedge the only dispatcher, then fill the queue to the watermark *)
+  (* wedge the only dispatcher, then fill the queue to the watermark;
+     the pre-warm job can still count as in flight while its dispatcher
+     retires it, so wait for the blocker to leave the queue *)
   (match submit conn_block "block" slow_spec with
   | `Ack -> ()
   | `Err _ -> Alcotest.fail "blocker shed");
+  ignore (eventually socket "queued" (fun v -> v = 0) : int);
   ignore (eventually socket "inflight" (fun v -> v >= 1) : int);
   List.iter
     (fun id ->

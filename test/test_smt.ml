@@ -33,27 +33,6 @@ let test_lit_roundtrip () =
 
 module Vec = Smt.Vec
 
-let test_vec_basics () =
-  let v = Vec.create () in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
-  for i = 0 to 99 do
-    Vec.push v (i * i)
-  done;
-  Alcotest.(check int) "size" 100 (Vec.size v);
-  Alcotest.(check int) "get" 49 (Vec.get v 7);
-  Vec.set v 7 (-1);
-  Alcotest.(check int) "set" (-1) (Vec.get v 7);
-  Alcotest.(check int) "last" (99 * 99) (Vec.last v);
-  Alcotest.(check int) "pop" (99 * 99) (Vec.pop v);
-  Vec.shrink v 5;
-  Alcotest.(check (list int)) "to_list after shrink" [ 0; 1; 4; 9; 16 ]
-    (Vec.to_list v);
-  let total = ref 0 in
-  Vec.iter (fun x -> total := !total + x) v;
-  Alcotest.(check int) "iter" 30 !total;
-  Alcotest.(check (list int)) "of_list roundtrip" [ 3; 1; 2 ]
-    (Vec.to_list (Vec.of_list [ 3; 1; 2 ]))
-
 let test_ivec_basics () =
   let v = Vec.Ivec.create () in
   for i = 0 to 9 do
@@ -633,7 +612,6 @@ let () =
         [ Alcotest.test_case "roundtrip and involution" `Quick test_lit_roundtrip ] );
       ( "vec",
         [
-          Alcotest.test_case "polymorphic vectors" `Quick test_vec_basics;
           Alcotest.test_case "int vectors" `Quick test_ivec_basics;
         ] );
       ( "sat",
