@@ -3,6 +3,7 @@ module Bv = Smt.Bv
 type t = {
   name : string;
   arity : int;
+  commutative : bool;
   semantics : Bv.term list -> Bv.term;
   print : string list -> string;
 }
@@ -13,10 +14,11 @@ let apply c args =
       (Printf.sprintf "Component.apply: %s expects %d arguments" c.name c.arity);
   c.semantics args
 
-let binop name op sym =
+let binop ~commutative name op sym =
   {
     name;
     arity = 2;
+    commutative;
     semantics =
       (function [ a; b ] -> op a b | _ -> invalid_arg name);
     print =
@@ -27,16 +29,17 @@ let unop name op render =
   {
     name;
     arity = 1;
+    commutative = false;
     semantics = (function [ a ] -> op a | _ -> invalid_arg name);
     print = (function [ a ] -> render a | _ -> assert false);
   }
 
-let add = binop "add" Bv.badd "+"
-let sub = binop "sub" Bv.bsub "-"
-let and_ = binop "and" Bv.band "&"
-let or_ = binop "or" Bv.bor "|"
-let xor = binop "xor" Bv.bxor "^"
-let mul = binop "mul" Bv.bmul "*"
+let add = binop ~commutative:true "add" Bv.badd "+"
+let sub = binop ~commutative:false "sub" Bv.bsub "-"
+let and_ = binop ~commutative:true "and" Bv.band "&"
+let or_ = binop ~commutative:true "or" Bv.bor "|"
+let xor = binop ~commutative:true "xor" Bv.bxor "^"
+let mul = binop ~commutative:true "mul" Bv.bmul "*"
 let not_ = unop "not" Bv.bnot (Printf.sprintf "~%s")
 let neg = unop "neg" Bv.bneg (Printf.sprintf "-%s")
 
@@ -66,6 +69,7 @@ let const ~width value =
   {
     name = Printf.sprintf "const%d" value;
     arity = 0;
+    commutative = false;
     semantics = (fun _ -> Bv.const ~width value);
     print = (fun _ -> string_of_int value);
   }
@@ -74,6 +78,7 @@ let ule01 =
   {
     name = "ule01";
     arity = 2;
+    commutative = false;
     semantics =
       (function
       | [ a; b ] ->

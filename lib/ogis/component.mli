@@ -9,6 +9,9 @@
 type t = {
   name : string;
   arity : int;
+  commutative : bool;
+      (** the two operands of a binary component can be swapped without
+          changing its output; the encoding then admits one order only *)
   semantics : Smt.Bv.term list -> Smt.Bv.term;
   print : string list -> string;
       (** render an application, e.g. [fun [a; b] -> a ^ " + " ^ b] *)

@@ -32,6 +32,12 @@ let lconst s v = Bv.const ~width:(loc_width s) v
 let lvar s name = Bv.var ~width:(loc_width s) name
 
 (* ---- well-formedness: ranges, distinct outputs, acyclicity ---- *)
+(* The constraints are canonical, not just well-formed: every program
+   function keeps at least one wiring, but wirings that differ only in
+   the operand order of a commutative component are cut down to one
+   (DESIGN.md "OGIS location encoding"). An input's upper bound
+   [li < nloc] is not asserted: it follows from acyclicity and the
+   output range. *)
 let wfp s =
   let n = List.length s.library in
   let nloc = num_locations s in
@@ -45,16 +51,17 @@ let wfp s =
                Bv.ult (lvar s (lo i)) (lconst s nloc);
              ]
            in
+           (* acyclicity *)
            let in_ranges =
-             List.concat
-               (List.init c.Component.arity (fun j ->
-                    [
-                      Bv.ult (lvar s (li i j)) (lconst s nloc);
-                      (* acyclicity *)
-                      Bv.ult (lvar s (li i j)) (lvar s (lo i));
-                    ]))
+             List.init c.Component.arity (fun j ->
+                 Bv.ult (lvar s (li i j)) (lvar s (lo i)))
            in
-           out_range @ in_ranges)
+           let canonical =
+             if c.Component.commutative then
+               [ Bv.ule (lvar s (li i 0)) (lvar s (li i 1)) ]
+             else []
+           in
+           out_range @ in_ranges @ canonical)
          s.library)
   in
   let lib = Array.of_list s.library in
@@ -74,6 +81,16 @@ let wfp s =
     List.init s.noutputs (fun k -> Bv.ult (lvar s (lout k)) (lconst s nloc))
   in
   ranges @ distinct @ out_ranges
+
+let location_env ~lo:los ~li:lis ~lout:louts =
+  Bv.env_of_alist
+    (List.concat
+       [
+         List.mapi (fun i l -> (lo i, l)) los;
+         List.concat
+           (List.mapi (fun i args -> List.mapi (fun j l -> (li i j, l)) args) lis);
+         List.mapi (fun k l -> (lout k, l)) louts;
+       ])
 
 (* Connect a port to every possible source: the location variable [lport]
    selecting source [l] forces the port's value [vport] to equal the value

@@ -23,6 +23,19 @@ type spec = {
 val loc_width : spec -> int
 (** Bits used for location variables. *)
 
+val wfp : spec -> Smt.Bv.formula list
+(** The constraints on the location variables alone: output locations in
+    range and distinct (identical components in increasing order),
+    acyclic inputs, and the two operands of each commutative component
+    in nondecreasing order. They admit at least one wiring of every
+    program function the library can compute, and fewer wirings in all
+    than the unordered encoding. *)
+
+val location_env : lo:int list -> li:int list list -> lout:int list -> Smt.Bv.env
+(** The assignment of a wiring to the location variables: [lo] the
+    output location of each component, [li] its input locations, [lout]
+    each program output's location, all in library order. *)
+
 val synthesize_candidate :
   ?limits:Smt.Sat.limits ->
   spec ->

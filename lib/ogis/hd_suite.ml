@@ -124,13 +124,13 @@ type outcome = {
   seconds : float;
 }
 
-let run ?(width = 8) ?pool b =
+let run ?(width = 8) ?pool ?budget b =
   let spec_record =
     { Encode.width; ninputs = b.arity; noutputs = 1; library = b.library ~width }
   in
   let t0 = Unix.gettimeofday () in
   let result =
-    match Synth.synthesize ?pool spec_record (b.reference ~width) with
+    match Synth.synthesize ?pool ?budget spec_record (b.reference ~width) with
     | Budget.Converged (Synth.Synthesized (p, stats)) -> Ok (p, stats)
     | other -> Error other
   in

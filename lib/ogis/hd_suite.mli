@@ -32,10 +32,13 @@ type outcome = {
   seconds : float;
 }
 
-val run : ?width:int -> ?pool:Par.Pool.t -> benchmark -> outcome
+val run :
+  ?width:int -> ?pool:Par.Pool.t -> ?budget:Budget.t -> benchmark -> outcome
 (** Synthesize at the given width (default 8) and verify the result
-    against [spec] with an SMT equivalence query. [?pool] is forwarded
-    to [Synth.synthesize] for the candidate re-check fan-out. *)
+    against [spec] with an SMT equivalence query. [?pool] (the candidate
+    re-check fan-out) and [?budget] (default unlimited) are forwarded to
+    [Synth.synthesize]; an exhausted run is an [Error (Exhausted _)]
+    result and is not verified. *)
 
 val run_all : ?width:int -> ?pool:Par.Pool.t -> unit -> outcome list
 (** Run the whole suite, in [all]'s order. With [?pool], one pool task

@@ -118,6 +118,118 @@ let test_distinguishing_input () =
     | `Input ins ->
       Alcotest.(check int) "input arity" 2 (List.length ins))
 
+(* Canonical wirings: brute force at width 3. Every wiring the
+   unordered encoding admits is enumerated, with one program output:
+   component outputs are a bijection onto the non-input locations
+   (identical components in increasing order), each input lies strictly
+   below its component's output, and the output location is anywhere.
+   Its function is its truth table under [Straightline.eval]. The
+   wirings [Encode.wfp] keeps must compute exactly the same set of
+   functions, with fewer wirings whenever a component is commutative. *)
+
+let rec perms = function
+  | [] -> [ [] ]
+  | xs ->
+    List.concat_map
+      (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) xs)))
+      xs
+
+let rec product = function
+  | [] -> [ [] ]
+  | choices :: rest ->
+    List.concat_map
+      (fun tail -> List.map (fun c -> c :: tail) choices)
+      (product rest)
+
+(* every list of [k] values below [bound] *)
+let tuples k bound = product (List.init k (fun _ -> List.init bound Fun.id))
+
+let wiring_functions ~ninputs (lib : Component.t list) =
+  let width = 3 in
+  let spec = { Encode.width; ninputs; noutputs = 1; library = lib } in
+  let wfp = Encode.wfp spec in
+  let comps = Array.of_list lib in
+  let n = Array.length comps in
+  let nloc = ninputs + n in
+  let identical_increasing lo =
+    let lo = Array.of_list lo in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if comps.(i).Component.name = comps.(j).Component.name
+           && lo.(i) >= lo.(j)
+        then ok := false
+      done
+    done;
+    !ok
+  in
+  let inputs = Array.of_list (tuples ninputs (1 lsl width)) in
+  (* a truth table as a string (hashed in full, unlike a list) *)
+  let all = Hashtbl.create 64 and canonical = Hashtbl.create 64 in
+  let nall = ref 0 and ncanonical = ref 0 in
+  List.iter
+    (fun lo ->
+      if identical_increasing lo then
+        List.iter
+          (fun li ->
+            (* the program's lines sit at their components' locations *)
+            let lines =
+              List.init n (fun t ->
+                  let i = Option.get (List.find_index (( = ) (ninputs + t)) lo) in
+                  { Straightline.comp = comps.(i); args = List.nth li i })
+            in
+            let p =
+              Straightline.make ~width ~ninputs lines
+                ~outputs:(List.init nloc Fun.id)
+            in
+            let table =
+              Array.map (fun ins -> Array.of_list (Straightline.eval p ins)) inputs
+            in
+            for lout = 0 to nloc - 1 do
+              let f =
+                String.init (Array.length table) (fun r ->
+                    Char.chr table.(r).(lout))
+              in
+              incr nall;
+              Hashtbl.replace all f ();
+              let env = Encode.location_env ~lo ~li ~lout:[ lout ] in
+              if List.for_all (Bv.eval env) wfp then (
+                incr ncanonical;
+                Hashtbl.replace canonical f ())
+            done)
+          (product
+             (List.map2
+                (fun (c : Component.t) l -> tuples c.Component.arity l)
+                lib lo)))
+    (perms (List.init n (fun i -> ninputs + i)));
+  let functions h = List.sort compare (List.of_seq (Hashtbl.to_seq_keys h)) in
+  (functions all, !nall, functions canonical, !ncanonical)
+
+let test_canonical_wirings_keep_every_function () =
+  let libraries =
+    List.map
+      (fun b ->
+        ( b.Ogis.Hd_suite.name,
+          b.Ogis.Hd_suite.arity,
+          b.Ogis.Hd_suite.library ~width:3 ))
+      Ogis.Hd_suite.all
+    @ [ ("fig8_p1", 2, Component.fig8_p1); ("fig8_p2", 1, Component.fig8_p2) ]
+  in
+  List.iter
+    (fun (name, ninputs, lib) ->
+      let all, nall, canonical, ncanonical = wiring_functions ~ninputs lib in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d functions kept" name (List.length all))
+        true (all = canonical);
+      let commutative =
+        List.exists (fun (c : Component.t) -> c.Component.commutative) lib
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d of %d wirings canonical" name ncanonical nall)
+        true
+        (if commutative then ncanonical < nall else ncanonical = nall))
+    libraries
+
 (* ------------------------------------------------------------------ *)
 (* Full loop                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -291,6 +403,63 @@ let test_hd_results_match_reference () =
           [ 3; 77; 128; 200; 255 ])
     Ogis.Hd_suite.all
 
+let test_hd_budget_exhausts () =
+  (* hd09 needs several distinguishing rounds at width 8 *)
+  let b = Ogis.Hd_suite.find "hd09-xor-difference" in
+  let o =
+    Ogis.Hd_suite.run ~budget:(Budget.limited ~iterations:1 ()) b
+  in
+  match o.Ogis.Hd_suite.result with
+  | Error (Budget.Exhausted { Synth.reason = Budget.Iterations; _ }) ->
+    Alcotest.(check bool) "not verified" false o.Ogis.Hd_suite.verified
+  | Error (Budget.Exhausted _) -> Alcotest.fail "exhausted for another reason"
+  | Error (Budget.Converged _) | Ok _ ->
+    Alcotest.fail "a 1-iteration budget must exhaust"
+
+(* The OGIS search is deterministic, so the SAT conflicts of the whole
+   suite at width 5 (synthesis plus the final equivalence check) are
+   fixed counts. Canonical wirings more than halve them; a change that
+   loses that symmetry breaking, or any other change to the encoding,
+   the loop or the solver's search, moves them. *)
+let test_search_counts () =
+  let conflicts () = (Smt.Sat.global_stats ()).Smt.Sat.g_conflicts in
+  let counted name run =
+    let c0 = conflicts () in
+    if not (run ()) then Alcotest.failf "%s failed" name;
+    (name, conflicts () - c0)
+  in
+  let width = 5 in
+  let per_job =
+    List.map
+      (fun b ->
+        counted b.Ogis.Hd_suite.name (fun () ->
+            (Ogis.Hd_suite.run ~width b).Ogis.Hd_suite.verified))
+      Ogis.Hd_suite.all
+    @ [
+        counted "fig8-p1" (fun () ->
+            Result.is_ok
+              (Deob.run ~library:Component.fig8_p1
+                 (B.interchange_obs_w ~width)));
+        counted "fig8-p2" (fun () ->
+            Result.is_ok
+              (Deob.run ~library:Component.fig8_p2 (B.multiply45_obs_w ~width)));
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "conflicts per job"
+    [
+      ("hd01-turn-off-rightmost-1", 46); ("hd02-test-power-of-2-mask", 54);
+      ("hd03-isolate-rightmost-1", 57); ("hd04-mask-trailing-0s", 143);
+      ("hd05-propagate-rightmost-1", 50); ("hd06-turn-on-rightmost-0", 50);
+      ("hd07-isolate-rightmost-0", 169); ("hd08-average-no-overflow", 1439);
+      ("hd09-xor-difference", 579); ("hd10-not-equal-01", 227);
+      ("fig8-p1", 1902); ("fig8-p2", 706);
+    ]
+    per_job;
+  (* 13086 with the unordered encoding *)
+  Alcotest.(check int) "total conflicts" 5422
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 per_job)
+
 let test_hd_find () =
   Alcotest.(check string) "lookup" "hd03-isolate-rightmost-1"
     (Ogis.Hd_suite.find "hd03-isolate-rightmost-1").Ogis.Hd_suite.name;
@@ -315,6 +484,8 @@ let () =
             test_synthesize_candidate_none;
           Alcotest.test_case "distinguishing input exists" `Quick
             test_distinguishing_input;
+          Alcotest.test_case "canonical wirings keep every function" `Quick
+            test_canonical_wirings_keep_every_function;
         ] );
       ( "loop",
         [
@@ -338,5 +509,8 @@ let () =
           Alcotest.test_case "results match references pointwise" `Quick
             test_hd_results_match_reference;
           Alcotest.test_case "lookup" `Quick test_hd_find;
+          Alcotest.test_case "budget exhausts typed" `Quick
+            test_hd_budget_exhausts;
+          Alcotest.test_case "search counts" `Quick test_search_counts;
         ] );
     ]
