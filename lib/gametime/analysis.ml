@@ -86,6 +86,7 @@ type wcet = {
 }
 
 let wcet_opt t ~platform =
+  Obs.with_span "gametime.wcet" @@ fun () ->
   match predictions t with
   | [] -> None
   | first :: rest ->

@@ -1,5 +1,14 @@
 type word = int list
 
+module Wtbl = Hashtbl.Make (struct
+  type t = word
+
+  let equal = List.equal Int.equal
+
+  (* the whole word: [Hashtbl.hash] stops after ten letters *)
+  let hash w = Hashtbl.hash (List.fold_left (fun h a -> (h * 31) + a + 1) 0 w)
+end)
+
 type t = {
   alphabet : int;
   num_states : int;
@@ -183,48 +192,50 @@ let universal ~alphabet =
 let empty ~alphabet =
   make ~alphabet ~start:0 ~accept:[| false |] ~delta:[| Array.make alphabet 0 |]
 
-let of_words ~alphabet words =
-  (* trie + dead state *)
-  let module M = Map.Make (struct
-    type t = int list
+(* A trie node; [id] is its state number, assigned after the build. *)
+type node = { kids : node option array; mutable whole : bool; mutable id : int }
 
-    let compare = compare
-  end) in
-  let prefixes =
-    (* map each prefix of each word to "is a full word" *)
-    List.fold_left
-      (fun acc w ->
-        let rec go acc pref rest =
-          let acc =
-            M.update (List.rev pref)
-              (function None -> Some (rest = []) | Some b -> Some (b || rest = []))
-              acc
-          in
-          match rest with [] -> acc | a :: tl -> go acc (a :: pref) tl
-        in
-        go acc [] w)
-      (M.singleton [] (List.mem [] words))
-      words
-  in
-  let nodes = M.bindings prefixes in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i (p, _) -> Hashtbl.replace index p i) nodes;
-  let dead = List.length nodes in
-  let n = dead + 1 in
+let of_words ?(prefixes = false) ~alphabet words =
+  let node () = { kids = Array.make alphabet None; whole = false; id = -1 } in
+  let root = node () in
+  List.iter
+    (fun w ->
+      let step n a =
+        if a < 0 || a >= alphabet then
+          invalid_arg "Dfa.of_words: letter out of range";
+        match n.kids.(a) with
+        | Some k -> k
+        | None ->
+          let k = node () in
+          n.kids.(a) <- Some k;
+          k
+      in
+      (List.fold_left step root w).whole <- true)
+    words;
+  (* number the nodes in preorder, children by ascending letter: the
+     sorted order of the prefixes they spell *)
+  let order = ref [] and count = ref 0 and stack = ref [ root ] in
+  while !stack <> [] do
+    let n = List.hd !stack in
+    stack := List.tl !stack;
+    n.id <- !count;
+    incr count;
+    order := n :: !order;
+    for a = alphabet - 1 downto 0 do
+      Option.iter (fun k -> stack := k :: !stack) n.kids.(a)
+    done
+  done;
+  let dead = !count in
+  let nodes = Array.of_list (List.rev !order) in
   let delta =
-    Array.init n (fun i ->
+    Array.init (dead + 1) (fun i ->
         if i = dead then Array.make alphabet dead
-        else
-          let p, _ = List.nth nodes i in
-          Array.init alphabet (fun s ->
-              match Hashtbl.find_opt index (p @ [ s ]) with
-              | Some j -> j
-              | None -> dead))
+        else Array.map (function Some k -> k.id | None -> dead) nodes.(i).kids)
   in
   let accept =
-    Array.init n (fun i -> i <> dead && snd (List.nth nodes i))
+    Array.init (dead + 1) (fun i -> i < dead && (prefixes || nodes.(i).whole))
   in
-  make ~alphabet ~start:(Hashtbl.find index []) ~accept ~delta
+  make ~alphabet ~start:0 ~accept ~delta
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>dfa: %d states over %d symbols, start %d@,"

@@ -6,6 +6,9 @@
 
 type word = int list
 
+(** Hash tables keyed by words, hashing every letter. *)
+module Wtbl : Hashtbl.S with type key = word
+
 type t = {
   alphabet : int;
   num_states : int;
@@ -43,7 +46,13 @@ val minimize : t -> t
 
 val universal : alphabet:int -> t
 val empty : alphabet:int -> t
-val of_words : alphabet:int -> word list -> t
-(** The finite language consisting of exactly the given words. *)
+val of_words : ?prefixes:bool -> alphabet:int -> word list -> t
+(** The finite language consisting of exactly the given words, or with
+    [~prefixes:true] (default [false]) of the words and all their
+    prefixes. The DFA is their prefix tree plus a dead state: state [i]
+    is the [i]th prefix in sorted order (the empty word is the start,
+    0) and the dead state is numbered last. Linear in the total length
+    of the words; raises [Invalid_argument] on a letter outside the
+    alphabet. *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,11 @@
     (Section 2.4): learns a DFA from a membership oracle and an
     equivalence oracle. The observation table is kept closed and
     consistent; counterexamples are handled by adding all their prefixes
-    to the row set (Angluin's original policy). *)
+    to the row set (Angluin's original policy). Rows are cached per word
+    and extended as experiments join. Unclosed rows and inconsistent
+    pairs are still taken in the textbook pairwise order (sorted S, then
+    letters, then sorted E), so the queries asked and the hypotheses
+    built are exactly those of the pairwise search. *)
 
 type stats = {
   membership_queries : int;

@@ -1,39 +1,4 @@
-module Wmap = Map.Make (struct
-  type t = Dfa.word
-
-  let compare = compare
-end)
-
-let prefixes w =
-  let rec go acc pref = function
-    | [] -> List.rev acc
-    | a :: rest -> go ((List.rev (a :: pref)) :: acc) (a :: pref) rest
-  in
-  go [ [] ] [] w
-
-let prefix_tree ~alphabet traces =
-  let nodes =
-    List.fold_left
-      (fun acc w -> List.fold_left (fun acc p -> Wmap.add p () acc) acc (prefixes w))
-      Wmap.empty traces
-  in
-  let node_list = List.map fst (Wmap.bindings nodes) in
-  let index = Hashtbl.create 64 in
-  List.iteri (fun i p -> Hashtbl.replace index p i) node_list;
-  let n = List.length node_list in
-  let dead = n in
-  let delta =
-    Array.init (n + 1) (fun i ->
-        if i = dead then Array.make alphabet dead
-        else
-          let p = List.nth node_list i in
-          Array.init alphabet (fun a ->
-              match Hashtbl.find_opt index (p @ [ a ]) with
-              | Some j -> j
-              | None -> dead))
-  in
-  let accept = Array.init (n + 1) (fun i -> i <> dead) in
-  Dfa.make ~alphabet ~start:(Hashtbl.find index []) ~accept ~delta
+let prefix_tree ~alphabet traces = Dfa.of_words ~prefixes:true ~alphabet traces
 
 (* the set of live continuations of length <= k from state q, as a
    canonical sorted list of words *)
@@ -124,9 +89,16 @@ let mine ~alphabet ?(k = 2) traces =
   List.iter (fun (i, s) -> accept.(i) <- not (Iset.is_empty s)) !states;
   Dfa.minimize (Dfa.make ~alphabet ~start ~accept ~delta)
 
-let consistent d traces =
+let consistent (d : Dfa.t) traces =
+  (* every prefix accepted: every state along the run *)
+  let rec along q = function
+    | [] -> true
+    | a :: rest ->
+      let q' = d.Dfa.delta.(q).(a) in
+      d.Dfa.accept.(q') && along q' rest
+  in
   List.for_all
-    (fun w -> List.for_all (Dfa.accepts d) (prefixes w))
+    (fun w -> d.Dfa.accept.(d.Dfa.start) && along d.Dfa.start w)
     traces
 
 let is_prefix_closed (d : Dfa.t) =

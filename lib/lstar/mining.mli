@@ -12,7 +12,9 @@
     assumptions should be. *)
 
 val prefix_tree : alphabet:int -> Dfa.word list -> Dfa.t
-(** Acceptor of exactly the prefixes of the given traces. *)
+(** Acceptor of exactly the prefixes of the given traces (and of the
+    empty word, even for no traces): {!Dfa.of_words} with
+    [~prefixes:true]. *)
 
 val mine : alphabet:int -> ?k:int -> Dfa.word list -> Dfa.t
 (** Prefix tree generalized by k-tails merging (default [k = 2]),

@@ -211,6 +211,116 @@ let test_agr_matches_monolithic () =
       Alcotest.(check bool) "AGR = monolithic" direct agr)
     cases
 
+(* The exact search of L*: hypothesis, query counts and rounds of
+   Angluin's pairwise search. Any change to the closedness or
+   consistency search order, to the state numbering or to which words
+   get asked shows up here. *)
+
+let show_dfa (h : Dfa.t) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "start %d accept %s delta %s" h.Dfa.start
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun b -> if b then "1" else "0") h.Dfa.accept)))
+    (String.concat " " (Array.to_list (Array.map ints h.Dfa.delta)))
+
+let show_learned target =
+  match Learner.learn_exact ~target () with
+  | Budget.Converged (h, st) ->
+    Printf.sprintf "%s; mq %d eq %d rounds %d" (show_dfa h)
+      st.Learner.membership_queries st.Learner.equivalence_queries
+      st.Learner.rounds
+  | Budget.Exhausted _ -> "exhausted"
+
+(* words over {0,1} whose number of 1s is divisible by n *)
+let mod_n n =
+  Dfa.make ~alphabet:2 ~start:0
+    ~accept:(Array.init n (fun s -> s = 0))
+    ~delta:(Array.init n (fun s -> [| s; (s + 1) mod n |]))
+
+(* a random complete DFA over 3 letters with at most 9 states, drawn from
+   a fixed LCG so the instance does not depend on the stdlib's Random *)
+let lcg_dfa seed =
+  let st = ref seed in
+  let next k =
+    st := ((!st * 1103515245) + 12345) land 0x3fffffff;
+    (!st lsr 8) mod k
+  in
+  let n = 1 + next 9 in
+  let accept = Array.init n (fun _ -> next 2 = 1) in
+  let delta = Array.init n (fun _ -> Array.init 3 (fun _ -> next n)) in
+  Dfa.make ~alphabet:3 ~start:0 ~accept ~delta
+
+let show_agr (m1, m2, prop) =
+  match Agr.check ~m1 ~m2 ~prop () with
+  | Budget.Converged (Agr.Holds { assumption; membership_queries; rounds }) ->
+    Printf.sprintf "holds %s; mq %d rounds %d" (show_dfa assumption)
+      membership_queries rounds
+  | Budget.Converged (Agr.Violated w) ->
+    "violated " ^ String.concat "" (List.map string_of_int w)
+  | Budget.Exhausted _ -> "exhausted"
+
+let pinned_search =
+  [
+    ("mod 2", "start 1 accept 01 delta 0,1 1,0; mq 5 eq 1 rounds 1");
+    ("mod 3", "start 2 accept 001 delta 0,1 1,2 2,0; mq 14 eq 2 rounds 2");
+    ("mod 4", "start 3 accept 0001 delta 0,1 1,2 2,3 3,0; mq 23 eq 2 rounds 2");
+    ("mod 5", "start 4 accept 00001 delta 0,1 1,2 2,3 3,4 4,0; mq 34 eq 2 rounds 2");
+    ("mod 6", "start 5 accept 000001 delta 0,1 1,2 2,3 3,4 4,5 5,0; mq 47 eq 2 rounds 2");
+    ("mod 7", "start 6 accept 0000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,0; mq 62 eq 2 rounds 2");
+    ("mod 8", "start 7 accept 00000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,0; mq 79 eq 2 rounds 2");
+    ("mod 9", "start 8 accept 000000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,8 8,0; mq 98 eq 2 rounds 2");
+    ("mod 10", "start 9 accept 0000000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,8 8,9 9,0; mq 119 eq 2 rounds 2");
+    ("mod 11", "start 10 accept 00000000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,8 8,9 9,10 10,0; mq 142 eq 2 rounds 2");
+    ("mod 12", "start 11 accept 000000000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,8 8,9 9,10 10,11 11,0; mq 167 eq 2 rounds 2");
+    ("mod 13", "start 12 accept 0000000000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,8 8,9 9,10 10,11 11,12 12,0; mq 194 eq 2 rounds 2");
+    ("mod 14", "start 13 accept 00000000000001 delta 0,1 1,2 2,3 3,4 4,5 5,6 6,7 7,8 8,9 9,10 10,11 11,12 12,13 13,0; mq 223 eq 2 rounds 2");
+    ("random 1", "start 0 accept 00000011 delta 2,7,3 2,7,1 5,3,1 3,4,4 3,7,0 7,0,2 7,2,0 6,2,5; mq 292 eq 6 rounds 6");
+    ("random 2", "start 0 accept 1 delta 0,0,0; mq 4 eq 1 rounds 1");
+    ("random 3", "start 5 accept 00001111 delta 0,6,4 4,4,6 5,6,7 7,4,7 2,0,2 4,1,3 4,5,6 5,3,4; mq 137 eq 4 rounds 4");
+    ("random 4", "start 0 accept 0 delta 0,0,0; mq 4 eq 1 rounds 1");
+    ("random 5", "start 0 accept 0000001 delta 0,5,4 3,6,0 4,0,4 5,2,5 6,3,2 6,6,1 2,2,2; mq 104 eq 4 rounds 4");
+    ("random 6", "start 0 accept 0 delta 0,0,0; mq 4 eq 1 rounds 1");
+    ("random 7", "start 6 accept 00000011 delta 0,4,4 2,7,4 4,2,0 5,4,2 7,4,0 7,4,3 4,6,1 6,5,3; mq 126 eq 4 rounds 4");
+    ("random 8", "start 1 accept 01 delta 0,1,1 1,0,0; mq 7 eq 1 rounds 1");
+    ("random 9", "start 2 accept 00000111 delta 0,0,5 6,0,5 5,1,6 7,6,3 7,7,7 4,5,3 2,7,0 5,2,1; mq 94 eq 3 rounds 3");
+    ("random 10", "start 0 accept 0 delta 0,0,0; mq 4 eq 1 rounds 1");
+    ("random 11", "start 1 accept 011 delta 2,0,1 1,0,1 2,2,1; mq 22 eq 2 rounds 2");
+    ("random 12", "start 2 accept 001 delta 0,0,0 1,0,2 1,1,1; mq 22 eq 2 rounds 2");
+    ("agr 0", "holds start 2 accept 011 delta 0,0 0,2 1,2; mq 11 rounds 2");
+    ("agr 1", "violated 00");
+    ("agr 2", "holds start 0 accept 1 delta 0,0; mq 3 rounds 1");
+    ("agr 3", "holds start 0 accept 1 delta 0,0; mq 3 rounds 1");
+    ("agr 4", "holds start 0 accept 1 delta 0,0; mq 3 rounds 1");
+    ("agr 5", "violated 0");
+  ]
+
+let test_search_pinned () =
+  let agr_cases =
+    [
+      (alternator, strict_alternator, no_double_acquire);
+      (alternator, alternator, no_double_acquire);
+      (strict_alternator, alternator, no_double_acquire);
+      (no_11, even_zeros, no_11);
+      (even_zeros, no_11, Dfa.universal ~alphabet:2);
+      (no_11, strict_alternator, even_zeros);
+    ]
+  in
+  let actual =
+    List.init 13 (fun i ->
+        (Printf.sprintf "mod %d" (i + 2), show_learned (mod_n (i + 2))))
+    @ List.init 12 (fun i ->
+          (Printf.sprintf "random %d" (i + 1), show_learned (lcg_dfa (i + 1))))
+    @ List.mapi (fun i c -> (Printf.sprintf "agr %d" i, show_agr c)) agr_cases
+  in
+  Alcotest.(check int) "case count" (List.length pinned_search)
+    (List.length actual);
+  List.iter2
+    (fun (name, expect) (name', got) ->
+      Alcotest.(check string) "case" name name';
+      Alcotest.(check string) name expect got)
+    pinned_search actual
+
 (* ------------------------------------------------------------------ *)
 (* Assumption mining from traces                                       *)
 (* ------------------------------------------------------------------ *)
@@ -251,6 +361,39 @@ let test_mining_k_controls_generalization () =
   let loose = Mining.mine ~alphabet:2 ~k:1 traces in
   Alcotest.(check bool) "generalization at k=1" true
     (Lstar.Dfa.accepts loose [ 0; 1; 0; 1; 0; 1 ])
+
+let test_long_trace_shape () =
+  (* one 2,000-letter trace: the prefix tree is a chain of 2,001 live
+     states numbered along the trace, plus the dead state *)
+  let trace = List.init 2000 (fun i -> i mod 2) in
+  let d = Mining.prefix_tree ~alphabet:2 [ trace ] in
+  Alcotest.(check int) "chain plus dead state" 2002 d.Dfa.num_states;
+  Alcotest.(check int) "start" 0 d.Dfa.start;
+  let dead = 2001 in
+  let shape_ok = ref true in
+  Array.iteri
+    (fun q row ->
+      let live = q < dead in
+      if d.Dfa.accept.(q) <> live then shape_ok := false;
+      Array.iteri
+        (fun a q' ->
+          let expect =
+            if live && q < 2000 && a = q mod 2 then q + 1 else dead
+          in
+          if q' <> expect then shape_ok := false)
+        row)
+    d.Dfa.delta;
+  Alcotest.(check bool) "delta follows the trace" true !shape_ok;
+  let exact = Dfa.of_words ~alphabet:2 [ trace ] in
+  Alcotest.(check int) "of_words: same chain" 2002 exact.Dfa.num_states;
+  Alcotest.(check bool) "of_words: the trace" true (Dfa.accepts exact trace);
+  Alcotest.(check bool) "of_words: not its prefix" false
+    (Dfa.accepts exact (List.init 1999 (fun i -> i mod 2)));
+  (* mining generalizes the alternation: start, after-0, dead *)
+  let mined = Mining.mine ~alphabet:2 ~k:2 [ trace ] in
+  Alcotest.(check int) "mined states" 3 mined.Dfa.num_states;
+  Alcotest.(check bool) "mined: consistent" true
+    (Mining.consistent mined [ trace ])
 
 let test_mining_always_consistent =
   QCheck2.Test.make ~name:"mined assumptions accept their traces" ~count:150
@@ -335,6 +478,7 @@ let () =
             test_weakest_assumption;
           Alcotest.test_case "agrees with monolithic check" `Quick
             test_agr_matches_monolithic;
+          Alcotest.test_case "search pinned" `Quick test_search_pinned;
         ]
         @ qsuite [ prop_agr_random ] );
       ( "mining",
@@ -346,6 +490,7 @@ let () =
             test_mining_k_controls_generalization;
           Alcotest.test_case "mined assumption discharges AGR" `Quick
             test_mined_assumption_in_agr;
+          Alcotest.test_case "2,000-letter trace" `Quick test_long_trace_shape;
         ]
         @ qsuite [ test_mining_always_consistent ] );
     ]

@@ -161,6 +161,22 @@ let test_spec_roundtrip () =
           (Jobs.key spec) (Jobs.key spec'))
     all_specs
 
+(* both <TA> verdicts of a timing job, byte for byte *)
+let test_timing_ta_verdicts () =
+  let verdict tau =
+    let o =
+      Jobs.run (Jobs.Timing { source = None; bits = 6; tau = Some tau })
+    in
+    (o.Jobs.verdict, o.Jobs.code)
+  in
+  let wcet = "WCET 550 cycles at base=123, exp=63\n" in
+  Alcotest.(check (pair string int)) "yes"
+    (wcet ^ "<TA>: execution time is always <= 2000", 0)
+    (verdict 2000);
+  Alcotest.(check (pair string int)) "no"
+    (wcet ^ "<TA>: NO \u{2014} exp=63 takes 550 cycles", 1)
+    (verdict 500)
+
 let test_request_roundtrip () =
   let requests =
     [
@@ -1107,6 +1123,8 @@ let () =
             test_spec_roundtrip;
           Alcotest.test_case "requests round-trip the wire" `Quick
             test_request_roundtrip;
+          Alcotest.test_case "timing <TA> verdicts pinned" `Quick
+            test_timing_ta_verdicts;
           Alcotest.test_case "responses round-trip the wire" `Quick
             test_response_roundtrip;
           Alcotest.test_case "parser is total and typed" `Quick
