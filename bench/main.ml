@@ -5,8 +5,8 @@
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe fig6         -- one experiment
      (experiments: fig6 fig8 hd eq3 eq4 fig10 optimal table1 ablate
-      perf par micro; `perf` compares fresh-solver loops against the
-      persistent incremental sessions and writes BENCH_solver.json;
+      perf par micro; `perf` runs the OGIS, CEGAR and BMC loops once
+      each on their persistent sessions and writes BENCH_solver.json;
       `par` reruns the portfolio-SAT and BMC suites sequentially and
       under `--jobs N` worker domains and writes BENCH_par.json)
 
@@ -458,10 +458,11 @@ let ablate_ogis () =
       incr queries;
       (x, oracle x)
     in
-    let rec loop examples fuel =
+    let sess = Ogis.Encode.new_session spec in
+    let rec loop fuel =
       if fuel = 0 then "gave up"
       else
-        match Ogis.Encode.synthesize_candidate spec ~examples with
+        match Ogis.Encode.next_candidate sess with
         | `Unrealizable -> "unrealizable?!"
         | `Unknown _ -> "solver gave up?!"
         | `Candidate cand ->
@@ -477,10 +478,13 @@ let ablate_ogis () =
             in
             match find 2000 with
             | None -> "stuck on a wrong candidate"
-            | Some ex -> loop (ex :: examples) (fuel - 1)
+            | Some ex ->
+              Ogis.Encode.add_example sess ex;
+              loop (fuel - 1)
           end
     in
-    loop [ ask [ 0 ] ] 64
+    Ogis.Encode.add_example sess (ask [ 0 ]);
+    loop 64
   in
   let distinguishing spec oracle correct =
     match Ogis.Synth.synthesize ~initial_inputs:[ [ 0 ] ] spec oracle with
@@ -669,41 +673,32 @@ let ablate () =
   ablate_sat ()
 
 (* ================================================================== *)
-(* Solver incrementality: fresh-solver baseline vs persistent sessions *)
+(* Solver sessions: one run per loop (writes BENCH_solver.json)        *)
 (* ================================================================== *)
 
 (* The solver-perf document from the last [perf] run, kept in memory so
    [--check-baseline] can diff it without re-reading the file. *)
 let perf_doc = ref None
 
-(* Each workload runs its counterexample-guided loop twice: once with
-   [~reuse:false] (a fresh solver per query, the pre-incremental
-   behaviour) and once with the persistent sessions. Process-wide SAT
-   counters are reset around each run so the fresh-solver side is
-   measured even though its per-instance stats die with each solver. *)
+(* Each workload runs its counterexample-guided loop once on its
+   persistent session and must reach its known verdict; a wrong verdict
+   fails the run after BENCH_solver.json is written. The metrics
+   registry (which holds the process-wide SAT counters) is reset around
+   each run, so each row's figures are its own solver work. *)
 let perf () =
-  section "Solver incrementality: fresh solvers vs persistent sessions";
-  (* the whole metrics registry is reset around each run, so each side's
-     snapshot isolates its own solver work (per-instance stats die with
-     each fresh solver, registry totals don't) *)
-  let measure f =
+  section "Solver sessions: one run per loop";
+  let rows = ref [] in
+  let wrong = ref [] in
+  let row name ~verdict run =
     Obs.Metrics.reset ();
-    let r, seconds = timed f in
-    (r, seconds, Smt.Sat.global_stats (), Obs.Metrics.snapshot ())
-  in
-  let results = ref [] in
-  let row name ~baseline ~incremental ~agree =
-    let rb, tb, gb, sb = measure baseline in
-    let ri, ti, gi, si = measure incremental in
-    if not (agree rb ri) then
-      Format.printf "!! %s: baseline and incremental runs disagree@." name;
-    let speedup = tb /. max 1e-9 ti in
-    Format.printf
-      "%-24s fresh %7.3fs %5d solves %8d conflicts | incr %7.3fs %5d solves \
-       %8d conflicts | %5.2fx@."
-      name tb gb.Smt.Sat.g_solves gb.Smt.Sat.g_conflicts ti
-      gi.Smt.Sat.g_solves gi.Smt.Sat.g_conflicts speedup;
-    results := (name, (tb, gb, sb), (ti, gi, si), speedup) :: !results
+    let ok, seconds = timed run in
+    let g = Smt.Sat.global_stats () in
+    if not ok then wrong := name :: !wrong;
+    Format.printf "%-30s %7.3fs %5d solves %8d conflicts %10d propagations  %s@."
+      name seconds g.Smt.Sat.g_solves g.Smt.Sat.g_conflicts
+      g.Smt.Sat.g_propagations
+      (if ok then verdict else "WRONG VERDICT, expected " ^ verdict);
+    rows := (name, seconds, g, Obs.Metrics.snapshot ()) :: !rows
   in
   (* OGIS deobfuscation: masked-needle predicates ((x ^ M) & K <= 1)
      behind dead mixing, synthesized from a single seed probe so the
@@ -730,49 +725,28 @@ let perf () =
   let needles =
     [ ("a", 0xAB, 0xC5A); ("b", 0xAB, 0xD2C); ("c", 0xAB, 0xD3C) ]
   in
-  let run_needles reuse =
-    List.map
-      (fun (tag, k, m) ->
-        let width = 12 in
-        match
-          Ogis.Deobfuscate.run ~max_iterations:128 ~initial_inputs:[ [ 0 ] ]
-            ~reuse
-            ~library:(needle_library ~width k m)
-            (needle_program ~width ("needle12" ^ tag) k m)
-        with
-        | Ok _ -> (tag, true)
-        | Error _ -> (tag, false))
-      needles
-  in
-  row "ogis/needle12-deob-x3"
-    ~baseline:(fun () -> run_needles false)
-    ~incremental:(fun () -> run_needles true)
-    ~agree:(fun b i ->
-      (* the two modes take different (both valid) refinement
-         trajectories; agreement means both deobfuscated everything *)
-      List.for_all (fun (_, ok) -> ok) b && List.for_all (fun (_, ok) -> ok) i);
+  row "ogis/needle12-deob-x3" ~verdict:"all three deobfuscated" (fun () ->
+      List.for_all
+        (fun (tag, k, m) ->
+          let width = 12 in
+          Result.is_ok
+            (Ogis.Deobfuscate.run ~max_iterations:128 ~initial_inputs:[ [ 0 ] ]
+               ~library:(needle_library ~width k m)
+               (needle_program ~width ("needle12" ^ tag) k m)))
+        needles);
   (* CEGAR: minimal initial abstraction (only latch 0 visible) on a
      mod-41 counter with an unreachable bad value. Each refinement
      reveals one more counter bit and concretizes a twice-as-deep
      spurious abstract counterexample, so one BMC session spans the
-     whole loop. Wall clock is split with the explicit-state
-     reachability checks of the abstractions, which both modes pay
-     alike, so the expected speedup is modest; the row is kept honest
-     rather than tuned. *)
+     whole loop; wall clock is shared with the explicit-state
+     reachability checks of the abstractions. *)
   let cegar_ts =
     Mc.Systems.mod_counter ~junk:8 ~bits:6 ~modulus:41 ~bad_value:63 ()
   in
-  let cegar_outcome = function
-    | Mc.Cegar.Safe { iterations; _ } -> (true, iterations)
-    | Mc.Cegar.Unsafe { iterations; _ } -> (false, iterations)
-  in
-  row "cegar/counter6-minabs+junk8"
-    ~baseline:(fun () ->
-      cegar_outcome
-        (conv (Mc.Cegar.verify ~initial_visible:[ 0 ] ~reuse:false cegar_ts)))
-    ~incremental:(fun () ->
-      cegar_outcome (conv (Mc.Cegar.verify ~initial_visible:[ 0 ] cegar_ts)))
-    ~agree:( = );
+  row "cegar/counter6-minabs+junk8" ~verdict:"Safe" (fun () ->
+      match conv (Mc.Cegar.verify ~initial_visible:[ 0 ] cegar_ts) with
+      | Mc.Cegar.Safe _ -> true
+      | Mc.Cegar.Unsafe _ -> false);
   (* BMC: depth sweep on a mod-11 counter whose bad value is outside the
      counting range; every query is UNSAT, consecutive unrollings differ
      by one frame, and the junk latches pad each frame, so conflict
@@ -783,32 +757,14 @@ let perf () =
   let bmc_depth = 40 in
   row
     (Printf.sprintf "bmc/modcounter4+junk10-d0-%d" bmc_depth)
-    ~baseline:(fun () ->
-      (true, List.length
-         (List.filter
-            (fun d ->
-              match Mc.Bmc.check bmc_ts ~depth:d with
-              | `Cex _ -> true
-              | `No_cex | `Unknown _ -> false)
-            (List.init (bmc_depth + 1) Fun.id))))
-    ~incremental:(fun () ->
+    ~verdict:(Printf.sprintf "no counterexample at depths 0-%d" bmc_depth)
+    (fun () ->
       let sess = Mc.Bmc.new_session bmc_ts in
-      (true, List.length
-         (List.filter
-            (fun d ->
-              match Mc.Bmc.check_depth sess ~depth:d with
-              | `Cex _ -> true
-              | `No_cex | `Unknown _ -> false)
-            (List.init (bmc_depth + 1) Fun.id))))
-    ~agree:( = );
-  let rows = List.rev !results in
-  let twofold =
-    List.length (List.filter (fun (_, _, _, s) -> s >= 2.0) rows)
-  in
-  Format.printf "@.%d of %d workloads at >= 2x speedup@." twofold
-    (List.length rows);
+      List.for_all
+        (fun d -> Mc.Bmc.check_depth sess ~depth:d = `No_cex)
+        (List.init (bmc_depth + 1) Fun.id));
   (* machine-readable record for CI artifacts and EXPERIMENTS.md; each
-     side embeds its registry snapshot next to the legacy headline keys *)
+     row embeds its registry snapshot next to the headline keys *)
   let json_of_snapshot snap =
     Obs.Json.Obj
       (List.filter_map
@@ -830,31 +786,23 @@ let perf () =
                    ] ))
          snap)
   in
-  let side (seconds, (g : Smt.Sat.global_stats), snap) =
-    Obs.Json.Obj
-      [
-        ("seconds", Obs.Json.Float seconds);
-        ("solves", Obs.Json.Int g.Smt.Sat.g_solves);
-        ("conflicts", Obs.Json.Int g.Smt.Sat.g_conflicts);
-        ("propagations", Obs.Json.Int g.Smt.Sat.g_propagations);
-        ("metrics", json_of_snapshot snap);
-      ]
-  in
   let doc =
     Obs.Json.Obj
       [
         ( "benchmarks",
           Obs.Json.List
-            (List.map
-               (fun (name, fresh, incr, speedup) ->
+            (List.rev_map
+               (fun (name, seconds, (g : Smt.Sat.global_stats), snap) ->
                  Obs.Json.Obj
                    [
                      ("name", Obs.Json.String name);
-                     ("fresh", side fresh);
-                     ("incremental", side incr);
-                     ("speedup", Obs.Json.Float speedup);
+                     ("seconds", Obs.Json.Float seconds);
+                     ("solves", Obs.Json.Int g.Smt.Sat.g_solves);
+                     ("conflicts", Obs.Json.Int g.Smt.Sat.g_conflicts);
+                     ("propagations", Obs.Json.Int g.Smt.Sat.g_propagations);
+                     ("metrics", json_of_snapshot snap);
                    ])
-               rows) );
+               !rows) );
       ]
   in
   let oc = open_out "BENCH_solver.json" in
@@ -862,58 +810,67 @@ let perf () =
   output_char oc '\n';
   close_out oc;
   perf_doc := Some doc;
-  Format.printf "wrote BENCH_solver.json@."
+  Format.printf "wrote BENCH_solver.json@.";
+  if !wrong <> [] then begin
+    Format.printf "wrong verdict: %s@." (String.concat ", " (List.rev !wrong));
+    exit 1
+  end
 
 (* ================================================================== *)
 (* Baseline regression gate                                            *)
 (* ================================================================== *)
+
+let read_json_file path =
+  match open_in path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    let n = in_channel_length ic in
+    let s = really_input_string ic n in
+    close_in ic;
+    Obs.Json.parse s
 
 (* `bench/main.exe --check-baseline BENCH_baseline.json` reruns the
    solver-perf suite and diffs its figures against the committed
    baseline with Obs.Analyze's thresholds, so CI catches solver
    regressions the same way trace_report catches loop regressions.
    Writes BENCH_gate.json next to BENCH_solver.json and exits non-zero
-   when any figure regresses past its threshold. *)
+   when any figure regresses past its threshold, or (exit 2) when a
+   gated baseline figure has no counterpart in this run. *)
 let check_baseline path =
-  let read_json path =
-    match open_in path with
-    | exception Sys_error msg -> Error msg
-    | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Obs.Json.parse s
-  in
   section (Printf.sprintf "Baseline gate: current perf vs %s" path);
   if !perf_doc = None then perf ();
   let doc = Option.get !perf_doc in
-  match read_json path with
+  match read_json_file path with
   | Error msg ->
     Format.printf "cannot read baseline %s: %s@." path msg;
     exit 2
   | Ok baseline ->
-    let findings =
-      Obs.Analyze.diff
-        ~base:(Obs.Analyze.key_figures baseline)
-        (Obs.Analyze.key_figures doc)
-    in
+    let base = Obs.Analyze.key_figures baseline in
+    let cur = Obs.Analyze.key_figures doc in
+    let missing = Obs.Analyze.missing_keys ~base cur in
+    let findings = Obs.Analyze.diff ~base cur in
+    List.iter
+      (Format.printf "  MISSING    %s (no counterpart in this run)@.")
+      missing;
     Format.printf "%a@." Obs.Analyze.pp_findings findings;
     let regressed = Obs.Analyze.regressed findings in
+    let verdict = if missing = [] && not regressed then "PASS" else "FAIL" in
     let gate =
       Obs.Json.Obj
         [
           ("baseline", Obs.Json.String path);
+          ( "missing",
+            Obs.Json.List (List.map (fun k -> Obs.Json.String k) missing) );
           ("findings", Obs.Analyze.findings_json findings);
-          ( "verdict",
-            Obs.Json.String (if regressed then "FAIL" else "PASS") );
+          ("verdict", Obs.Json.String verdict);
         ]
     in
     let oc = open_out "BENCH_gate.json" in
     output_string oc (Obs.Json.to_string gate);
     output_char oc '\n';
     close_out oc;
-    Format.printf "verdict: %s (BENCH_gate.json)@."
-      (if regressed then "FAIL" else "PASS");
+    Format.printf "verdict: %s (BENCH_gate.json)@." verdict;
+    if missing <> [] then exit 2;
     if regressed then exit 1
 
 (* ================================================================== *)
@@ -925,15 +882,6 @@ let par_jobs = ref 0
 
 (* last doc written to BENCH_par.json, for the parallel gate *)
 let par_doc : Obs.Json.t option ref = ref None
-
-let read_json_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Obs.Json.parse s
 
 (* baseline snapshot taken by the driver *before* any experiment runs:
    [par] rewrites BENCH_par.json, so when the gate's baseline path is

@@ -66,38 +66,6 @@ let next_latch_lits aig m =
          | None -> invalid_arg "Induction: unconnected latch")
        (Aig.latches aig))
 
-(* one filtering pass; [`Fixpoint] if all candidates survived *)
-let filter_pass ?meter aig cands ~base =
-  let ctx = Tseitin.create () in
-  let init_lits =
-    Array.map (fun b -> Tseitin.of_bool ctx b) (Aig.initial_state aig)
-  in
-  let frame_a_latches =
-    if base then init_lits
-    else Array.map (fun _ -> Tseitin.fresh ctx) init_lits
-  in
-  let m_a = encode_frame ctx aig ~latch_lits:frame_a_latches in
-  let m_check =
-    if base then m_a
-    else begin
-      (* assume all candidates in frame A, check in frame B *)
-      List.iter (fun c -> Tseitin.assert_lit ctx (candidate_lit ctx m_a c)) cands;
-      let latch_b = next_latch_lits aig m_a in
-      encode_frame ctx aig ~latch_lits:latch_b
-    end
-  in
-  let cand_lits = List.map (fun c -> (c, candidate_lit ctx m_check c)) cands in
-  Tseitin.assert_lit ctx
-    (Tseitin.or_list ctx (List.map (fun (_, l) -> Tseitin.not_ l) cand_lits));
-  match solve_metered ?meter (Tseitin.solver ctx) [] with
-  | Sat.Unsat -> `Fixpoint
-  | Sat.Unknown r -> `Aborted (Smt.Govern.reason_of_sat r)
-  | Sat.Sat ->
-    `Survivors
-      (List.filter_map
-         (fun (c, l) -> if Tseitin.lit_of_model ctx l then Some c else None)
-         cand_lits)
-
 (* telemetry: one fixpoint pass = one loop iteration; candidates dropped
    by a pass are the counterexample that shrinks the survivor set *)
 let pass_started loop ~base ~index ~survivors =
@@ -117,25 +85,6 @@ let pass_dropped loop ~before ~after =
       Obs.Loop.counterexample lp
         ~attrs:[ ("dropped", Obs.Int (before - after)) ])
     loop
-
-let fixpoint_fresh ?loop ?meter aig cands ~base =
-  let rec go index cands =
-    match cands with
-    | [] -> Budget.Converged []
-    | _ -> (
-      match tick_opt meter with
-      | Some reason -> Budget.Exhausted (cands, reason)
-      | None -> (
-        pass_started loop ~base ~index ~survivors:(List.length cands);
-        match filter_pass ?meter aig cands ~base with
-        | `Fixpoint -> Budget.Converged cands
-        | `Aborted reason -> Budget.Exhausted (cands, reason)
-        | `Survivors survivors ->
-          pass_dropped loop ~before:(List.length cands)
-            ~after:(List.length survivors);
-          go (index + 1) survivors))
-  in
-  go 0 cands
 
 (* Incremental fixpoint: one solver for all passes of one phase. The
    frames are encoded once. In the step phase each candidate gets a
@@ -215,9 +164,8 @@ let fixpoint ?loop ?meter aig cands ~base =
     in
     go 0 items
 
-let filter_inductive ?(reuse = true) ?loop ?meter aig cands =
+let filter_inductive ?loop ?meter aig cands =
   Aig.validate aig;
-  let fixpoint = if reuse then fixpoint else fixpoint_fresh in
   match fixpoint ?loop ?meter aig cands ~base:true with
   | Budget.Exhausted _ as e -> e
   | Budget.Converged after_base -> fixpoint ?loop ?meter aig after_base ~base:false

@@ -23,17 +23,14 @@ type verdict =
           fault); no conclusion either way *)
 
 val filter_inductive :
-  ?reuse:bool ->
   ?loop:Obs.Loop.t ->
   ?meter:Budget.meter ->
   Aig.t ->
   Candidates.t list ->
   (Candidates.t list, Candidates.t list * Budget.reason) Budget.outcome
-(** With [reuse] (the default) each phase of the fixpoint keeps one
-    incremental solver across all filtering passes — selector literals
-    turn the shrinking survivor set into solver assumptions;
-    [~reuse:false] re-encodes both frames every pass (benchmark
-    baseline). When [loop] is given, each filtering pass is reported as
+(** Each phase of the fixpoint keeps one incremental solver across
+    all filtering passes — selector literals turn the shrinking
+    survivor set into solver assumptions. When [loop] is given, each filtering pass is reported as
     one telemetry iteration of that loop, and dropped candidates as its
     counterexamples.
 

@@ -92,8 +92,7 @@ type partial = {
 }
 
 let verify ?initial_visible ?(max_iterations = 64)
-    ?(refinement = Most_referenced) ?(reuse = true)
-    ?(budget = Budget.unlimited) (ts : Ts.t) =
+    ?(refinement = Most_referenced) ?(budget = Budget.unlimited) (ts : Ts.t) =
   let initial = Option.value initial_visible ~default:(bad_support ts) in
   let meter = Budget.start budget in
   let lp =
@@ -102,7 +101,6 @@ let verify ?initial_visible ?(max_iterations = 64)
         [
           ("latches", Obs.Int ts.Ts.num_latches);
           ("inputs", Obs.Int ts.Ts.num_inputs);
-          ("reuse", Obs.Bool reuse);
         ]
   in
   let exhaust ~visible ~iterations reason =
@@ -112,25 +110,14 @@ let verify ?initial_visible ?(max_iterations = 64)
     Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "exhausted") ];
     Budget.Exhausted { visible; iterations; reason }
   in
-  (* one BMC session answers every spuriousness check of the loop; with
-     [~reuse:false] each check rebuilds its solver (benchmark baseline) *)
-  let bmc = if reuse then Some (Bmc.new_session ts) else None in
+  (* one BMC session answers every spuriousness check of the loop *)
+  let bmc = Bmc.new_session ts in
   let concretize ~depth =
     let limits = Smt.Govern.limits_of_meter meter in
-    match bmc with
-    | Some sess ->
-      let c0 = Bmc.session_conflicts sess in
-      let q = Bmc.check_depth ~limits sess ~depth in
-      Budget.charge_conflicts meter (Bmc.session_conflicts sess - c0);
-      q
-    | None ->
-      (* fresh solver per check: its conflicts are only visible through
-         the process-wide registry *)
-      let g0 = (Smt.Sat.global_stats ()).Smt.Sat.g_conflicts in
-      let q = Bmc.check ~limits ts ~depth in
-      Budget.charge_conflicts meter
-        ((Smt.Sat.global_stats ()).Smt.Sat.g_conflicts - g0);
-      q
+    let c0 = Bmc.session_conflicts bmc in
+    let q = Bmc.check_depth ~limits bmc ~depth in
+    Budget.charge_conflicts meter (Bmc.session_conflicts bmc - c0);
+    q
   in
   let rec loop visible iterations =
     match

@@ -43,15 +43,12 @@ val verify :
   ?initial_visible:int list ->
   ?max_iterations:int ->
   ?refinement:refinement ->
-  ?reuse:bool ->
   ?budget:Budget.t ->
   Ts.t ->
   (result, partial) Budget.outcome
 (** [initial_visible] defaults to the support of the bad predicate;
-    [refinement] to [Most_referenced]. With [reuse] (the default) all
-    spuriousness checks share one incremental {!Bmc.session};
-    [~reuse:false] rebuilds the BMC solver per check (benchmark
-    baseline).
+    [refinement] to [Most_referenced]. All spuriousness checks share
+    one incremental {!Bmc.session}.
 
     [?budget] (default unlimited) meters the refinement loop:
     iterations are refinements (also capped by [max_iterations], which

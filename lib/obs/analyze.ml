@@ -982,6 +982,17 @@ let diff ?(thresholds = default_thresholds) ~base cur =
 
 let regressed findings = List.exists (fun f -> f.f_regressed) findings
 
+let missing_keys ~base cur =
+  List.filter_map
+    (fun (key, _) ->
+      if
+        class_of_key default_thresholds key = None
+        || List.mem "metrics" (String.split_on_char '.' key)
+        || List.mem_assoc key cur
+      then None
+      else Some key)
+    base
+
 let pp_findings ppf findings =
   let line fmt = Format.fprintf ppf fmt in
   if findings = [] then line "  no deltas beyond thresholds@."

@@ -173,6 +173,16 @@ val diff :
 
 val regressed : finding list -> bool
 
+val missing_keys :
+  base:(string * float) list -> (string * float) list -> string list
+(** The keys of [base] that {!diff} would gate (their name places them
+    in a threshold class) but that have no counterpart in the current
+    figures, in baseline order. {!diff} skips such keys silently, so a
+    gate whose current run changed layout would compare nothing and
+    pass; callers fail on a non-empty answer instead. Keys under a
+    [metrics] path segment are left out: registry snapshots omit zero
+    counters, so those can legitimately vanish. *)
+
 val pp_findings : Format.formatter -> finding list -> unit
 val findings_json : finding list -> Json.t
 

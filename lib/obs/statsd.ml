@@ -167,16 +167,7 @@ let json_page ticker =
        ])
   ^ "\n"
 
-(* ----- server ----- *)
-
-type t = {
-  sd_path : string;
-  listen_fd : Unix.file_descr;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-  mutable thread : Thread.t option;
-  mutable stopped : bool;
-}
+(* ----- stats pages over the listener ----- *)
 
 let response ~status ~content_type body =
   Printf.sprintf
@@ -222,22 +213,6 @@ let handle_client ticker fd =
   (try write_all fd resp with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve t ticker =
-  let buf = Bytes.create 1 in
-  let rec loop () =
-    match Unix.select [ t.listen_fd; t.stop_r ] [] [] (-1.0) with
-    | readable, _, _ when List.mem t.stop_r readable ->
-      ignore (Unix.read t.stop_r buf 0 1 : int)
-    | readable, _, _ when List.mem t.listen_fd readable ->
-      (match Unix.accept ~cloexec:true t.listen_fd with
-      | fd, _ -> handle_client ticker fd
-      | exception Unix.Unix_error _ -> ());
-      loop ()
-    | _ -> loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
-
 (* ----- claiming a socket path ----- *)
 
 type socket_error =
@@ -280,7 +255,24 @@ let claim_socket path =
              (Printf.sprintf "cannot replace stale socket %s: %s" path
                 (Unix.error_message e))))
 
-let start ~path ~ticker () =
+(* ----- one Unix-socket listener for both servers -----
+
+   The stats endpoint and the verification daemon share everything but
+   what they do with an accepted connection: claim the path, bind and
+   listen, run one select/accept loop on a background systhread until a
+   byte on the stop pipe wakes it, and unlink the path on stop or
+   SIGTERM. *)
+
+type listener = {
+  path : string;
+  listen_fd : Unix.file_descr;
+  stop_r : Unix.file_descr;
+  stop_w : Unix.file_descr;
+  mutable thread : Thread.t option;
+  mutable closed : bool;
+}
+
+let listen path =
   (* a dead client mid-write must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -294,32 +286,58 @@ let start ~path ~ticker () =
     with
     | () ->
       let stop_r, stop_w = Unix.pipe ~cloexec:true () in
-      let t =
-        { sd_path = path; listen_fd = fd; stop_r; stop_w; thread = None;
-          stopped = false }
-      in
-      t.thread <- Some (Thread.create (fun () -> serve t ticker) ());
       unlink_on_sigterm path;
-      Ok t
+      Ok { path; listen_fd = fd; stop_r; stop_w; thread = None; closed = false }
     | exception Unix.Unix_error (err, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error
         (Socket_failure
-           (Printf.sprintf "cannot serve stats on %s: %s" path
+           (Printf.sprintf "cannot listen on %s: %s" path
               (Unix.error_message err))))
 
-let stop t =
-  if not t.stopped then begin
-    t.stopped <- true;
-    ignore (Unix.write t.stop_w (Bytes.of_string "x") 0 1 : int);
-    Option.iter Thread.join t.thread;
-    t.thread <- None;
+let accept_loop l on_client =
+  let buf = Bytes.create 1 in
+  let rec loop () =
+    match Unix.select [ l.listen_fd; l.stop_r ] [] [] (-1.0) with
+    | readable, _, _ when List.mem l.stop_r readable ->
+      ignore (Unix.read l.stop_r buf 0 1 : int)
+    | readable, _, _ when List.mem l.listen_fd readable ->
+      (match Unix.accept ~cloexec:true l.listen_fd with
+      | fd, _ -> on_client fd
+      | exception Unix.Unix_error _ -> ());
+      loop ()
+    | _ -> loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+  in
+  l.thread <- Some (Thread.create loop ())
+
+let interrupt l =
+  try ignore (Unix.write l.stop_w (Bytes.of_string "x") 0 1 : int)
+  with Unix.Unix_error _ -> ()
+
+let close_listener l =
+  if not l.closed then begin
+    l.closed <- true;
+    interrupt l;
+    Option.iter Thread.join l.thread;
+    l.thread <- None;
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ t.listen_fd; t.stop_r; t.stop_w ];
-    forget_unlink_on_sigterm t.sd_path;
-    (try Unix.unlink t.sd_path with Unix.Unix_error _ -> ())
+      [ l.listen_fd; l.stop_r; l.stop_w ];
+    forget_unlink_on_sigterm l.path;
+    try Unix.unlink l.path with Unix.Unix_error _ -> ()
   end
+
+type t = listener
+
+let start ~path ~ticker () =
+  match listen path with
+  | Error _ as e -> e
+  | Ok l ->
+    accept_loop l (handle_client ticker);
+    Ok l
+
+let stop = close_listener
 
 (* ----- client ----- *)
 

@@ -30,34 +30,45 @@ type socket_error =
 
 val socket_error_message : socket_error -> string
 
-val claim_socket : string -> (unit, socket_error) result
-(** Make a Unix-socket path free to bind: [Ok] when nothing is there or
-    a stale socket file (left by a crashed run: nothing accepts on it)
-    was removed. A live server's socket is probed with a connect and
-    refused, never taken over. Both socket servers — this endpoint and
-    the verification daemon — claim their path through here. *)
+(** {2 Unix-socket listener}
+
+    The accept loop both socket servers — this endpoint and the
+    verification daemon — run on. *)
+
+type listener
+
+val listen : string -> (listener, socket_error) result
+(** Take a Unix-socket path, bind and listen on it. A stale socket file
+    (left by a crashed run: nothing accepts on it) is replaced; a live
+    server's socket is probed with a connect and refused, never taken
+    over; a path that is not a socket is never unlinked. Also ignores
+    SIGPIPE (a client dying mid-write must not kill the process) and
+    registers the path to be unlinked if the process gets SIGTERM,
+    which bypasses [Fun.protect] finalizers; that handler is installed
+    on the first registration and exits with status 143. *)
+
+val accept_loop : listener -> (Unix.file_descr -> unit) -> unit
+(** Start the background systhread that accepts connections and hands
+    each to the callback, until {!interrupt} or {!close_listener}. *)
+
+val interrupt : listener -> unit
+(** Wake the accept loop and make it return. Only writes one byte to a
+    pipe, so it may be called from a signal handler. *)
+
+val close_listener : listener -> unit
+(** Stop the accept loop, join its thread, close the socket and remove
+    the socket file. Idempotent. *)
+
+(** {2 Stats endpoint} *)
 
 val start :
   path:string -> ticker:Live.t -> unit -> (t, socket_error) result
-(** Claim ({!claim_socket}), bind and listen on Unix-domain socket
-    [path] and serve scrapes from a background systhread until
+(** {!listen} on [path] and serve scrapes from the accept loop until
     {!stop}. *)
 
 val stop : t -> unit
-(** Stop the server, join its thread and remove the socket file.
-    Idempotent. *)
-
-val unlink_on_sigterm : string -> unit
-(** Register a Unix-socket path to be unlinked if the process receives
-    SIGTERM (the service-manager kill path, which bypasses [Fun.protect]
-    finalizers). The process-wide handler is installed lazily on first
-    registration and exits with the conventional status 143 after the
-    unlinks. {!start} registers its own path automatically; the
-    verification server registers its listener socket too. *)
-
-val forget_unlink_on_sigterm : string -> unit
-(** Drop a path from the SIGTERM cleanup list (after an orderly unlink
-    on the normal shutdown path). *)
+(** {!close_listener}: stop the server, join its thread and remove the
+    socket file. Idempotent. *)
 
 val fetch : path:string -> ?target:string -> unit -> (string, string) result
 (** Client side, for [sciduction_cli stats] and tests: connect to the

@@ -26,12 +26,11 @@ type failure =
 val run :
   ?max_iterations:int ->
   ?initial_inputs:int list list ->
-  ?reuse:bool ->
   ?pool:Par.Pool.t ->
   ?budget:Budget.t ->
   library:Component.t list ->
   Prog.Lang.t ->
   (result, failure) Stdlib.result
 (** Deobfuscate a program against a component library. [Error] carries
-    the non-success outcome. [initial_inputs], [reuse], [pool] and
-    [budget] are forwarded to {!Synth.synthesize}. *)
+    the non-success outcome. [initial_inputs], [pool] and [budget] are
+    forwarded to {!Synth.synthesize}. *)

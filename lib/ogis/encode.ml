@@ -176,18 +176,6 @@ let decode s (env : Bv.env) =
   in
   Straightline.make ~width:s.width ~ninputs:s.ninputs lines ~outputs
 
-let synthesize_candidate ?limits s ~examples =
-  let formulas =
-    wfp s
-    @ List.concat (List.mapi (concrete_example_formulas s) examples)
-  in
-  (* location variables may be unconstrained in corner cases (e.g. no
-     examples); anchor them into range by the wfp constraints above *)
-  match Solver.check_formulas ?limits formulas with
-  | `Unsat -> `Unrealizable
-  | `Unknown r -> `Unknown r
-  | `Sat env -> `Candidate (decode s env)
-
 (* ---- persistent incremental session ---- *)
 
 (* Two solvers live for the whole OGIS run. The synthesis solver only
@@ -276,27 +264,3 @@ let distinguishing ?limits sess candidate =
   | Solver.Unknown r -> `Unknown r
   | Solver.Sat ->
     `Input (List.init s.ninputs (fun j -> Solver.value sess.verify (dx j)))
-
-let distinguishing_input ?limits s ~examples candidate =
-  let e_sym = List.length examples in
-  let sym_inputs = List.init s.ninputs (fun j -> Bv.var ~width:s.width (dx j)) in
-  let input_term j = List.nth sym_inputs j in
-  let candidate_outs = Straightline.to_terms candidate sym_inputs in
-  (* the alternative program's outputs differ on the symbolic input *)
-  let differs =
-    Bv.disj
-      (List.mapi
-         (fun k cand_out ->
-           Bv.fnot (output_constraint s ~input_term e_sym k cand_out))
-         candidate_outs)
-  in
-  let formulas =
-    wfp s
-    @ List.concat (List.mapi (concrete_example_formulas s) examples)
-    @ example_constraints s ~input_term e_sym
-    @ [ differs ]
-  in
-  match Solver.check_formulas ?limits formulas with
-  | `Unsat -> `Unique
-  | `Unknown r -> `Unknown r
-  | `Sat env -> `Input (List.init s.ninputs (fun j -> env.Bv.bv (dx j)))

@@ -36,36 +36,13 @@ val location_env : lo:int list -> li:int list list -> lout:int list -> Smt.Bv.en
     output location of each component, [li] its input locations, [lout]
     each program output's location, all in library order. *)
 
-val synthesize_candidate :
-  ?limits:Smt.Sat.limits ->
-  spec ->
-  examples:(int list * int list) list ->
-  [ `Candidate of Straightline.t
-  | `Unrealizable
-  | `Unknown of Smt.Sat.reason ]
-(** A program over the library consistent with every example;
-    [`Unrealizable] if no such program exists (the "infeasibility
-    reported" branch of Fig. 7); [`Unknown] if the (optionally bounded)
-    solver abandoned the query. *)
+(** {2 Sessions}
 
-val distinguishing_input :
-  ?limits:Smt.Sat.limits ->
-  spec ->
-  examples:(int list * int list) list ->
-  Straightline.t ->
-  [ `Input of int list | `Unique | `Unknown of Smt.Sat.reason ]
-(** An input on which some other library program — also consistent with
-    all examples — disagrees with the candidate; [`Unique] means the
-    candidate is semantically unique and synthesis can stop. *)
-
-(** {2 Persistent sessions}
-
-    [synthesize_candidate] and [distinguishing_input] rebuild both
-    encodings from scratch on every call. A {!session} instead keeps two
-    incremental solvers alive across the whole OGIS loop — one for the
-    candidate query, one for the distinguishing-input query — so each
-    iteration only asserts the constraints of the {e new} example, and
-    clauses learned in earlier iterations keep pruning the search. *)
+    A {!session} keeps two incremental solvers alive across the whole
+    OGIS loop — one for the candidate query, one for the
+    distinguishing-input query — so each iteration only asserts the
+    constraints of the {e new} example, and clauses learned in earlier
+    iterations keep pruning the search. *)
 
 type session
 
@@ -84,18 +61,23 @@ val next_candidate :
   [ `Candidate of Straightline.t
   | `Unrealizable
   | `Unknown of Smt.Sat.reason ]
-(** Like {!synthesize_candidate} over all examples added so far.
-    [?limits] bounds this query (installed on the session's synthesis
-    solver; an abandoned query leaves the session usable). *)
+(** A program over the library consistent with every example added so
+    far; [`Unrealizable] if no such program exists (the "infeasibility
+    reported" branch of Fig. 7). [?limits] bounds this query
+    (installed on the session's synthesis solver; an abandoned query
+    leaves the session usable). *)
 
 val distinguishing :
   ?limits:Smt.Sat.limits ->
   session ->
   Straightline.t ->
   [ `Input of int list | `Unique | `Unknown of Smt.Sat.reason ]
-(** Like {!distinguishing_input} over all examples added so far; the
-    candidate-specific constraint is asserted in a scope and retracted
-    before returning. *)
+(** An input on which some other library program — also consistent with
+    every example added so far — disagrees with the candidate; [`Unique]
+    means the candidate is semantically unique and synthesis can stop.
+    The candidate's "outputs differ" constraint stays asserted while the
+    same candidate (compared physically) is passed again, and is
+    retracted when a different one arrives. *)
 
 val session_conflicts : session -> int
 (** Cumulative conflicts across both of the session's solvers; callers

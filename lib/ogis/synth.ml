@@ -32,7 +32,7 @@ let candidate_holds ?pool cand ex examples =
       (Par.map pool agrees (Array.of_list (ex :: examples)))
   | _ -> agrees ex
 
-let synthesize ?(max_iterations = 64) ?initial_inputs ?(reuse = true) ?pool
+let synthesize ?(max_iterations = 64) ?initial_inputs ?pool
     ?(budget = Budget.unlimited) (spec : Encode.spec) oracle =
   let meter = Budget.start budget in
   let lp =
@@ -41,7 +41,6 @@ let synthesize ?(max_iterations = 64) ?initial_inputs ?(reuse = true) ?pool
         [
           ("width", Obs.Int spec.Encode.width);
           ("ninputs", Obs.Int spec.Encode.ninputs);
-          ("reuse", Obs.Bool reuse);
           ("max_iterations", Obs.Int max_iterations);
         ]
   in
@@ -101,111 +100,65 @@ let synthesize ?(max_iterations = 64) ?initial_inputs ?(reuse = true) ?pool
            (fun f -> List.init spec.Encode.ninputs f)
            patterns)
   in
-  if reuse then (
-    (* persistent solvers: each iteration only asserts the new example *)
-    let sess = Encode.new_session spec in
-    let charged q =
-      let c0 = Encode.session_conflicts sess in
-      let r = q () in
-      Budget.charge_conflicts meter (Encode.session_conflicts sess - c0);
-      r
+  (* persistent solvers: each iteration only asserts the new example *)
+  let sess = Encode.new_session spec in
+  let charged q =
+    let c0 = Encode.session_conflicts sess in
+    let r = q () in
+    Budget.charge_conflicts meter (Encode.session_conflicts sess - c0);
+    r
+  in
+  let rec loop iterations candidate examples =
+    let stats () =
+      { iterations; oracle_queries = !queries; examples = List.rev examples }
     in
-    let rec loop iterations candidate examples =
-      let stats () =
-        { iterations; oracle_queries = !queries; examples = List.rev examples }
-      in
+    match
+      if iterations >= max_iterations then Some Budget.Iterations
+      else Budget.tick meter
+    with
+    | Some reason -> exhausted ~best:candidate (stats ()) reason
+    | None -> (
+      Obs.Loop.iteration lp iterations
+        ~attrs:[ ("examples", Obs.Int (List.length examples)) ];
+      let limits = Smt.Govern.limits_of_meter meter in
+      let retained = Option.is_some candidate in
       match
-        if iterations >= max_iterations then Some Budget.Iterations
-        else Budget.tick meter
+        match candidate with
+        | Some c -> `Candidate c
+        | None -> charged (fun () -> Encode.next_candidate ~limits sess)
       with
-      | Some reason -> exhausted ~best:candidate (stats ()) reason
-      | None -> (
-        Obs.Loop.iteration lp iterations
-          ~attrs:[ ("examples", Obs.Int (List.length examples)) ];
-        let limits = Smt.Govern.limits_of_meter meter in
-        let retained = Option.is_some candidate in
-        match
-          match candidate with
-          | Some c -> `Candidate c
-          | None -> charged (fun () -> Encode.next_candidate ~limits sess)
-        with
-        | `Unrealizable -> finished (Unrealizable (stats ()))
+      | `Unrealizable -> finished (Unrealizable (stats ()))
+      | `Unknown r ->
+        exhausted ~best:candidate (stats ()) (Smt.Govern.reason_of_sat r)
+      | `Candidate cand -> (
+        Obs.Loop.candidate lp ~attrs:[ ("retained", Obs.Bool retained) ];
+        match charged (fun () -> Encode.distinguishing ~limits sess cand) with
+        | `Unique ->
+          Obs.Loop.verdict lp "unique";
+          finished (Synthesized (cand, stats ()))
         | `Unknown r ->
-          exhausted ~best:candidate (stats ()) (Smt.Govern.reason_of_sat r)
-        | `Candidate cand -> (
-          Obs.Loop.candidate lp ~attrs:[ ("retained", Obs.Bool retained) ];
-          match charged (fun () -> Encode.distinguishing ~limits sess cand) with
-          | `Unique ->
-            Obs.Loop.verdict lp "unique";
-            finished (Synthesized (cand, stats ()))
-          | `Unknown r ->
-            exhausted ~best:(Some cand) (stats ()) (Smt.Govern.reason_of_sat r)
-          | `Input input ->
-            Obs.Loop.verdict lp "distinguished";
-            let ex = ask input in
-            Obs.Loop.counterexample lp;
-            Encode.add_example sess ex;
-            (* candidate retention: the distinguishing input separates
-               the candidate from some alternative, so the oracle's
-               answer falsifies at least one of the two — but not
-               necessarily the candidate. When the oracle agrees with
-               the candidate, only the alternative dies: skip the
-               synthesis re-solve and keep the verifier's differs
-               constraint in place, so the next distinguishing query is
-               a pure strengthening of this one. *)
-            let keep = candidate_holds ?pool cand ex examples in
-            loop (iterations + 1)
-              (if keep then Some cand else None)
-              (ex :: examples)))
-    in
-    let seed = List.map ask initial in
-    List.iter (Encode.add_example sess) seed;
-    loop 0 None seed)
-  else
-    let charged q =
-      let g0 = (Smt.Sat.global_stats ()).Smt.Sat.g_conflicts in
-      let r = q () in
-      Budget.charge_conflicts meter
-        ((Smt.Sat.global_stats ()).Smt.Sat.g_conflicts - g0);
-      r
-    in
-    let rec loop iterations best examples =
-      let stats () =
-        { iterations; oracle_queries = !queries; examples = List.rev examples }
-      in
-      match
-        if iterations >= max_iterations then Some Budget.Iterations
-        else Budget.tick meter
-      with
-      | Some reason -> exhausted ~best (stats ()) reason
-      | None -> (
-        Obs.Loop.iteration lp iterations
-          ~attrs:[ ("examples", Obs.Int (List.length examples)) ];
-        let limits = Smt.Govern.limits_of_meter meter in
-        match
-          charged (fun () -> Encode.synthesize_candidate ~limits spec ~examples)
-        with
-        | `Unrealizable -> finished (Unrealizable (stats ()))
-        | `Unknown r -> exhausted ~best (stats ()) (Smt.Govern.reason_of_sat r)
-        | `Candidate candidate -> (
-          Obs.Loop.candidate lp;
-          match
-            charged (fun () ->
-                Encode.distinguishing_input ~limits spec ~examples candidate)
-          with
-          | `Unique ->
-            Obs.Loop.verdict lp "unique";
-            finished (Synthesized (candidate, stats ()))
-          | `Unknown r ->
-            exhausted ~best:(Some candidate) (stats ())
-              (Smt.Govern.reason_of_sat r)
-          | `Input input ->
-            Obs.Loop.verdict lp "distinguished";
-            let ex = ask input in
-            Obs.Loop.counterexample lp;
-            loop (iterations + 1) (Some candidate) (ex :: examples)))
-    in
-    loop 0 None (List.map ask initial)
+          exhausted ~best:(Some cand) (stats ()) (Smt.Govern.reason_of_sat r)
+        | `Input input ->
+          Obs.Loop.verdict lp "distinguished";
+          let ex = ask input in
+          Obs.Loop.counterexample lp;
+          Encode.add_example sess ex;
+          (* candidate retention: the distinguishing input separates
+             the candidate from some alternative, so the oracle's
+             answer falsifies at least one of the two — but not
+             necessarily the candidate. When the oracle agrees with
+             the candidate, only the alternative dies: skip the
+             synthesis re-solve and keep the verifier's differs
+             constraint in place, so the next distinguishing query is
+             a pure strengthening of this one. *)
+          let keep = candidate_holds ?pool cand ex examples in
+          loop (iterations + 1)
+            (if keep then Some cand else None)
+            (ex :: examples)))
+  in
+  let seed = List.map ask initial in
+  List.iter (Encode.add_example sess) seed;
+  loop 0 None seed
 
 let verify_against (spec : Encode.spec) prog ~spec_fn =
   let w = spec.Encode.width in

@@ -35,7 +35,6 @@ type partial = {
 val synthesize :
   ?max_iterations:int ->
   ?initial_inputs:int list list ->
-  ?reuse:bool ->
   ?pool:Par.Pool.t ->
   ?budget:Budget.t ->
   Encode.spec ->
@@ -43,11 +42,9 @@ val synthesize :
   (outcome, partial) Budget.outcome
 (** [synthesize spec oracle] runs the loop: synthesize a candidate
     consistent with the examples seen so far, ask for a distinguishing
-    input, query the oracle on it, repeat. Starts from the all-zero
-    input unless [initial_inputs] is given. With [reuse] (the default)
-    one pair of incremental solvers persists across iterations via
-    {!Encode.session}; [~reuse:false] rebuilds both encodings each
-    iteration and exists as the benchmark baseline.
+    input, query the oracle on it, repeat. Starts from four fixed
+    probe inputs unless [initial_inputs] is given. One pair of incremental
+    solvers persists across iterations via {!Encode.session}.
 
     [?pool] parallelizes the candidate-vs-counterexample re-check of the
     retention step across the whole example set; the loop's verdicts and

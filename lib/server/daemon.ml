@@ -89,10 +89,7 @@ type slot = {
 }
 
 type t = {
-  socket : string;
-  listen_fd : Unix.file_descr;
-  stop_r : Unix.file_descr; (* wakes the acceptor *)
-  stop_w : Unix.file_descr;
+  listener : Obs.Statsd.listener;
   done_r : Unix.file_descr; (* wakes [wait] *)
   done_w : Unix.file_descr;
   lock : Mutex.t;
@@ -119,7 +116,6 @@ type t = {
   mutable sup_dead : int list; (* slot indices awaiting supervision *)
   sup_cond : Condition.t;
   mutable supervisor : Thread.t option;
-  mutable acceptor : Thread.t option;
   mutable stopped : bool;
 }
 
@@ -470,8 +466,7 @@ let request_shutdown t =
   end;
   Mutex.unlock t.lock;
   if first then begin
-    (try ignore (Unix.write t.stop_w (Bytes.of_string "x") 0 1 : int)
-     with Unix.Unix_error _ -> ());
+    Obs.Statsd.interrupt t.listener;
     try ignore (Unix.write t.done_w (Bytes.of_string "x") 0 1 : int)
     with Unix.Unix_error _ -> ()
   end
@@ -771,26 +766,12 @@ let reader t conn =
 
 (* ----- acceptor ----- *)
 
-let acceptor t =
-  let buf = Bytes.create 1 in
-  let rec loop () =
-    match Unix.select [ t.listen_fd; t.stop_r ] [] [] (-1.0) with
-    | readable, _, _ when List.mem t.stop_r readable ->
-      ignore (Unix.read t.stop_r buf 0 1 : int)
-    | readable, _, _ when List.mem t.listen_fd readable ->
-      (match Unix.accept ~cloexec:true t.listen_fd with
-      | fd, _ ->
-        let conn = { fd; wlock = Mutex.create (); alive = true } in
-        Mutex.lock t.lock;
-        t.conns <- conn :: t.conns;
-        t.readers <- Thread.create (fun () -> reader t conn) () :: t.readers;
-        Mutex.unlock t.lock
-      | exception Unix.Unix_error _ -> ());
-      loop ()
-    | _ -> loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-  in
-  loop ()
+let accept_client t fd =
+  let conn = { fd; wlock = Mutex.create (); alive = true } in
+  Mutex.lock t.lock;
+  t.conns <- conn :: t.conns;
+  t.readers <- Thread.create (fun () -> reader t conn) () :: t.readers;
+  Mutex.unlock t.lock
 
 (* ----- lifecycle ----- *)
 
@@ -802,11 +783,16 @@ let start ?pool ?dispatchers ?(cache_capacity = 256) ?(aging_s = 5.0) ?journal
     invalid_arg "Daemon.start: queue_limit must be >= 1";
   if restart_budget < 0 then
     invalid_arg "Daemon.start: restart_budget must be >= 0";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  match Obs.Statsd.claim_socket socket with
+  let width =
+    match dispatchers with
+    | Some n ->
+      if n < 1 then invalid_arg "Daemon.start: dispatchers must be >= 1";
+      n
+    | None -> ( match pool with Some p -> Par.Pool.jobs p | None -> 1)
+  in
+  match Obs.Statsd.listen socket with
   | Error e -> Error (Obs.Statsd.socket_error_message e)
-  | Ok () -> (
+  | Ok listener -> (
     let journal_state =
       match journal with
       | None -> Ok None
@@ -816,114 +802,86 @@ let start ?pool ?dispatchers ?(cache_capacity = 256) ?(aging_s = 5.0) ?journal
         | Error msg -> Error msg)
     in
     match journal_state with
-    | Error msg -> Error msg
-    | Ok journal_state -> (
-      let close_journal () =
-        match journal_state with
-        | Some (j, _) -> Journal.close j
-        | None -> ()
+    | Error msg ->
+      Obs.Statsd.close_listener listener;
+      Error msg
+    | Ok journal_state ->
+      let done_r, done_w = Unix.pipe ~cloexec:true () in
+      let t =
+        {
+          listener;
+          done_r;
+          done_w;
+          lock = Mutex.create ();
+          cond = Condition.create ();
+          queue = [];
+          inflight = Hashtbl.create 16;
+          conns = [];
+          readers = [];
+          shutting_down = false;
+          cache = Cache.create ~capacity:cache_capacity ();
+          warm = Warm.create ?capacity:warm_capacity ();
+          pool;
+          aging_s;
+          journal = Option.map fst journal_state;
+          queue_high = queue_limit;
+          queue_low = max 1 (queue_limit / 2);
+          retry_after_s;
+          degrade_after_s;
+          restart_budget;
+          degraded = false;
+          overload_since = None;
+          death_times = [];
+          slots = Array.init width (fun _ -> { th = None; current = None });
+          sup_dead = [];
+          sup_cond = Condition.create ();
+          supervisor = None;
+          stopped = false;
+        }
       in
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match
-        Unix.bind fd (Unix.ADDR_UNIX socket);
-        Unix.listen fd 16
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        close_journal ();
-        Error
-          (Printf.sprintf "cannot serve on %s: %s" socket
-             (Unix.error_message err))
-      | () ->
-        let stop_r, stop_w = Unix.pipe ~cloexec:true () in
-        let done_r, done_w = Unix.pipe ~cloexec:true () in
-        let width =
-          match dispatchers with
-          | Some n ->
-            if n < 1 then invalid_arg "Daemon.start: dispatchers must be >= 1";
-            n
-          | None -> ( match pool with Some p -> Par.Pool.jobs p | None -> 1)
-        in
-        let t =
-          {
-            socket;
-            listen_fd = fd;
-            stop_r;
-            stop_w;
-            done_r;
-            done_w;
-            lock = Mutex.create ();
-            cond = Condition.create ();
-            queue = [];
-            inflight = Hashtbl.create 16;
-            conns = [];
-            readers = [];
-            shutting_down = false;
-            cache = Cache.create ~capacity:cache_capacity ();
-            warm = Warm.create ?capacity:warm_capacity ();
-            pool;
-            aging_s;
-            journal = Option.map fst journal_state;
-            queue_high = queue_limit;
-            queue_low = max 1 (queue_limit / 2);
-            retry_after_s;
-            degrade_after_s;
-            restart_budget;
-            degraded = false;
-            overload_since = None;
-            death_times = [];
-            slots = Array.init width (fun _ -> { th = None; current = None });
-            sup_dead = [];
-            sup_cond = Condition.create ();
-            supervisor = None;
-            acceptor = None;
-            stopped = false;
-          }
-        in
-        (* crash recovery: verdicts back into the cache, acked-but-
-           unfinished jobs back onto the queue as ownerless work whose
-           results will be served from the cache on resubmission *)
-        (match journal_state with
-        | None -> ()
-        | Some (_, replayed) ->
-          List.iter
-            (fun (key, verdict, code) ->
-              Cache.store t.cache key ~verdict ~code)
-            replayed.Journal.rj_results;
-          let now = Unix.gettimeofday () in
-          List.iter
-            (fun (sj : Journal.submit) ->
-              if sj.Journal.sj_starts > t.restart_budget then
-                (* poisoned across restarts: it took down this many
-                   whole daemons; refuse to resurrect it *)
-                journal_quiet t (Journal.Cancelled { id = sj.Journal.sj_id })
-              else
-                t.queue <-
-                  t.queue
-                  @ [
-                      {
-                        id = sj.Journal.sj_id;
-                        owner = None;
-                        spec = sj.Journal.sj_spec;
-                        cache_key = sj.Journal.sj_key;
-                        timeout = sj.Journal.sj_timeout;
-                        max_conflicts = sj.Journal.sj_max_conflicts;
-                        priority = sj.Journal.sj_priority;
-                        enqueued = now;
-                        token = Par.Cancel.create ();
-                        requeues = 0;
-                      };
-                    ])
-            replayed.Journal.rj_pending;
-          set_gauges t);
-        Obs.Statsd.unlink_on_sigterm socket;
-        t.supervisor <- Some (Thread.create (fun () -> supervisor t) ());
-        Array.iteri
-          (fun i slot ->
-            slot.th <- Some (Thread.create (fun () -> dispatcher_thread t i) ()))
-          t.slots;
-        t.acceptor <- Some (Thread.create (fun () -> acceptor t) ());
-        Ok t))
+      (* crash recovery: verdicts back into the cache, acked-but-
+         unfinished jobs back onto the queue as ownerless work whose
+         results will be served from the cache on resubmission *)
+      (match journal_state with
+      | None -> ()
+      | Some (_, replayed) ->
+        List.iter
+          (fun (key, verdict, code) ->
+            Cache.store t.cache key ~verdict ~code)
+          replayed.Journal.rj_results;
+        let now = Unix.gettimeofday () in
+        List.iter
+          (fun (sj : Journal.submit) ->
+            if sj.Journal.sj_starts > t.restart_budget then
+              (* poisoned across restarts: it took down this many
+                 whole daemons; refuse to resurrect it *)
+              journal_quiet t (Journal.Cancelled { id = sj.Journal.sj_id })
+            else
+              t.queue <-
+                t.queue
+                @ [
+                    {
+                      id = sj.Journal.sj_id;
+                      owner = None;
+                      spec = sj.Journal.sj_spec;
+                      cache_key = sj.Journal.sj_key;
+                      timeout = sj.Journal.sj_timeout;
+                      max_conflicts = sj.Journal.sj_max_conflicts;
+                      priority = sj.Journal.sj_priority;
+                      enqueued = now;
+                      token = Par.Cancel.create ();
+                      requeues = 0;
+                    };
+                  ])
+          replayed.Journal.rj_pending;
+        set_gauges t);
+      t.supervisor <- Some (Thread.create (fun () -> supervisor t) ());
+      Array.iteri
+        (fun i slot ->
+          slot.th <- Some (Thread.create (fun () -> dispatcher_thread t i) ()))
+        t.slots;
+      Obs.Statsd.accept_loop listener (accept_client t);
+      Ok t)
 
 let wait t =
   let buf = Bytes.create 1 in
@@ -940,8 +898,7 @@ let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     request_shutdown t;
-    Option.iter Thread.join t.acceptor;
-    t.acceptor <- None;
+    Obs.Statsd.close_listener t.listener;
     (* the dispatchers drain: in-flight jobs see their cancel tokens and
        answer quickly, then each thread observes shutting_down. The
        supervisor drains its death list first (it may still send
@@ -986,8 +943,6 @@ let stop t =
     List.iter Thread.join readers;
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ t.listen_fd; t.stop_r; t.stop_w; t.done_r; t.done_w ];
-    Option.iter Journal.close t.journal;
-    Obs.Statsd.forget_unlink_on_sigterm t.socket;
-    try Unix.unlink t.socket with Unix.Unix_error _ -> ()
+      [ t.done_r; t.done_w ];
+    Option.iter Journal.close t.journal
   end

@@ -72,7 +72,8 @@ val start :
   socket:string ->
   unit ->
   (t, string) result
-(** Bind, listen and serve in background threads. With [?pool], each of
+(** Bind, listen ({!Obs.Statsd.listen}) and serve in background
+    threads. With [?pool], each of
     the [?dispatchers] (default: the pool's job count, else 1) executes
     its job as one pool task, so whole jobs run on distinct domains;
     the loops inside a job stay sequential, which keeps served verdicts
@@ -101,8 +102,9 @@ val request_shutdown : t -> unit
     call from a signal handler. *)
 
 val stop : t -> unit
-(** Full teardown: request shutdown, join the acceptor, supervisor and
-    dispatchers (in-flight jobs answer [cancelled] quickly via their
-    tokens), answer still-queued jobs with [shutting_down], disconnect
-    clients, join readers, close everything — including the journal and
-    its lock file — and unlink the socket. Idempotent. *)
+(** Full teardown: request shutdown, close the listener (its accept
+    thread joined, the socket unlinked, so new connections are refused
+    at once), join the supervisor and dispatchers (in-flight jobs answer
+    [cancelled] quickly via their tokens), answer still-queued jobs with
+    [shutting_down], disconnect clients, join readers, close everything
+    else — including the journal and its lock file. Idempotent. *)

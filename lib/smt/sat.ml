@@ -48,10 +48,10 @@ type stats = {
   max_assumption_depth : int;
 }
 
-(* Fleet-wide counters live in the Obs metrics registry: the bench
-   harness compares fresh-solver loops (which discard each solver, and
-   with it its per-instance counters) against persistent-solver loops,
-   so query/conflict totals must survive solver teardown. Hot-path
+(* Fleet-wide counters live in the Obs metrics registry: a loop may
+   create and discard several solvers (and with them their per-instance
+   counters), so the query/conflict totals the bench harness and
+   telemetry report must survive solver teardown. Hot-path
    counters are batched into the registry as per-solve deltas. *)
 let m_solves = Obs.Metrics.counter "sat.solves"
 let m_conflicts = Obs.Metrics.counter "sat.conflicts"

@@ -102,8 +102,8 @@ val stats : t -> stats
 
 val global_stats : unit -> global_stats
 (** Process-wide totals across {e all} solver instances, surviving
-    solver teardown; used by the bench harness to compare fresh-solver
-    loops against persistent-solver loops. A thin shim over the
+    solver teardown; used by the bench harness to total a loop's
+    solver work over every solver it creates. A thin shim over the
     [Obs.Metrics] registry ([sat.solves] / [sat.conflicts] /
     [sat.propagations]), so these totals and a metrics snapshot can
     never drift apart. *)

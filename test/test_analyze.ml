@@ -348,6 +348,54 @@ let test_diff_self_is_quiet () =
        (fun f -> f.Analyze.f_key)
        (Analyze.diff ~base:figs figs))
 
+(* The solver-perf row layout before and after the fresh-solver
+   baseline was dropped: a new-layout run diffed against an old-layout
+   baseline shares no gated key, so [diff] alone reports nothing. *)
+let test_missing_keys () =
+  let figures seconds conflicts =
+    [
+      ("seconds", Json.Float seconds);
+      ("conflicts", Json.Int conflicts);
+      ("metrics", Json.Obj [ ("sat.conflicts", Json.Int conflicts) ]);
+    ]
+  in
+  let bench row = Json.Obj [ ("benchmarks", Json.List [ row ]) ] in
+  let old_layout =
+    bench
+      (Json.Obj
+         [
+           ("name", Json.String "cegar/x");
+           ("fresh", Json.Obj (figures 0.2 900));
+           ("incremental", Json.Obj (figures 0.1 500));
+           ("speedup", Json.Float 2.0);
+         ])
+  in
+  let new_layout conflicts_metric =
+    bench
+      (Json.Obj
+         (("name", Json.String "cegar/x")
+         :: List.filter
+              (fun (k, _) -> conflicts_metric || k <> "metrics")
+              (figures 0.1 500)))
+  in
+  let base = Analyze.key_figures old_layout in
+  let cur = Analyze.key_figures (new_layout true) in
+  Alcotest.(check (list string)) "diff compares nothing" []
+    (List.map (fun f -> f.Analyze.f_key) (Analyze.diff ~base cur));
+  Alcotest.(check (list string)) "gated old-layout keys reported"
+    [
+      "benchmarks.cegar/x.fresh.seconds";
+      "benchmarks.cegar/x.fresh.conflicts";
+      "benchmarks.cegar/x.incremental.seconds";
+      "benchmarks.cegar/x.incremental.conflicts";
+    ]
+    (Analyze.missing_keys ~base cur);
+  Alcotest.(check (list string)) "same layout: nothing missing" []
+    (Analyze.missing_keys ~base:cur cur);
+  Alcotest.(check (list string)) "vanished metrics.* keys tolerated" []
+    (Analyze.missing_keys ~base:cur
+       (Analyze.key_figures (new_layout false)))
+
 (* ------------------------------------------------------------------ *)
 (* end to end: analyze a real traced OGIS run                          *)
 (* ------------------------------------------------------------------ *)
@@ -432,6 +480,7 @@ let () =
           Alcotest.test_case "key figures" `Quick test_key_figures;
           Alcotest.test_case "thresholds" `Quick test_diff_thresholds;
           Alcotest.test_case "self-diff quiet" `Quick test_diff_self_is_quiet;
+          Alcotest.test_case "missing baseline keys" `Quick test_missing_keys;
         ] );
       ( "end-to-end",
         [

@@ -75,12 +75,17 @@ let test_loc_width () =
   Alcotest.(check int) "7 locations -> 3 bits" 3
     (Encode.loc_width (spec Component.fig8_p2 3))
 
+let session_with spec examples =
+  let sess = Encode.new_session spec in
+  List.iter (Encode.add_example sess) examples;
+  sess
+
 let test_synthesize_candidate_consistent () =
   let spec =
     { Encode.width = w; ninputs = 2; noutputs = 1; library = [ Component.add ] }
   in
   let examples = [ ([ 1; 2 ], [ 3 ]); ([ 10; 20 ], [ 30 ]) ] in
-  match Encode.synthesize_candidate spec ~examples with
+  match Encode.next_candidate (session_with spec examples) with
   | `Unrealizable | `Unknown _ -> Alcotest.fail "candidate must exist"
   | `Candidate prog ->
     List.iter
@@ -94,7 +99,7 @@ let test_synthesize_candidate_none () =
     { Encode.width = w; ninputs = 2; noutputs = 1; library = [ Component.add ] }
   in
   let examples = [ ([ 1; 2 ], [ 3 ]); ([ 1; 2 ], [ 4 ]) ] in
-  match Encode.synthesize_candidate spec ~examples with
+  match Encode.next_candidate (session_with spec examples) with
   | `Unrealizable -> ()
   | `Candidate _ -> Alcotest.fail "contradictory examples accepted"
   | `Unknown _ -> Alcotest.fail "unexpected unknown"
@@ -109,11 +114,11 @@ let test_distinguishing_input () =
     }
   in
   (* on (0,0) add and xor agree; a distinguishing input must exist *)
-  let examples = [ ([ 0; 0 ], [ 0 ]) ] in
-  match Encode.synthesize_candidate spec ~examples with
+  let sess = session_with spec [ ([ 0; 0 ], [ 0 ]) ] in
+  match Encode.next_candidate sess with
   | `Unrealizable | `Unknown _ -> Alcotest.fail "candidate must exist"
   | `Candidate cand -> (
-    match Encode.distinguishing_input spec ~examples cand with
+    match Encode.distinguishing sess cand with
     | `Unique | `Unknown _ -> Alcotest.fail "add and xor are distinguishable"
     | `Input ins ->
       Alcotest.(check int) "input arity" 2 (List.length ins))
