@@ -8,6 +8,10 @@ let m_formula_misses = Obs.Metrics.counter "bitblast.formula_cache_misses"
 let m_shared_hits = Obs.Metrics.counter "bitblast.shared_hits"
 let m_shared_misses = Obs.Metrics.counter "bitblast.shared_misses"
 
+(* clauses the top-level clausifier emits for asserted formulas; gate
+   definitions are counted separately by [tseitin.clauses] *)
+let m_asserted_clauses = Obs.Metrics.counter "bitblast.asserted_clauses"
+
 type t = {
   ctx : Tseitin.t;
   tmemo : (Bv.term, Lit.t array) Hashtbl.t;
@@ -319,7 +323,45 @@ and formula_uncached t (f : Bv.formula) =
   | Bv.For (a, b) -> Tseitin.or2 ctx (formula t a) (formula t b)
   | Bv.Fxor (a, b) -> Tseitin.xor2 ctx (formula t a) (formula t b)
 
-let assert_formula t f = Tseitin.assert_lit t.ctx (formula t f)
+(* Asserting a formula's top-level structure as clauses, instead of the
+   unit clause of its Tseitin literal, leaves the search no gate chain
+   to walk for that structure; whatever lies below it keeps its
+   memoized Tseitin encoding. [guard] holds the literals every clause
+   of the current subformula carries. Clauses a constant-true wire
+   already satisfies are not emitted. *)
+let assert_clauses t ~emit f =
+  let clause c =
+    if not (List.mem (Tseitin.true_ t.ctx) c) then begin
+      Obs.Metrics.incr m_asserted_clauses;
+      emit c
+    end
+  in
+  let structured = function
+    | Bv.Fand _ | Bv.Eq _ | Bv.Fnot (Bv.For _) -> true
+    | _ -> false
+  in
+  let rec go guard (f : Bv.formula) =
+    match f with
+    | Bv.Fand (a, b) ->
+      go guard a;
+      go guard b
+    | Bv.Fnot (Bv.For (a, b)) ->
+      go guard (Bv.fnot a);
+      go guard (Bv.fnot b)
+    | Bv.Eq (a, b) ->
+      Array.iter2
+        (fun x y ->
+          clause (Lit.neg x :: y :: guard);
+          clause (x :: Lit.neg y :: guard))
+        (term t a) (term t b)
+    | Bv.For (a, b) when structured b -> go (formula t a :: guard) b
+    | Bv.For (a, b) when structured a -> go (formula t b :: guard) a
+    | Bv.For (a, b) -> clause (formula t a :: formula t b :: guard)
+    | f -> clause (formula t f :: guard)
+  in
+  go [] f
+
+let assert_formula t f = assert_clauses t ~emit:(Tseitin.assert_clause t.ctx) f
 
 let value_of t name =
   match Hashtbl.find_opt t.vars name with

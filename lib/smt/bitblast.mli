@@ -18,6 +18,16 @@ val term : t -> Bv.term -> Lit.t array
 
 val formula : t -> Bv.formula -> Lit.t
 val assert_formula : t -> Bv.formula -> unit
+(** Assert a formula as clauses in the current scope (see
+    {!assert_clauses}); [pop] retracts them. *)
+
+val assert_clauses : t -> emit:(Lit.t list -> unit) -> Bv.formula -> unit
+(** Clausify a formula's top-level structure and hand each clause to
+    [emit]: a conjunction or negated disjunction splits, an equation
+    becomes two clauses per bit over the term wires, a disjunction with
+    one structured side guards that side's clauses with the other
+    side's Tseitin literal, and any other formula is the unit clause of
+    its Tseitin literal. Subformula and term encodings stay memoized. *)
 
 val var_wires : t -> width:int -> string -> Lit.t array
 (** The wires of a named bit-vector variable (created on first use). *)

@@ -20,9 +20,9 @@ let pop t = Tseitin.pop (Bitblast.context t.bb)
 
 let assert_retractable t f =
   let ctx = Bitblast.context t.bb in
-  let l = Bitblast.formula t.bb f in
   let a = Tseitin.fresh ctx in
-  Sat.add_clause_permanent (sat t) [ Lit.neg a; l ];
+  Bitblast.assert_clauses t.bb f ~emit:(fun c ->
+      Sat.add_clause_permanent (sat t) (Lit.neg a :: c));
   t.retractables <- a :: t.retractables;
   a
 
@@ -35,7 +35,7 @@ let retract t a =
   if not (List.memq a t.retractables) then
     invalid_arg "Solver.retract: not an active retractable assertion";
   t.retractables <- List.filter (fun x -> x <> a) t.retractables;
-  (* permanently satisfies the guarded clause *)
+  (* permanently satisfies every clause it guards *)
   Sat.add_clause_permanent (sat t) [ Lit.neg a ]
 
 let check t =

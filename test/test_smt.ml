@@ -419,6 +419,191 @@ let prop_model_satisfies =
         done;
         not !found)
 
+(* ------------------------------------------------------------------ *)
+(* Assertion paths: top-level clausification vs brute force            *)
+(* ------------------------------------------------------------------ *)
+
+(* An incremental script over one solver. Every step is followed by a
+   check whose verdict is compared with brute-force evaluation of the
+   assertions active at that point; a Sat model must satisfy each of
+   them. *)
+type step =
+  | Assert of Bv.formula
+  | Push
+  | Pop
+  | Named of Bv.formula
+  | Retract of int
+
+let fz_vars = [ "x"; "y"; "z" ]
+
+let gen_fuzz_formula width =
+  QCheck2.Gen.(
+    let leaf =
+      oneof
+        [
+          map (fun v -> Bv.const ~width v) (int_range 0 ((1 lsl width) - 1));
+          map (fun n -> Bv.var ~width n) (oneofl fz_vars);
+        ]
+    in
+    let cmp = oneofl [ Bv.eq; Bv.neq; Bv.ult; Bv.ule ] in
+    let cond = map3 (fun op a b -> op a b) cmp leaf leaf in
+    let term =
+      oneof
+        [
+          leaf;
+          map2 Bv.badd leaf leaf;
+          map2 Bv.band leaf leaf;
+          map3 Bv.ite cond leaf leaf;
+        ]
+    in
+    let atom = oneof [ cond; map3 (fun op a b -> op a b) cmp term term ] in
+    sized_size (int_range 0 4) @@ fix (fun self n ->
+        if n = 0 then atom
+        else
+          let sub = self (n / 2) in
+          oneof
+            [
+              atom;
+              map Bv.fnot sub;
+              map2 Bv.fand sub sub;
+              map2 Bv.for_ sub sub;
+              map2 Bv.fimplies sub sub;
+              (* the shapes the clausifier takes apart *)
+              map3 (fun a b c -> Bv.for_ a (Bv.fand b c)) sub sub sub;
+              map3 (fun a b c -> Bv.fand a (Bv.for_ b c)) sub sub sub;
+              map2 (fun a b -> Bv.fnot (Bv.for_ a b)) sub sub;
+            ]))
+
+let gen_script =
+  QCheck2.Gen.(
+    let* width = int_range 1 3 in
+    let f = gen_fuzz_formula width in
+    let step =
+      frequency
+        [
+          (4, map (fun f -> Assert f) f);
+          (2, return Push);
+          (2, return Pop);
+          (3, map (fun f -> Named f) f);
+          (2, map (fun i -> Retract i) (int_range 0 3));
+        ]
+    in
+    let* steps = list_size (int_range 1 8) step in
+    return (width, steps))
+
+let print_script (width, steps) =
+  let pp = Format.asprintf "%a" Bv.pp in
+  Printf.sprintf "width %d: %s" width
+    (String.concat "; "
+       (List.map
+          (function
+            | Assert f -> "assert " ^ pp f
+            | Push -> "push"
+            | Pop -> "pop"
+            | Named f -> "named " ^ pp f
+            | Retract i -> Printf.sprintf "retract %d" i)
+          steps))
+
+let brute_force_sat width fs =
+  let m = (1 lsl width) - 1 in
+  let found = ref false in
+  for vx = 0 to m do
+    for vy = 0 to m do
+      for vz = 0 to m do
+        let env = Bv.env_of_alist [ ("x", vx); ("y", vy); ("z", vz) ] in
+        if (not !found) && List.for_all (Bv.eval env) fs then found := true
+      done
+    done
+  done;
+  !found
+
+let prop_assertion_paths =
+  QCheck2.Test.make
+    ~name:"assert/push/pop/named/retract agree with brute force" ~count:400
+    ~print:print_script gen_script (fun (width, steps) ->
+      let s = Solver.create () in
+      (* scoped assertions, innermost scope first; the outermost list is
+         the permanent level *)
+      let scopes = ref [ [] ] in
+      let named = ref [] (* (name, handle, formula), newest first *) in
+      let fresh = ref 0 in
+      let run step =
+        match step with
+        | Assert f ->
+          Solver.assert_formula s f;
+          scopes := (f :: List.hd !scopes) :: List.tl !scopes
+        | Push ->
+          Solver.push s;
+          scopes := [] :: !scopes
+        | Pop ->
+          if List.length !scopes > 1 then begin
+            Solver.pop s;
+            scopes := List.tl !scopes
+          end
+        | Named f ->
+          let name = Printf.sprintf "r%d" !fresh in
+          incr fresh;
+          named := (name, Solver.assert_named s name f, f) :: !named
+        | Retract i -> (
+          match List.nth_opt !named i with
+          | None -> ()
+          | Some ((_, r, _) as entry) ->
+            Solver.retract s r;
+            named := List.filter (fun e -> e != entry) !named)
+      in
+      List.for_all
+        (fun step ->
+          run step;
+          let active =
+            List.concat !scopes @ List.map (fun (_, _, f) -> f) !named
+          in
+          match Solver.check s with
+          | Solver.Unknown _ -> false
+          | Solver.Sat ->
+            let env = Solver.model_env s in
+            List.for_all (Bv.eval env) active
+          | Solver.Unsat ->
+            (not (brute_force_sat width active))
+            && List.for_all
+                 (fun n ->
+                   n.[0] <> 'r'
+                   || List.exists (fun (m, _, _) -> m = n) !named)
+                 (Solver.unsat_core s))
+        steps)
+
+let test_asserted_clauses_counted () =
+  let asserted = Obs.Metrics.counter "bitblast.asserted_clauses" in
+  let gates = Obs.Metrics.counter "tseitin.gates" in
+  let w = 4 in
+  let v n = Bv.var ~width:w n in
+  let s = Solver.create () in
+  let delta f =
+    let a0 = Obs.Metrics.counter_value asserted
+    and g0 = Obs.Metrics.counter_value gates in
+    f ();
+    ( Obs.Metrics.counter_value asserted - a0,
+      Obs.Metrics.counter_value gates - g0 )
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "an equation is two clauses per bit and no gate"
+    (2 * w, 0)
+    (delta (fun () -> Solver.assert_formula s (Bv.eq (v "x") (v "y"))));
+  Alcotest.check pair "a constant side leaves one clause per bit" (w, 0)
+    (delta (fun () ->
+         Solver.assert_formula s (Bv.eq (v "z") (Bv.const ~width:w 5))));
+  (* the guard is the Tseitin literal of a = b: w XNORs, w - 1 ANDs *)
+  Alcotest.check pair "a guarded equation keeps its clauses" (2 * w, (2 * w) - 1)
+    (delta (fun () ->
+         ignore
+           (Solver.assert_named s "g"
+              (Bv.fimplies (Bv.eq (v "a") (v "b")) (Bv.eq (v "x") (v "c")))
+             : Solver.retractable)));
+  Alcotest.check pair "a conjunction splits" ((2 * w) + 1, (2 * w) - 1)
+    (delta (fun () ->
+         Solver.assert_formula s
+           (Bv.fand (Bv.eq (v "c") (v "d")) (Bv.neq (v "a") (v "c")))));
+  Alcotest.(check bool) "still satisfiable" true (Solver.check s = Solver.Sat)
+
 let test_divider_circuit () =
   (* exercise the division encoding with symbolic operands *)
   let w = 6 in
@@ -645,6 +830,8 @@ let () =
           Alcotest.test_case "division circuit" `Quick test_divider_circuit;
           Alcotest.test_case "x+1=x unsat" `Quick test_solver_unsat_arith;
           Alcotest.test_case "xor swap identity" `Quick test_solver_xor_swap;
+          Alcotest.test_case "asserted clauses counted" `Quick
+            test_asserted_clauses_counted;
         ] );
       ( "cnfcache",
         [
@@ -655,7 +842,8 @@ let () =
           Alcotest.test_case "record/replay round trip" `Quick
             test_cnfcache_record_replay;
         ] );
-      qsuite "bitblast-qcheck" [ prop_bitblast_vs_eval; prop_model_satisfies ];
+      qsuite "bitblast-qcheck"
+        [ prop_bitblast_vs_eval; prop_model_satisfies; prop_assertion_paths ];
       ( "dimacs",
         [
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
