@@ -750,11 +750,13 @@ let perf () =
   (* BMC: depth sweep on a mod-11 counter whose bad value is outside the
      counting range; every query is UNSAT, consecutive unrollings differ
      by one frame, and the junk latches pad each frame, so conflict
-     clauses transfer almost wholesale between depths. *)
+     clauses transfer almost wholesale between depths. The sweep runs
+     deep enough (a few tenths of a second) that its seconds gate sits
+     above short-run timer jitter. *)
   let bmc_ts =
     Mc.Systems.mod_counter ~junk:10 ~bits:4 ~modulus:11 ~bad_value:15 ()
   in
-  let bmc_depth = 40 in
+  let bmc_depth = 200 in
   row
     (Printf.sprintf "bmc/modcounter4+junk10-d0-%d" bmc_depth)
     ~verdict:(Printf.sprintf "no counterexample at depths 0-%d" bmc_depth)

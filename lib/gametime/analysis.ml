@@ -55,17 +55,23 @@ let analyze ?(bound = 8) ?trials ?seed ?(pin = []) ?pool
 
 let predict_path t path = Learner.predict t.model (Paths.vector t.cfg path)
 
+(* a driving test case for [path] from the feasibility oracle [sess] *)
+let test_of sess path =
+  match Testgen.feasible_in sess path with
+  | `Test test -> Some test
+  (* Unknown (possible only under injected faults here — these queries
+     are unbudgeted) conservatively drops the path *)
+  | `Infeasible | `Unknown _ -> None
+
+let oracle t =
+  Testgen.new_session ~assuming:(pin_formula t.program t.pin) t.unrolled t.cfg
+
 let feasible_paths t =
   Obs.with_span "gametime.feasible_paths" @@ fun () ->
-  let assuming = pin_formula t.program t.pin in
-  let sess = Testgen.new_session ~assuming t.unrolled t.cfg in
+  let sess = oracle t in
   Paths.enumerate t.cfg
   |> Seq.filter_map (fun path ->
-         match Testgen.feasible_in sess path with
-         | `Test test -> Some (path, test)
-         (* Unknown (possible only under injected faults here — these
-            queries are unbudgeted) conservatively drops the path *)
-         | `Infeasible | `Unknown _ -> None)
+         Option.map (fun test -> (path, test)) (test_of sess path))
   |> List.of_seq
 
 let predictions t =
@@ -85,18 +91,32 @@ type wcet = {
   measured_cycles : int;
 }
 
+(* The eager answer is the first feasible path (in enumeration order)
+   of greatest prediction. Predictions need no feasibility, so rank every
+   path by prediction, descending, with a stable sort (ties keep
+   enumeration order) and ask the oracle only until the first feasible
+   one: the same path, usually after one query instead of one per path. *)
 let wcet_opt t ~platform =
   Obs.with_span "gametime.wcet" @@ fun () ->
-  match predictions t with
-  | [] -> None
-  | first :: rest ->
-    let _, test, predicted_cycles =
-      List.fold_left
-        (fun ((_, _, best) as acc) ((_, _, cy) as cand) ->
-          if cy > best then cand else acc)
-        first rest
-    in
-    Some { predicted_cycles; test; measured_cycles = platform test }
+  let ranked =
+    Obs.with_span "gametime.predict" @@ fun () ->
+    Paths.enumerate t.cfg
+    |> Seq.filter_map (fun path ->
+           Option.map (fun cy -> (path, cy)) (predict_path t path))
+    |> List.of_seq
+    |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
+  in
+  let top =
+    Obs.with_span "gametime.feasible_paths" @@ fun () ->
+    let sess = oracle t in
+    List.find_map
+      (fun (path, cy) -> Option.map (fun test -> (cy, test)) (test_of sess path))
+      ranked
+  in
+  Option.map
+    (fun (predicted_cycles, test) ->
+      { predicted_cycles; test; measured_cycles = platform test })
+    top
 
 let wcet t ~platform =
   match wcet_opt t ~platform with

@@ -66,6 +66,11 @@ val feasible_paths : t -> (Prog.Paths.path * (string * int) list) list
 (** Every feasible path with a driving test case. Exponential in program
     branching; intended for evaluation on small kernels as in Fig. 6. *)
 
+val predictions :
+  t -> (Prog.Paths.path * (string * int) list * float) list
+(** Every feasible path with its test case and predicted cycles, in
+    enumeration order (paths without a prediction are left out). *)
+
 type wcet = {
   predicted_cycles : float;
   test : (string * int) list;
@@ -74,9 +79,12 @@ type wcet = {
 
 val wcet_opt : t -> platform:((string * int) list -> int) -> wcet option
 (** Predict the longest path, then execute its test case (the final step
-    of GameTime's answer to problem <TA>). [None] when no feasible path
-    has a prediction (e.g. a truncated basis from an exhausted
-    {!analyze}). *)
+    of GameTime's answer to problem <TA>). The path is the first of
+    {!predictions} with the greatest prediction, found lazily: every
+    path is predicted, and the feasibility oracle is asked in
+    descending order of prediction until it answers with a test case.
+    [None] when no feasible path has a prediction (e.g. a truncated
+    basis from an exhausted {!analyze}). *)
 
 val wcet : t -> platform:((string * int) list -> int) -> wcet
 (** Like {!wcet_opt} but raises [Invalid_argument] when no prediction

@@ -2,6 +2,7 @@ type model = {
   basis : Basis.basis_path list;
   means : float array;
   samples : int array;
+  factored : Linalg.factored;
 }
 
 let learn ?trials ?(seed = 0x5EED) ?pool ~platform basis =
@@ -40,10 +41,10 @@ let learn ?trials ?(seed = 0x5EED) ?pool ~platform basis =
       end)
     samples;
   let means = Array.mapi (fun i s -> s /. float_of_int samples.(i)) sums in
-  { basis; means; samples }
+  let factored = Linalg.factor (List.map (fun b -> b.Basis.vector) basis) in
+  { basis; means; samples; factored }
 
 let predict m vector =
-  let vectors = List.map (fun b -> b.Basis.vector) m.basis in
-  match Linalg.solve vectors vector with
+  match Linalg.solve m.factored vector with
   | None -> None
   | Some coeffs -> Some (Linalg.dot_float coeffs m.means)

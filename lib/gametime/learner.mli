@@ -10,6 +10,8 @@ type model = {
   basis : Basis.basis_path list;
   means : float array;  (** mean measured cycles per basis path *)
   samples : int array;  (** measurements taken per basis path *)
+  factored : Linalg.factored;
+      (** [basis]'s vectors, factored once for {!predict} *)
 }
 
 val learn :

@@ -24,7 +24,8 @@ let reduce s v =
       if not (Q.is_zero v.(pivot)) then begin
         let f = v.(pivot) in
         for j = 0 to s.dim - 1 do
-          v.(j) <- Q.sub v.(j) (Q.mul f row.(j))
+          if not (Q.is_zero row.(j)) then
+            v.(j) <- Q.sub v.(j) (Q.mul f row.(j))
         done
       end)
     s.rows s.pivots;
@@ -55,7 +56,8 @@ let add_if_independent s v =
         if not (Q.is_zero row.(p)) then begin
           let f = row.(p) in
           for j = 0 to s.dim - 1 do
-            row.(j) <- Q.sub row.(j) (Q.mul f r.(j))
+            if not (Q.is_zero r.(j)) then
+              row.(j) <- Q.sub row.(j) (Q.mul f r.(j))
           done
         end)
       s.rows;
@@ -65,76 +67,100 @@ let add_if_independent s v =
 
 let in_span s v = find_pivot (reduce s (q_of_ints v)) = None
 
-let solve basis target =
-  match basis with
-  | [] -> if Array.for_all (fun x -> x = 0) target then Some [||] else None
-  | b0 :: _ ->
-    let m = Array.length b0 in
-    let k = List.length basis in
-    if Array.length target <> m then invalid_arg "Linalg.solve: dimension";
-    (* augmented m x (k+1) system: columns are basis vectors, rhs target *)
-    let cols = Array.of_list basis in
-    let a =
-      Array.init m (fun i ->
-          Array.init (k + 1) (fun j ->
-              if j < k then Q.of_int cols.(j).(i) else Q.of_int target.(i)))
-    in
-    (* forward elimination with partial (first nonzero) pivoting *)
-    let row = ref 0 in
-    let pivot_rows = Array.make k (-1) in
-    for col = 0 to k - 1 do
-      (* find a row at or below !row with nonzero entry in col *)
-      let r = ref (-1) in
-      for i = !row to m - 1 do
-        if !r < 0 && not (Q.is_zero a.(i).(col)) then r := i
-      done;
-      if !r >= 0 then begin
-        let tmp = a.(!row) in
-        a.(!row) <- a.(!r);
-        a.(!r) <- tmp;
-        (* eliminate below *)
-        for i = !row + 1 to m - 1 do
-          if not (Q.is_zero a.(i).(col)) then begin
-            let f = Q.div a.(i).(col) a.(!row).(col) in
-            for j = col to k do
-              a.(i).(j) <- Q.sub a.(i).(j) (Q.mul f a.(!row).(j))
-            done
-          end
-        done;
-        pivot_rows.(col) <- !row;
-        incr row
-      end
-    done;
-    (* consistency: rows below !row must have zero rhs *)
-    let consistent = ref true in
+(* [solve] is Gaussian elimination on the augmented system [B | t] with
+   the basis vectors as columns. Its row swaps and elimination factors
+   depend only on the coefficient columns, so [factor] runs the
+   elimination once on [B] and records them; [solve] replays the record
+   on [t] (the very operations the augmented column would undergo) and
+   back-substitutes, which yields the same exact rationals as eliminating
+   [B | t] afresh. *)
+type step = {
+  swap : int; (* row exchanged with the step's pivot row *)
+  elim : (int * Q.t) array; (* (row, factor): row -= factor * pivot row *)
+}
+
+type factored = {
+  upper : Q.t array array; (* m x k coefficients after elimination *)
+  steps : step array; (* step [s] has its pivot in row [s] *)
+  pivot_rows : int array; (* pivot row of each of the k columns, -1 if free *)
+}
+
+let factor basis =
+  let cols = Array.of_list basis in
+  let k = Array.length cols in
+  let m = if k = 0 then 0 else Array.length cols.(0) in
+  let a = Array.init m (fun i -> Array.init k (fun j -> Q.of_int cols.(j).(i))) in
+  (* forward elimination with partial (first nonzero) pivoting *)
+  let steps = ref [] in
+  let row = ref 0 in
+  let pivot_rows = Array.make k (-1) in
+  for col = 0 to k - 1 do
+    (* find a row at or below !row with nonzero entry in col *)
+    let r = ref (-1) in
     for i = !row to m - 1 do
-      if not (Q.is_zero a.(i).(k)) then consistent := false
+      if !r < 0 && not (Q.is_zero a.(i).(col)) then r := i
     done;
-    if not !consistent then None
-    else begin
-      (* back substitution; free variables (no pivot) set to zero *)
-      let x = Array.make k Q.zero in
-      for col = k - 1 downto 0 do
-        if pivot_rows.(col) >= 0 then begin
-          let i = pivot_rows.(col) in
-          let s = ref a.(i).(k) in
-          for j = col + 1 to k - 1 do
-            s := Q.sub !s (Q.mul a.(i).(j) x.(j))
+    if !r >= 0 then begin
+      let tmp = a.(!row) in
+      a.(!row) <- a.(!r);
+      a.(!r) <- tmp;
+      (* eliminate below *)
+      let elim = ref [] in
+      for i = !row + 1 to m - 1 do
+        if not (Q.is_zero a.(i).(col)) then begin
+          let f = Q.div a.(i).(col) a.(!row).(col) in
+          for j = col to k - 1 do
+            a.(i).(j) <- Q.sub a.(i).(j) (Q.mul f a.(!row).(j))
           done;
-          x.(col) <- Q.div !s a.(i).(col)
+          elim := (i, f) :: !elim
         end
       done;
-      (* verify (guards against free-variable choices breaking equality) *)
-      let ok = ref true in
-      for i = 0 to m - 1 do
-        let s = ref Q.zero in
-        List.iteri
-          (fun j b -> s := Q.add !s (Q.mul x.(j) (Q.of_int b.(i))))
-          basis;
-        if not (Q.equal !s (Q.of_int target.(i))) then ok := false
-      done;
-      if !ok then Some x else None
+      steps := { swap = !r; elim = Array.of_list (List.rev !elim) } :: !steps;
+      pivot_rows.(col) <- !row;
+      incr row
     end
+  done;
+  { upper = a; steps = Array.of_list (List.rev !steps); pivot_rows }
+
+let solve f target =
+  let m = Array.length f.upper and k = Array.length f.pivot_rows in
+  if k = 0 then
+    if Array.for_all (fun x -> x = 0) target then Some [||] else None
+  else begin
+    if Array.length target <> m then invalid_arg "Linalg.solve: dimension";
+    let b = q_of_ints target in
+    Array.iteri
+      (fun row { swap; elim } ->
+        let tmp = b.(row) in
+        b.(row) <- b.(swap);
+        b.(swap) <- tmp;
+        Array.iter (fun (i, fct) -> b.(i) <- Q.sub b.(i) (Q.mul fct b.(row))) elim)
+      f.steps;
+    (* consistency: rows below the last pivot are zero in [upper], so
+       their right-hand side must be zero too *)
+    let rank = Array.length f.steps in
+    if not (Array.for_all Q.is_zero (Array.sub b rank (m - rank))) then None
+    else begin
+      (* back substitution; free variables (no pivot) set to zero. Each
+         pivot row is zero left of its pivot and the other rows are zero,
+         so [x] satisfies all m equations; zero terms are skipped, as
+         subtracting them leaves the exact value unchanged *)
+      let x = Array.make k Q.zero in
+      for col = k - 1 downto 0 do
+        let i = f.pivot_rows.(col) in
+        if i >= 0 then begin
+          let u = f.upper.(i) in
+          let s = ref b.(i) in
+          for j = col + 1 to k - 1 do
+            if not (Q.is_zero u.(j) || Q.is_zero x.(j)) then
+              s := Q.sub !s (Q.mul u.(j) x.(j))
+          done;
+          x.(col) <- Q.div !s u.(col)
+        end
+      done;
+      Some x
+    end
+  end
 
 let dot_float coeffs values =
   let s = ref 0.0 in

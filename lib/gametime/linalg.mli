@@ -20,9 +20,18 @@ val add_if_independent : span -> int array -> bool
 
 val in_span : span -> int array -> bool
 
-val solve : int array list -> int array -> Q.t array option
-(** [solve basis target] finds coefficients [a] with
+type factored
+(** A basis after forward elimination: the eliminated coefficients plus
+    the row swaps and elimination factors that produced them. *)
+
+val factor : int array list -> factored
+(** [factor basis] eliminates the matrix whose columns are [basis]
+    once, so that each {!solve} against it costs one replay of the
+    recorded steps and a back substitution. *)
+
+val solve : factored -> int array -> Q.t array option
+(** [solve (factor basis) target] finds coefficients [a] with
     [sum_i a.(i) * basis_i = target], or [None] if [target] is not in the
-    span of [basis]. *)
+    span of [basis]. Dependent columns get coefficient zero. *)
 
 val dot_float : Q.t array -> float array -> float

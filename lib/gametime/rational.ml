@@ -12,9 +12,19 @@ let make num den =
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
-let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
-let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
-let mul a b = make (a.num * b.num) (a.den * b.den)
+
+(* integer operands need no gcd: [make n 1] is [{ num = n; den = 1 }] *)
+let add a b =
+  if a.den = 1 && b.den = 1 then { num = a.num + b.num; den = 1 }
+  else make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
+
+let sub a b =
+  if a.den = 1 && b.den = 1 then { num = a.num - b.num; den = 1 }
+  else make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
+
+let mul a b =
+  if a.den = 1 && b.den = 1 then { num = a.num * b.num; den = 1 }
+  else make (a.num * b.num) (a.den * b.den)
 
 let div a b =
   if b.num = 0 then invalid_arg "Rational.div: division by zero";

@@ -1,11 +1,12 @@
 module Paths = Prog.Paths
 module Cfg = Prog.Cfg
 
-let coordinates basis vector =
-  let vectors = List.map (fun b -> b.Basis.vector) basis in
-  Option.map
-    (Array.map Rational.to_float)
-    (Linalg.solve vectors vector)
+let factor basis = Linalg.factor (List.map (fun b -> b.Basis.vector) basis)
+
+let coordinates_in f vector =
+  Option.map (Array.map Rational.to_float) (Linalg.solve f vector)
+
+let coordinates basis vector = coordinates_in (factor basis) vector
 
 (* determinant by LU with partial pivoting *)
 let det m =
@@ -47,6 +48,7 @@ let barycentric ?(c = 2.0) basis ~candidates (g : Cfg.t) =
   else begin
     (* express everything in the coordinates of the ORIGINAL basis, which
        stay fixed while rows are exchanged *)
+    let f = factor basis in
     let cand_coords =
       List.filter_map
         (fun (path, test) ->
@@ -58,7 +60,7 @@ let barycentric ?(c = 2.0) basis ~candidates (g : Cfg.t) =
                   test;
                 },
                 co ))
-            (coordinates basis (Paths.vector g path)))
+            (coordinates_in f (Paths.vector g path)))
         candidates
     in
     let chosen = Array.of_list basis in
@@ -93,9 +95,10 @@ let barycentric ?(c = 2.0) basis ~candidates (g : Cfg.t) =
   end
 
 let max_coordinate basis ~candidates (g : Cfg.t) =
+  let f = factor basis in
   List.fold_left
     (fun acc (path, _) ->
-      match coordinates basis (Paths.vector g path) with
+      match coordinates_in f (Paths.vector g path) with
       | None -> acc
       | Some co -> Array.fold_left (fun a x -> max a (abs_float x)) acc co)
     0.0 candidates
