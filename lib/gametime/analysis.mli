@@ -45,7 +45,11 @@ val analyze :
     [?budget] (default unlimited) meters basis extraction (see
     {!Basis.extract}); platform measurement of whatever basis was found
     is never cut short, so an [Exhausted] partial's model is still
-    internally consistent. *)
+    internally consistent.
+
+    A program with no feasible path within [bound] (a loop that needs
+    more iterations than the unrolling keeps) converges on an empty
+    basis; its model predicts no path, so {!wcet_opt} answers [None]. *)
 
 val predict_path : t -> Prog.Paths.path -> float option
 

@@ -7,8 +7,9 @@ type model = {
 
 let learn ?trials ?(seed = 0x5EED) ?pool ~platform basis =
   let k = List.length basis in
-  if k = 0 then invalid_arg "Learner.learn: empty basis";
-  let trials = Option.value trials ~default:(10 * k) in
+  (* an empty basis (no feasible path) measures nothing and predicts
+     nothing *)
+  let trials = if k = 0 then 0 else Option.value trials ~default:(10 * k) in
   let rng = Random.State.make [| seed |] in
   let basis_arr = Array.of_list basis in
   (* draw the whole random path schedule up front so it depends only on

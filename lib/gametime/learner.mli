@@ -27,7 +27,9 @@ val learn :
     front from [seed], so with [?pool] the measurements fan out across
     domains and — provided [platform] is a pure function of the test
     case, as the simulated platforms here are — the learned model is
-    identical to a sequential run. *)
+    identical to a sequential run. An empty basis (a program with no
+    feasible path) takes no measurement and gives a model that
+    predicts no path. *)
 
 val predict : model -> int array -> float option
 (** Predicted execution time of a path given by its edge vector: express

@@ -41,6 +41,7 @@ type stats = {
   learnts : int;
   learnts_deleted : int;
   db_reductions : int;
+  simplifications : int;
   clauses : int;
   vars : int;
   lbd_sum : int;
@@ -61,6 +62,7 @@ let m_restarts = Obs.Metrics.counter "sat.restarts"
 let m_clauses_added = Obs.Metrics.counter "sat.clauses_added"
 let m_learnts_deleted = Obs.Metrics.counter "sat.learnts_deleted"
 let m_db_reductions = Obs.Metrics.counter "sat.db_reductions"
+let m_simplifications = Obs.Metrics.counter "sat.simplifications"
 let m_learnt_db = Obs.Metrics.gauge "sat.learnt_db_size"
 let m_lbd = Obs.Metrics.histogram "sat.lbd"
 let m_assumption_depth = Obs.Metrics.histogram "sat.assumption_depth"
@@ -117,6 +119,7 @@ type t = {
   mutable max_learnts : int; (* 0 = not yet initialized *)
   learnt_limit : int; (* initial cap override from [create], 0 = auto *)
   mutable simp_trail : int; (* root-trail size at the last simplification *)
+  mutable simp_props : int; (* propagation count the next sweep waits for *)
   (* statistics *)
   mutable conflicts : int;
   mutable decisions : int;
@@ -125,6 +128,7 @@ type t = {
   mutable solves : int;
   mutable learnts_deleted : int;
   mutable db_reductions : int;
+  mutable simplifications : int;
   mutable lbd_sum : int;
   mutable lbd_max : int;
   mutable max_assumption_depth : int;
@@ -184,6 +188,7 @@ let create ?(learnt_limit = 0) ?(seed = 0) ?(default_phase = false)
     max_learnts = 0;
     learnt_limit;
     simp_trail = 0;
+    simp_props = 0;
     conflicts = 0;
     decisions = 0;
     propagations = 0;
@@ -191,6 +196,7 @@ let create ?(learnt_limit = 0) ?(seed = 0) ?(default_phase = false)
     solves = 0;
     learnts_deleted = 0;
     db_reductions = 0;
+    simplifications = 0;
     lbd_sum = 0;
     lbd_max = 0;
     max_assumption_depth = 0;
@@ -225,6 +231,7 @@ let stats s =
     learnts = s.n_learnts;
     learnts_deleted = s.learnts_deleted;
     db_reductions = s.db_reductions;
+    simplifications = s.simplifications;
     clauses = s.n_clauses;
     vars = s.nvars;
     lbd_sum = s.lbd_sum;
@@ -766,6 +773,8 @@ let reduce_db s =
    propagation at fixpoint, so no surviving clause is all-false or
    unit. *)
 let simplify s =
+  s.simplifications <- s.simplifications + 1;
+  Obs.Metrics.incr m_simplifications;
   (* root-level facts never need their reasons again: conflict analysis
      ignores level-0 literals — and this releases every clause lock *)
   for i = 0 to Ivec.size s.trail - 1 do
@@ -1204,10 +1213,16 @@ let run_solve s assumptions =
         (List.map Lit.pos (Ivec.to_list s.scopes) @ assumptions)
     in
     (* settle the root level, then sweep out clauses retired since the
-       last solve (retracted scopes leave permanently satisfied clauses
-       behind; fresh root units strengthen what remains) *)
+       last sweep (retracted scopes leave permanently satisfied clauses
+       behind; fresh root units strengthen what remains). The sweep costs
+       the arena's size, so it waits until propagation has done as much
+       work since the last one (MiniSat's [simplifyDB] schedule) *)
     if propagate s >= 0 then s.ok <- false
-    else if Ivec.size s.trail > s.simp_trail then simplify s;
+    else if Ivec.size s.trail > s.simp_trail && s.propagations >= s.simp_props
+    then begin
+      simplify s;
+      s.simp_props <- s.propagations + Array.fold_left ( + ) 0 s.fill
+    end;
     if not s.ok then Unsat
     else
       try

@@ -46,6 +46,7 @@ type stats = {
   learnts : int;  (** learned clauses currently alive *)
   learnts_deleted : int;  (** learned clauses removed by DB reduction *)
   db_reductions : int;
+  simplifications : int;  (** level-0 sweeps of the clause arena *)
   clauses : int;  (** total clauses alive (problem + learnt) *)
   vars : int;
   lbd_sum : int;  (** sum of learned-clause LBDs (unit learnts count 1) *)

@@ -359,6 +359,22 @@ let modexp_analysis bits =
   in
   (t, platform)
 
+(* a loop that needs more iterations than the unrolling keeps leaves no
+   feasible path: the analysis converges on an empty basis, predicts
+   nothing, and the WCET search answers None *)
+let test_no_feasible_path () =
+  let p = B.modexp ~bits:8 () in
+  let platform = Platform.time (Platform.create p) in
+  for bound = 3 to 7 do
+    let name = Printf.sprintf "8 iterations unrolled %d times" bound in
+    let t = conv (Gt.analyze ~bound ~seed:7 ~platform p) in
+    Alcotest.(check int) (name ^ ": empty basis") 0 (List.length t.Gt.basis);
+    Alcotest.(check int) (name ^ ": no prediction") 0
+      (List.length (Gt.predictions t));
+    Alcotest.(check bool) (name ^ ": no WCET") true
+      (Gt.wcet_opt t ~platform = None)
+  done
+
 let test_wcet_modexp4 () =
   let t, platform = modexp_analysis 4 in
   let w = Gt.wcet t ~platform in
@@ -615,6 +631,7 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "WCET on modexp4" `Quick test_wcet_modexp4;
+          Alcotest.test_case "no feasible path" `Quick test_no_feasible_path;
           Alcotest.test_case "problem TA" `Quick test_answer_ta;
           Alcotest.test_case "per-path prediction accuracy" `Quick
             test_prediction_accuracy_modexp4;

@@ -115,6 +115,24 @@ let test_bmc_safe () =
   Alcotest.(check bool) "no cex at any tested depth" true
     (Bmc.check t ~depth:20 = `No_cex)
 
+(* The level-0 sweep of the clause arena waits until propagation has
+   done as much work as the sweep costs. An incremental BMC sweep pops
+   its query scope, and so adds a root unit, before every solve; the
+   arena is still swept far less often than it is solved. *)
+let test_bmc_sweeps_amortised () =
+  let t = Systems.mod_counter ~junk:10 ~bits:4 ~modulus:11 ~bad_value:15 () in
+  let count name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let solves0 = count "sat.solves" and sweeps0 = count "sat.simplifications" in
+  (match Bmc.sweep t ~max_depth:200 with
+  | Budget.Converged None -> ()
+  | _ -> Alcotest.fail "the system is clean to depth 200");
+  let solves = count "sat.solves" - solves0
+  and sweeps = count "sat.simplifications" - sweeps0 in
+  Alcotest.(check bool) "one solve per depth" true (solves >= 201);
+  Alcotest.(check bool) "the arena was swept" true (sweeps > 0);
+  if sweeps * 8 > solves then
+    Alcotest.failf "%d sweeps for %d solves" sweeps solves
+
 let test_bmc_agrees_with_reach () =
   (* differential: BMC at a generous depth agrees with explicit search *)
   List.iter
@@ -361,6 +379,8 @@ let () =
           Alcotest.test_case "safe system" `Quick test_bmc_safe;
           Alcotest.test_case "agrees with explicit reachability" `Quick
             test_bmc_agrees_with_reach;
+          Alcotest.test_case "arena sweeps amortised" `Quick
+            test_bmc_sweeps_amortised;
         ] );
       ( "cegar",
         [

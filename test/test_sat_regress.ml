@@ -413,7 +413,7 @@ let test_search_identity_scoped () =
     solve ()
   done;
   Alcotest.(check string) "verdicts" "ususssuuuuuu" (Buffer.contents verdicts);
-  Alcotest.check counts "conflicts, decisions, propagations" (96, 141, 1993)
+  Alcotest.check counts "conflicts, decisions, propagations" (96, 131, 2008)
     (search_counts s)
 
 (* ------------------------------------------------------------------ *)
@@ -481,11 +481,12 @@ let arb_script =
         (String.concat "; " (List.map pp_op ops)))
 
 let fuzz_reductions = ref 0
+let fuzz_simplifications = ref 0
 let fuzz_unsat = ref 0
 
 (* Run one script, checking every verdict against [Dpll.solve] and
    every model with [Dpll.eval]; returns the verdicts, the final search
-   counts and the number of database reductions. *)
+   counts and the solver's statistics. *)
 let run_script (nvars, ops) =
   let s = Sat.create ~learnt_limit:4 () in
   for _ = 1 to nvars do
@@ -529,11 +530,12 @@ let run_script (nvars, ops) =
       | Solve a -> solve a)
     ops;
   solve [];
-  (List.rev !verdicts, search_counts s, (Sat.stats s).Sat.db_reductions)
+  (List.rev !verdicts, search_counts s, Sat.stats s)
 
 let fuzz_prop script =
-  let verdicts, plain_counts, reductions = run_script script in
-  fuzz_reductions := !fuzz_reductions + reductions;
+  let verdicts, plain_counts, st = run_script script in
+  fuzz_reductions := !fuzz_reductions + st.Sat.db_reductions;
+  fuzz_simplifications := !fuzz_simplifications + st.Sat.simplifications;
   let unsat = List.length (List.filter (( = ) Sat.Unsat) verdicts) in
   fuzz_unsat := !fuzz_unsat + unsat;
   (* the same script with the proof plane on: same search, and every
@@ -569,6 +571,7 @@ let test_fuzz_against_reference () =
     (QCheck.Test.make ~name:"sat vs dpll" ~count:1000 arb_script fuzz_prop);
   (* the scripts must actually have reached the code under test *)
   Alcotest.(check bool) "reduce_db ran" true (!fuzz_reductions > 0);
+  Alcotest.(check bool) "simplify ran" true (!fuzz_simplifications > 0);
   Alcotest.(check bool) "some verdicts were unsat" true (!fuzz_unsat > 0)
 
 let () =

@@ -64,15 +64,15 @@ let shift_spec ?(len = 12) max_depth =
 (* a deep sweep over a wide counter: reliably outlives the instant
    between ack and cancel/disconnect, and stops quickly once its budget
    cancel hook fires. Every test cancels it; it must outlast a test's
-   round trips on a loaded machine, so it runs for seconds (depth 800
-   takes about 3.5 s on one core of a 2-vCPU VM; the depth has to
+   round trips on a loaded machine, so it runs for seconds (depth 1200
+   takes about 4-4.6 s on one core of a 2-vCPU VM; the depth has to
    track the SAT core's speed) *)
 let slow_spec =
   Jobs.Bmc
     {
       system =
         { shift = None; junk = 40; bits = 3; modulus = 6; bad_value = 7 };
-      max_depth = 800;
+      max_depth = 1200;
     }
 
 let stat socket name =
@@ -294,6 +294,30 @@ let test_served_verdict_matches_direct () =
       o.Client.cached;
     Alcotest.(check string) "cached verdict identical" direct.Jobs.verdict
       o.Client.verdict
+
+(* a program whose loop outruns the unrolling bound has no feasible
+   path: a typed verdict, not an exception *)
+let no_path_timing =
+  Jobs.Timing
+    {
+      source =
+        Some
+          "program loop8 (a) -> (x) width 8 {\n  x := 0;\n  i := 0;\n\
+          \  while (i < 8) {\n    x := x + a;\n    i := i + 1;\n  }\n}\n";
+      bits = 5;
+      tau = None;
+    }
+
+let test_served_no_feasible_path () =
+  let o = Jobs.run no_path_timing in
+  Alcotest.(check (pair string int)) "direct" ("no feasible paths", 1)
+    (o.Jobs.verdict, o.Jobs.code);
+  with_daemon @@ fun socket ->
+  match Client.submit ~socket no_path_timing with
+  | Error _ -> Alcotest.fail "submit failed"
+  | Ok o ->
+    Alcotest.(check (pair string int)) "served" ("no feasible paths", 1)
+      (o.Client.verdict, o.Client.code)
 
 let test_unsafe_verdict_matches_direct () =
   with_daemon @@ fun socket ->
@@ -1136,6 +1160,8 @@ let () =
             test_served_verdict_matches_direct;
           Alcotest.test_case "unsafe verdict == direct run" `Quick
             test_unsafe_verdict_matches_direct;
+          Alcotest.test_case "timing with no feasible path" `Quick
+            test_served_no_feasible_path;
           Alcotest.test_case "warm sessions resume" `Quick
             test_warm_sessions_resume;
           Alcotest.test_case "concurrent clients isolated" `Quick
