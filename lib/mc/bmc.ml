@@ -71,9 +71,17 @@ let check ?(limits = Sat.no_limits) (ts : Ts.t) ~depth =
 (* The unrolled transition relation is monotone in the depth: frame t's
    wires never change once built. A session therefore keeps one Tseitin
    context alive, extends the unrolling lazily, and per query only
-   asserts "some bad within the bound" inside a push/pop scope. Repeated
+   asserts its bad-state literal inside a push/pop scope. Repeated
    queries at growing depths — the shape of both BMC loops and CEGAR's
-   spuriousness checks — reuse every frame and every learned clause. *)
+   spuriousness checks — reuse every frame and every learned clause.
+
+   A query builds nothing that dies with its scope: gate definitions
+   are permanent, and the gates of a popped scope are dead clauses that
+   no level-0 sweep can remove. So a query asserts a wire that already
+   exists — step d's bad state for an exact-depth query, the frame's
+   prefix disjunction "bad at some step in 0..d" (one gate per frame,
+   built with the frame) for a cumulative one — and only a ranged query
+   with [0 < lo < hi] builds a disjunction of its own. *)
 type session = {
   ts : Ts.t;
   ctx : Tseitin.t;
@@ -81,18 +89,21 @@ type session = {
   mutable state : Lit.t array;  (* state wires after [frames] steps *)
   mutable inputs_rev : Lit.t array list;
   mutable bads_rev : Lit.t list;  (* frames+1 entries, newest first *)
+  mutable anys_rev : Lit.t list;  (* likewise, any_d = any_{d-1} \/ bad_d *)
 }
 
 let new_session (ts : Ts.t) =
   let ctx = Tseitin.create () in
   let state0 = Array.map (fun b -> Tseitin.of_bool ctx b) ts.Ts.init in
+  let bad0 = compile ctx ~state:state0 ~input:[||] ts.Ts.bad in
   {
     ts;
     ctx;
     frames = 0;
     state = state0;
     inputs_rev = [];
-    bads_rev = [ compile ctx ~state:state0 ~input:[||] ts.Ts.bad ];
+    bads_rev = [ bad0 ];
+    anys_rev = [ bad0 ];
   }
 
 let extend sess depth =
@@ -107,8 +118,10 @@ let extend sess depth =
         sess.ts.Ts.next
     in
     sess.state <- next;
-    sess.bads_rev <-
-      compile sess.ctx ~state:next ~input:[||] sess.ts.Ts.bad :: sess.bads_rev;
+    let bad = compile sess.ctx ~state:next ~input:[||] sess.ts.Ts.bad in
+    sess.bads_rev <- bad :: sess.bads_rev;
+    sess.anys_rev <-
+      Tseitin.or2 sess.ctx (List.hd sess.anys_rev) bad :: sess.anys_rev;
     sess.frames <- sess.frames + 1
   done
 
@@ -125,21 +138,29 @@ let session_conflicts sess = Sat.num_conflicts (Tseitin.solver sess.ctx)
    the concrete system and truncated at its first bad state), whose
    length can be {e below} [lo] — the model constrains nothing about the
    earlier steps, so it is free to stumble into a shallower bad state.
-   [lo = 0] is the classic cumulative query. *)
+   [lo = 0] is the classic cumulative query, [lo = hi] the exact-depth
+   one. *)
 let check_between ?limits sess ~span ~lo ~hi =
   Obs.with_span span ~attrs:[ ("depth", Obs.Int hi); ("lo", Obs.Int lo) ]
   @@ fun () ->
   extend sess hi;
   let ctx = sess.ctx in
   Option.iter (Sat.set_limits (Tseitin.solver ctx)) limits;
-  (* steps lo..hi in ascending order, as the cumulative query built it *)
-  let bads = List.rev (take (hi - lo + 1) (drop (sess.frames - hi) sess.bads_rev)) in
+  let target =
+    if lo = 0 then List.hd (drop (sess.frames - hi) sess.anys_rev)
+    else
+      (* step [lo]'s bad wire when [lo = hi]; otherwise a parallel
+         claim's own disjunction — claims are disjoint, so their gates
+         total O(d) over a sweep *)
+      Tseitin.or_list ctx
+        (List.rev (take (hi - lo + 1) (drop (sess.frames - hi) sess.bads_rev)))
+  in
   (* the scope's activation literal is the assumption an unsat core
      blames, so name it after the property it guards *)
   Tseitin.push_named ctx
     (if lo = hi then Printf.sprintf "bad[%d]" lo
      else Printf.sprintf "bad[%d..%d]" lo hi);
-  Tseitin.assert_lit ctx (Tseitin.or_list ctx bads);
+  Tseitin.assert_lit ctx target;
   let result =
     match Sat.solve_with_assumptions (Tseitin.solver ctx) [] with
     | Sat.Unsat -> `No_cex
@@ -169,6 +190,18 @@ type partial = {
   proved_depth : int;
   reason : Budget.reason;
 }
+
+exception False_start of { start : int; depth : int }
+
+let () =
+  Printexc.register_printer (function
+    | False_start { start; depth } ->
+      Some
+        (Printf.sprintf
+           "Bmc.sweep: a bad state at depth %d, below start %d, which was \
+            claimed clean"
+           depth start)
+    | _ -> None)
 
 (* Budget headroom attached to every iteration record, so a progress
    heartbeat mid-sweep answers "how much runway is left" without a
@@ -406,7 +439,15 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
    shows where the solving time concentrates as the unrolling grows.
    The session may be warm (frames and learnt clauses from earlier
    sweeps carry over); the caller owns the claim that depths below
-   [start] are already proved clean. *)
+   [start] are already proved clean.
+
+   Each iteration asks only for the newest frame's bad state (Een and
+   Sorensson's incremental BMC): the depths below it are clean — below
+   [start] by the caller's claim, the rest by this sweep's own earlier
+   iterations — so a reachable bad state at [depth] is the first one,
+   and the replayed trace has exactly [depth] steps. A shorter trace
+   can only mean the [start] claim was false; it is raised, never
+   reported as a minimal counterexample. *)
 let sweep_over ~start ~meter sess ~max_depth =
   let ts = sess.ts in
   let lp =
@@ -434,9 +475,11 @@ let sweep_over ~start ~meter sess ~max_depth =
           ~attrs:(("depth", Obs.Int depth) :: budget_attrs meter);
         Sat.set_limits solver (Smt.Govern.limits_of_meter meter);
         let c0 = Sat.num_conflicts solver in
-        let q = check_depth sess ~depth in
+        let q = check_range sess ~lo:depth ~hi:depth in
         Budget.charge_conflicts meter (Sat.num_conflicts solver - c0);
         match q with
+        | `Cex trace when List.length trace <> depth ->
+          raise (False_start { start; depth = List.length trace })
         | `Cex trace ->
           Obs.Loop.counterexample lp
             ~attrs:[ ("length", Obs.Int (List.length trace)) ];

@@ -31,9 +31,18 @@ val check : ?limits:Smt.Sat.limits -> Ts.t -> depth:int -> query
 
     One solver for a whole sequence of bounded queries against the same
     transition system. The unrolling is extended lazily and shared
-    between queries; only the "bad within the bound" assertion is
-    per-query (scoped), so learned clauses about the transition relation
-    carry across depths. *)
+    between queries; only the bad-state assertion is per-query (scoped),
+    so learned clauses about the transition relation carry across
+    depths. Each frame carries its step's bad wire and the prefix
+    disjunction "bad at some step in [0..d]" (one gate per frame), so
+    an exact-depth or cumulative query asserts one existing literal and
+    leaves no gates behind; only a ranged query with [0 < lo < hi]
+    encodes a disjunction of its own.
+
+    Each query's scope is named after the property it asserts —
+    [bad[d]] for an exact-depth query (the sweeps'), [bad[0..d]] for a
+    cumulative one, [bad[lo..hi]] for a ranged one — and that name is
+    what a [--proof] certificate's unsat core blames. *)
 
 type session
 
@@ -51,8 +60,9 @@ val check_range : ?limits:Smt.Sat.limits -> session -> lo:int -> hi:int -> query
     reaching the bad state — may be anywhere in [0..hi], including
     below [lo]: the query does not constrain the earlier steps, so the
     model may stumble into a shallower bad state. [check_range ~lo:0
-    ~hi:d] is exactly {!check_depth}[ ~depth:d]. Raises
-    [Invalid_argument] when [lo < 0] or [hi < lo]. *)
+    ~hi:d] is exactly {!check_depth}[ ~depth:d]; [check_range ~lo:d
+    ~hi:d] asks for step [d] alone. Raises [Invalid_argument] when
+    [lo < 0] or [hi < lo]. *)
 
 val session_conflicts : session -> int
 (** Cumulative conflicts of the session's solver; callers metering a
@@ -71,6 +81,12 @@ type partial = {
   reason : Budget.reason;
 }
 
+exception False_start of { start : int; depth : int }
+(** A sequential sweep found a bad state at [depth], below its [start]:
+    the caller's claim that the depths below [start] are clean was
+    false. Raised by {!sweep} and {!sweep_session} instead of reporting
+    a counterexample that would not be the minimal one. *)
+
 val sweep :
   ?start:int ->
   ?pool:Par.Pool.t ->
@@ -83,6 +99,13 @@ val sweep :
     [start..max_depth] in turn — [Converged (Some (depth, trace))] for
     the first reachable bad state, [Converged None] when the whole range
     is clean. Emits one telemetry loop iteration per depth.
+
+    Each iteration asks for step [depth]'s bad state alone (an
+    exact-depth {!check_range}), as incremental BMC does: every depth
+    below it is clean — below [start] by the caller's claim, the rest
+    by the sweep's own earlier iterations — so a satisfiable query's
+    trace has exactly [depth] steps. A shorter one means the [start]
+    claim was false and raises {!False_start}.
 
     [?budget] (default unlimited) meters the whole sweep: iterations
     count queried depths, the conflict pool is drained by every solver
@@ -133,4 +156,5 @@ val sweep_session :
     tracks the proved prefix per problem family and resumes sweeps at
     [proved + 1], which is where the warm-query speedup over a cold CLI
     invocation comes from. Verdicts equal {!sweep}'s for the same
-    [start]. Raises [Invalid_argument] when [start < 0]. *)
+    [start]. Raises [Invalid_argument] when [start < 0], and
+    {!False_start} when a bad state turns up below the queried depth. *)

@@ -265,9 +265,7 @@ let test_bmc_exhaustion_prefix () =
      lands mid-sweep whatever the solver's conflict behaviour *)
   let total =
     let sess = Mc.Bmc.new_session ts in
-    for d = 0 to max_depth do
-      ignore (Mc.Bmc.check_depth sess ~depth:d)
-    done;
+    ignore (Mc.Bmc.sweep_session sess ~max_depth);
     Mc.Bmc.session_conflicts sess
   in
   if total < 4 then

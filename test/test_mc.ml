@@ -133,6 +133,40 @@ let test_bmc_sweeps_amortised () =
   if sweeps * 8 > solves then
     Alcotest.failf "%d sweeps for %d solves" sweeps solves
 
+(* A sweep asks only for the newest frame's bad state, so its encoding
+   grows linearly with the depth: doubling the depth at most about
+   doubles the gates (with a "bad within 0..d" disjunction built per
+   query they grew 3.6x, 25,812 -> 91,712). *)
+let test_bmc_sweep_gates_linear () =
+  let t = Systems.mod_counter ~junk:10 ~bits:4 ~modulus:11 ~bad_value:15 () in
+  let gates max_depth =
+    let c = Obs.Metrics.counter "tseitin.gates" in
+    let g0 = Obs.Metrics.counter_value c in
+    (match Bmc.sweep t ~max_depth with
+    | Budget.Converged None -> ()
+    | _ -> Alcotest.failf "the system is clean to depth %d" max_depth);
+    Obs.Metrics.counter_value c - g0
+  in
+  let g200 = gates 200 and g400 = gates 400 in
+  if g400 * 10 > g200 * 22 then
+    Alcotest.failf "depth 200: %d gates, depth 400: %d gates" g200 g400
+
+(* A false start claim is a typed error, not a reported counterexample:
+   this system is bad from step 2 on, so the exact-depth query at the
+   claimed start replays into the shallower bad state. *)
+let test_bmc_false_start_raises () =
+  let t =
+    Ts.make ~name:"sticky" ~num_latches:2 ~num_inputs:0
+      ~init:[| false; false |] ~next:[| Ts.T; Ts.V 0 |] ~bad:(Ts.V 1)
+  in
+  (match Bmc.sweep t ~max_depth:8 with
+  | Budget.Converged (Some (2, _)) -> ()
+  | _ -> Alcotest.fail "the honest sweep finds depth 2");
+  Alcotest.check_raises "start 5 over a depth-2 cex"
+    (Bmc.False_start { start = 5; depth = 2 })
+    (fun () ->
+      ignore (Bmc.sweep_session ~start:5 (Bmc.new_session t) ~max_depth:8))
+
 let test_bmc_agrees_with_reach () =
   (* differential: BMC at a generous depth agrees with explicit search *)
   List.iter
@@ -346,6 +380,71 @@ let prop_localization_sound =
         | Reach.Cex _ -> true
         | Reach.Safe _ -> false))
 
+(* Mod counters (unsafe when [bad_value < modulus]) and shift
+   registers (the safe one of [Systems], or an unsafe variant whose bad
+   state is the last stage going high, reachable at depth [len]). *)
+let gen_sweep_case =
+  QCheck2.Gen.(
+    let counter =
+      let* bits = int_range 2 4 in
+      let* modulus = int_range 2 (1 lsl bits) in
+      let* bad_value = int_range 0 ((1 lsl bits) - 1) in
+      let* junk = int_range 0 4 in
+      return (Systems.mod_counter ~junk ~bits ~modulus ~bad_value ())
+    in
+    let shift =
+      let* len = int_range 1 12 in
+      let* unsafe = bool in
+      let t = Systems.shift_register ~len in
+      return
+        (if unsafe then
+           Ts.make ~name:(t.Ts.name ^ "-unsafe") ~num_latches:t.Ts.num_latches
+             ~num_inputs:t.Ts.num_inputs ~init:t.Ts.init ~next:t.Ts.next
+             ~bad:(Ts.V (len - 1))
+         else t)
+    in
+    let* t = oneof [ counter; shift ] in
+    let* max_depth = int_range 0 40 in
+    let* split = int_range 0 max_depth in
+    return (t, max_depth, split))
+
+let prop_sweep_is_first_cex =
+  QCheck2.Test.make
+    ~name:"sweep answers the first cex depth; a warm split agrees"
+    ~count:60
+    ~print:(fun (t, max_depth, split) ->
+      Printf.sprintf "%s max_depth=%d split=%d" (print_ts t) max_depth split)
+    gen_sweep_case
+    (fun (t, max_depth, split) ->
+      let rec first d =
+        if d > max_depth then None
+        else
+          match Bmc.check t ~depth:d with
+          | `Cex _ -> Some d
+          | `No_cex -> first (d + 1)
+          | `Unknown _ -> QCheck2.Test.fail_report "one-shot check: Unknown"
+      in
+      let expected = first 0 in
+      let agrees = function
+        | Budget.Converged None -> expected = None
+        | Budget.Converged (Some (d, trace)) ->
+          expected = Some d && List.length trace = d && Reach.replay t trace
+        | Budget.Exhausted _ -> false
+      in
+      let one = Bmc.sweep t ~max_depth in
+      (* the same range as two sweeps over one session: the second
+         resumes at [split], warm, on the first's proved prefix *)
+      let warm =
+        let sess = Bmc.new_session t in
+        if split = 0 then Bmc.sweep_session sess ~max_depth
+        else
+          match Bmc.sweep_session sess ~max_depth:(split - 1) with
+          | Budget.Converged None ->
+            Bmc.sweep_session ~start:split sess ~max_depth
+          | r -> r
+      in
+      agrees one && agrees warm)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -381,6 +480,10 @@ let () =
             test_bmc_agrees_with_reach;
           Alcotest.test_case "arena sweeps amortised" `Quick
             test_bmc_sweeps_amortised;
+          Alcotest.test_case "sweep gates grow linearly" `Quick
+            test_bmc_sweep_gates_linear;
+          Alcotest.test_case "false start raises" `Quick
+            test_bmc_false_start_raises;
         ] );
       ( "cegar",
         [
@@ -398,5 +501,8 @@ let () =
           Alcotest.test_case "agrees with explicit reachability" `Quick
             test_cegar_agrees_with_reach;
         ] );
-      ("random-systems", qsuite [ prop_engines_agree; prop_localization_sound ]);
+      ( "random-systems",
+        qsuite
+          [ prop_engines_agree; prop_localization_sound; prop_sweep_is_first_cex ]
+      );
     ]

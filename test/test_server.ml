@@ -61,18 +61,19 @@ let shift_spec ?(len = 12) max_depth =
       max_depth;
     }
 
-(* a deep sweep over a wide counter: reliably outlives the instant
-   between ack and cancel/disconnect, and stops quickly once its budget
-   cancel hook fires. Every test cancels it; it must outlast a test's
-   round trips on a loaded machine, so it runs for seconds (depth 1200
-   takes about 4-4.6 s on one core of a 2-vCPU VM; the depth has to
-   track the SAT core's speed) *)
+(* a blocker: a sweep over a wide counter to a depth no sweep reaches
+   in a test's lifetime, so it holds its dispatcher until its budget
+   cancel hook fires, however fast the SAT core gets. Every test
+   cancels it (and Daemon.stop cancels it when a test fails first).
+   For scale: on one core of a 2-vCPU VM the sweep is clean through
+   depth 1200 in about 0.25 s and through depth 5700 in 6 s, by when
+   a one-shot CLI run of it holds about 90 MB. *)
 let slow_spec =
   Jobs.Bmc
     {
       system =
         { shift = None; junk = 40; bits = 3; modulus = 6; bad_value = 7 };
-      max_depth = 1200;
+      max_depth = 1_000_000;
     }
 
 let stat socket name =
