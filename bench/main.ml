@@ -738,8 +738,10 @@ let perf () =
      mod-41 counter with an unreachable bad value. Each refinement
      reveals one more counter bit and concretizes a twice-as-deep
      spurious abstract counterexample, so one BMC session spans the
-     whole loop; wall clock is shared with the explicit-state
-     reachability checks of the abstractions. *)
+     whole loop and its queries are most of the wall clock: the
+     explicit-state checks of the abstractions step each state only
+     under the inputs the visible latches read, not under every hidden
+     latch. *)
   let cegar_ts =
     Mc.Systems.mod_counter ~junk:8 ~bits:6 ~modulus:41 ~bad_value:63 ()
   in

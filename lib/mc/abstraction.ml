@@ -45,16 +45,12 @@ let localize (ts : Ts.t) ~visible =
     | Ts.Xor (a, b) -> Ts.Xor (subst_latch v value a, subst_latch v value b)
   in
   let bad_exists =
-    let latches = Array.make n false in
-    let inputs = Array.make (max ts.Ts.num_inputs 1) false in
-    Ts.support ts.Ts.bad ~latches ~inputs;
-    let hidden_in_bad = ref [] in
-    Array.iteri
-      (fun i b -> if b && latch_map.(i) < 0 then hidden_in_bad := i :: !hidden_in_bad)
-      latches;
+    let hidden_in_bad =
+      List.filter (fun i -> latch_map.(i) < 0) (fst (Ts.support ts [ ts.Ts.bad ]))
+    in
     List.fold_left
       (fun e v -> Ts.Or (subst_latch v Ts.T e, subst_latch v Ts.F e))
-      ts.Ts.bad !hidden_in_bad
+      ts.Ts.bad (List.rev hidden_in_bad)
   in
   let abstract =
     Ts.make
@@ -75,10 +71,9 @@ let referenced_hidden a =
   let ts = a.concrete in
   let counts = Array.make ts.Ts.num_latches 0 in
   let tally e =
-    let latches = Array.make ts.Ts.num_latches false in
-    let inputs = Array.make (max ts.Ts.num_inputs 1) false in
-    Ts.support e ~latches ~inputs;
-    Array.iteri (fun i b -> if b && a.hidden_input.(i) >= 0 then counts.(i) <- counts.(i) + 1) latches
+    List.iter
+      (fun i -> if a.hidden_input.(i) >= 0 then counts.(i) <- counts.(i) + 1)
+      (fst (Ts.support ts [ e ]))
   in
   List.iter (fun i -> tally ts.Ts.next.(i)) a.visible;
   tally ts.Ts.bad;

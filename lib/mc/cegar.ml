@@ -75,16 +75,6 @@ let decision_tree_candidates (ts : Ts.t) ~visible ~samples ~seed =
       (Sciduction.Dtree.features_used tree)
   end
 
-let bad_support (ts : Ts.t) =
-  let latches = Array.make ts.Ts.num_latches false in
-  let inputs = Array.make (max ts.Ts.num_inputs 1) false in
-  Ts.support ts.Ts.bad ~latches ~inputs;
-  let acc = ref [] in
-  for i = ts.Ts.num_latches - 1 downto 0 do
-    if latches.(i) then acc := i :: !acc
-  done;
-  !acc
-
 type partial = {
   visible : int list;
   iterations : int;
@@ -93,7 +83,9 @@ type partial = {
 
 let verify ?initial_visible ?(max_iterations = 64)
     ?(refinement = Most_referenced) ?(budget = Budget.unlimited) (ts : Ts.t) =
-  let initial = Option.value initial_visible ~default:(bad_support ts) in
+  let initial =
+    Option.value initial_visible ~default:(fst (Ts.support ts [ ts.Ts.bad ]))
+  in
   let meter = Budget.start budget in
   let lp =
     Obs.Loop.start "cegar"

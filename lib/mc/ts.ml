@@ -51,25 +51,21 @@ let step t ~state ~input = Array.map (fun e -> eval e ~state ~input) t.next
 
 let is_bad t state = eval t.bad ~state ~input:[||]
 
-let rec support e ~latches ~inputs =
-  match e with
-  | T | F -> ()
-  | V i -> latches.(i) <- true
-  | In i -> inputs.(i) <- true
-  | Not a -> support a ~latches ~inputs
-  | And (a, b) | Or (a, b) | Xor (a, b) ->
-    support a ~latches ~inputs;
-    support b ~latches ~inputs
-
-let latch_support t i =
+let support t es =
   let latches = Array.make t.num_latches false in
-  let inputs = Array.make (max t.num_inputs 1) false in
-  support t.next.(i) ~latches ~inputs;
-  let acc = ref [] in
-  for j = t.num_latches - 1 downto 0 do
-    if latches.(j) then acc := j :: !acc
-  done;
-  !acc
+  let inputs = Array.make t.num_inputs false in
+  let rec mark = function
+    | T | F -> ()
+    | V i -> latches.(i) <- true
+    | In i -> inputs.(i) <- true
+    | Not a -> mark a
+    | And (a, b) | Or (a, b) | Xor (a, b) ->
+      mark a;
+      mark b
+  in
+  List.iter mark es;
+  let marked a = List.filter (fun i -> a.(i)) (List.init (Array.length a) Fun.id) in
+  (marked latches, marked inputs)
 
 let rec pp_expr fmt = function
   | T -> Format.pp_print_string fmt "1"

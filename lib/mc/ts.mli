@@ -40,10 +40,8 @@ val eval : expr -> state:bool array -> input:bool array -> bool
 val step : t -> state:bool array -> input:bool array -> bool array
 val is_bad : t -> bool array -> bool
 
-val support : expr -> latches:bool array -> inputs:bool array -> unit
-(** Mark the latches/inputs the expression mentions. *)
-
-val latch_support : t -> int -> int list
-(** Latches appearing in latch [i]'s next-state function. *)
+val support : t -> expr list -> int list * int list
+(** The latches and the inputs that the expressions (over [t]'s latches
+    and inputs) mention, each in increasing order. *)
 
 val pp_expr : Format.formatter -> expr -> unit

@@ -64,6 +64,84 @@ let test_reach_initial_bad () =
   | Reach.Cex [] -> ()
   | _ -> Alcotest.fail "initial state is bad"
 
+(* Breadth-first search that steps every state under every valuation of
+   every input, read or not: the oracle [Reach.check] must match answer
+   for answer, trace input for trace input. *)
+let reference_reach (t : Ts.t) =
+  let pack state =
+    let v = ref 0 in
+    Array.iteri (fun i b -> if b then v := !v lor (1 lsl i)) state;
+    !v
+  in
+  let of_code n code = Array.init n (fun i -> code land (1 lsl i) <> 0) in
+  let parent = Hashtbl.create 64 in
+  let init_code = pack t.Ts.init in
+  Hashtbl.replace parent init_code (init_code, 0);
+  let queue = Queue.create () in
+  Queue.add init_code queue;
+  let trace_to code =
+    let rec go code acc =
+      let pred, inp = Hashtbl.find parent code in
+      if pred = code then acc else go pred (of_code t.Ts.num_inputs inp :: acc)
+    in
+    go code []
+  in
+  let explored = ref 0 and result = ref None in
+  while !result = None && not (Queue.is_empty queue) do
+    let code = Queue.pop queue in
+    incr explored;
+    let state = of_code t.Ts.num_latches code in
+    if Ts.is_bad t state then result := Some (Reach.Cex (trace_to code))
+    else
+      for inp = 0 to (1 lsl t.Ts.num_inputs) - 1 do
+        let input = of_code t.Ts.num_inputs inp in
+        let succ = pack (Ts.step t ~state ~input) in
+        if not (Hashtbl.mem parent succ) then begin
+          Hashtbl.replace parent succ (code, inp);
+          Queue.add succ queue
+        end
+      done
+  done;
+  match !result with
+  | Some r -> r
+  | None -> Reach.Safe { states_explored = !explored }
+
+let successors () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "mc.reach_successors")
+
+(* The junk-11 abstraction has 13 inputs, but its next-state functions
+   read only the counter's enable: two successors per expanded state,
+   not 8,192. *)
+let test_reach_enumerates_read_inputs () =
+  let t = Systems.mod_counter ~junk:11 ~bits:3 ~modulus:6 ~bad_value:7 () in
+  let a = Abstraction.localize t ~visible:[ 0; 1; 2 ] in
+  Alcotest.(check int) "abstract inputs" 13 a.Abstraction.abstract.Ts.num_inputs;
+  let s0 = successors () in
+  match Reach.check a.Abstraction.abstract with
+  | Reach.Safe { states_explored } ->
+    let evaluated = successors () - s0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d successors for %d states" evaluated states_explored)
+      true
+      (evaluated > 0 && evaluated <= 2 * states_explored)
+  | Reach.Cex _ -> Alcotest.fail "counter logic alone proves safety"
+
+(* The 16-input limit counts the inputs the model reads: 17 declared
+   inputs of which 16 are read is a search, 17 read ones are refused. *)
+let test_reach_input_limit_counts_reads () =
+  let parity reads =
+    Ts.make ~name:"parity" ~num_latches:1 ~num_inputs:17 ~init:[| false |]
+      ~next:[| List.fold_left (fun e i -> Ts.Xor (e, Ts.In i)) Ts.F reads |]
+      ~bad:Ts.F
+  in
+  (match Reach.check (parity (List.init 16 Fun.id)) with
+  | Reach.Safe { states_explored } ->
+    Alcotest.(check int) "both parities" 2 states_explored
+  | Reach.Cex _ -> Alcotest.fail "bad is false");
+  Alcotest.check_raises "17 read inputs"
+    (Invalid_argument "Reach.check: too many inputs for explicit search")
+    (fun () -> ignore (Reach.check (parity (List.init 17 Fun.id))))
+
 (* ------------------------------------------------------------------ *)
 (* Abstraction                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -199,6 +277,14 @@ let test_cegar_safe_with_small_abstraction () =
     Alcotest.(check bool)
       (Printf.sprintf "junk latches stay hidden (visible=%d)" abstract_latches)
       true (abstract_latches <= 3)
+  | Budget.Converged (Cegar.Unsafe _) -> Alcotest.fail "system is safe"
+  | Budget.Exhausted _ -> Alcotest.fail "unbudgeted run exhausted"
+
+let test_cegar_safe_junk18 () =
+  let t = Systems.mod_counter ~junk:18 ~bits:3 ~modulus:6 ~bad_value:7 () in
+  match Cegar.verify t with
+  | Budget.Converged (Cegar.Safe { abstract_latches; _ }) ->
+    Alcotest.(check int) "visible latches" 3 abstract_latches
   | Budget.Converged (Cegar.Unsafe _) -> Alcotest.fail "system is safe"
   | Budget.Exhausted _ -> Alcotest.fail "unbudgeted run exhausted"
 
@@ -445,6 +531,64 @@ let prop_sweep_is_first_cex =
       in
       agrees one && agrees warm)
 
+(* Random systems that declare more inputs than their next-state
+   functions read, the read ones scattered among the unread. *)
+let gen_sparse_ts =
+  QCheck2.Gen.(
+    let* num_latches = int_range 1 4 in
+    let* num_inputs = int_range 1 6 in
+    let* mask = array_size (return num_inputs) bool in
+    let readable =
+      List.filter (fun i -> mask.(i)) (List.init num_inputs Fun.id)
+    in
+    let leaf =
+      oneof
+        ([
+           oneofl [ Ts.T; Ts.F ];
+           (let* i = int_range 0 (num_latches - 1) in
+            return (Ts.V i));
+         ]
+        @ if readable = [] then [] else [ map (fun i -> Ts.In i) (oneofl readable) ])
+    in
+    let gen_expr =
+      sized_size (int_range 0 4) @@ fix (fun self n ->
+          if n = 0 then leaf
+          else
+            let sub = self (n / 2) in
+            oneof
+              [
+                map (fun a -> Ts.Not a) sub;
+                map2 (fun a b -> Ts.And (a, b)) sub sub;
+                map2 (fun a b -> Ts.Or (a, b)) sub sub;
+                map2 (fun a b -> Ts.Xor (a, b)) sub sub;
+              ])
+    in
+    let* init = array_size (return num_latches) bool in
+    let* next = array_size (return num_latches) gen_expr in
+    let* bad_latch = int_range 0 (num_latches - 1) in
+    let* bad_value = bool in
+    let bad = if bad_value then Ts.V bad_latch else Ts.Not (Ts.V bad_latch) in
+    return (Ts.make ~name:"sparse" ~num_latches ~num_inputs ~init ~next ~bad))
+
+(* Localizations of junk counters: every hidden latch becomes an input,
+   and the visible ones read only some of them. *)
+let gen_junk_abstraction =
+  QCheck2.Gen.(
+    let* bits = int_range 2 4 in
+    let* modulus = int_range 1 (1 lsl bits) in
+    let* bad_value = int_range 0 ((1 lsl bits) - 1) in
+    let* junk = int_range 0 5 in
+    let* mask = array_size (return (bits + junk)) bool in
+    let visible =
+      List.filter (fun i -> mask.(i)) (List.init (bits + junk) Fun.id)
+    in
+    let t = Systems.mod_counter ~junk ~bits ~modulus ~bad_value () in
+    return (Abstraction.localize t ~visible).Abstraction.abstract)
+
+let prop_reach_matches_reference gen name =
+  QCheck2.Test.make ~name ~count:200 ~print:print_ts gen (fun t ->
+      Reach.check t = reference_reach t)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -461,6 +605,10 @@ let () =
           Alcotest.test_case "unsafe counter" `Quick test_reach_unsafe_counter;
           Alcotest.test_case "safe counter" `Quick test_reach_safe_counter;
           Alcotest.test_case "initially bad" `Quick test_reach_initial_bad;
+          Alcotest.test_case "enumerates only read inputs" `Quick
+            test_reach_enumerates_read_inputs;
+          Alcotest.test_case "input limit counts read inputs" `Quick
+            test_reach_input_limit_counts_reads;
         ] );
       ( "abstraction",
         [
@@ -489,6 +637,8 @@ let () =
         [
           Alcotest.test_case "safe via small abstraction" `Quick
             test_cegar_safe_with_small_abstraction;
+          Alcotest.test_case "safe with 18 junk latches" `Quick
+            test_cegar_safe_junk18;
           Alcotest.test_case "unsafe with validated trace" `Quick
             test_cegar_unsafe_validated;
           Alcotest.test_case "arbiter bug" `Quick test_cegar_request_grant;
@@ -503,6 +653,13 @@ let () =
         ] );
       ( "random-systems",
         qsuite
-          [ prop_engines_agree; prop_localization_sound; prop_sweep_is_first_cex ]
-      );
+          [
+            prop_engines_agree;
+            prop_localization_sound;
+            prop_sweep_is_first_cex;
+            prop_reach_matches_reference gen_sparse_ts
+              "Reach matches full enumeration on sparse-input systems";
+            prop_reach_matches_reference gen_junk_abstraction
+              "Reach matches full enumeration on junk-counter abstractions";
+          ] );
     ]
