@@ -1,5 +1,6 @@
 module Bv = Smt.Bv
 module Solver = Smt.Solver
+module Loop = Sciduction.Loop
 
 type oracle = int list -> int list
 
@@ -34,51 +35,32 @@ let candidate_holds ?pool cand ex examples =
 
 let synthesize ?(max_iterations = 64) ?initial_inputs ?pool
     ?(budget = Budget.unlimited) (spec : Encode.spec) oracle =
-  let meter = Budget.start budget in
-  let lp =
-    Obs.Loop.start "ogis"
-      ~attrs:
-        [
-          ("width", Obs.Int spec.Encode.width);
-          ("ninputs", Obs.Int spec.Encode.ninputs);
-          ("max_iterations", Obs.Int max_iterations);
-        ]
+  let totals st =
+    [
+      ("iterations", Obs.Int st.iterations);
+      ("oracle_queries", Obs.Int st.oracle_queries);
+    ]
   in
+  Loop.run "ogis" ~budget ~max_iterations
+    ~attrs:
+      [
+        ("width", Obs.Int spec.Encode.width);
+        ("ninputs", Obs.Int spec.Encode.ninputs);
+        ("max_iterations", Obs.Int max_iterations);
+      ]
+    ~finished:(function
+      | Synthesized (_, st) ->
+        ("outcome", Obs.String "synthesized") :: totals st
+      | Unrealizable st -> ("outcome", Obs.String "unrealizable") :: totals st)
+    ~exhausted:(fun p ->
+      ( p.reason,
+        [ ("iterations", Obs.Int p.stats.iterations) ],
+        totals p.stats ))
+  @@ fun lp ->
   let queries = ref 0 in
   let ask ins =
     incr queries;
     (ins, oracle ins)
-  in
-  let finished outcome =
-    let st =
-      match outcome with Synthesized (_, s) | Unrealizable s -> s
-    in
-    let label =
-      match outcome with
-      | Synthesized _ -> "synthesized"
-      | Unrealizable _ -> "unrealizable"
-    in
-    Obs.Loop.finish lp
-      ~attrs:
-        [
-          ("outcome", Obs.String label);
-          ("iterations", Obs.Int st.iterations);
-          ("oracle_queries", Obs.Int st.oracle_queries);
-        ];
-    Budget.Converged outcome
-  in
-  let exhausted ~best stats reason =
-    Obs.Loop.budget_exhausted lp
-      ~reason:(Budget.reason_to_string reason)
-      ~attrs:[ ("iterations", Obs.Int stats.iterations) ];
-    Obs.Loop.finish lp
-      ~attrs:
-        [
-          ("outcome", Obs.String "exhausted");
-          ("iterations", Obs.Int stats.iterations);
-          ("oracle_queries", Obs.Int stats.oracle_queries);
-        ];
-    Budget.Exhausted { best; stats; reason }
   in
   let initial =
     (* deterministic initial probes: a richer starting example set prunes
@@ -102,46 +84,42 @@ let synthesize ?(max_iterations = 64) ?initial_inputs ?pool
   in
   (* persistent solvers: each iteration only asserts the new example *)
   let sess = Encode.new_session spec in
-  let charged q =
-    let c0 = Encode.session_conflicts sess in
-    let r = q () in
-    Budget.charge_conflicts meter (Encode.session_conflicts sess - c0);
-    r
+  let solve q =
+    Loop.solve lp
+      ~conflicts:(fun () -> Encode.session_conflicts sess)
+      q
   in
   let rec loop iterations candidate examples =
     let stats () =
       { iterations; oracle_queries = !queries; examples = List.rev examples }
     in
-    match
-      if iterations >= max_iterations then Some Budget.Iterations
-      else Budget.tick meter
-    with
-    | Some reason -> exhausted ~best:candidate (stats ()) reason
+    let exhausted best reason =
+      Budget.Exhausted { best; stats = stats (); reason }
+    in
+    match Loop.tick lp with
+    | Some reason -> exhausted candidate reason
     | None -> (
-      Obs.Loop.iteration lp iterations
+      Loop.iteration lp iterations
         ~attrs:[ ("examples", Obs.Int (List.length examples)) ];
-      let limits = Smt.Govern.limits_of_meter meter in
       let retained = Option.is_some candidate in
       match
         match candidate with
         | Some c -> `Candidate c
-        | None -> charged (fun () -> Encode.next_candidate ~limits sess)
+        | None -> solve (fun limits -> Encode.next_candidate ~limits sess)
       with
-      | `Unrealizable -> finished (Unrealizable (stats ()))
-      | `Unknown r ->
-        exhausted ~best:candidate (stats ()) (Smt.Govern.reason_of_sat r)
+      | `Unrealizable -> Budget.Converged (Unrealizable (stats ()))
+      | `Unknown r -> exhausted candidate (Loop.reason_of_sat r)
       | `Candidate cand -> (
-        Obs.Loop.candidate lp ~attrs:[ ("retained", Obs.Bool retained) ];
-        match charged (fun () -> Encode.distinguishing ~limits sess cand) with
+        Loop.candidate lp ~attrs:[ ("retained", Obs.Bool retained) ];
+        match solve (fun limits -> Encode.distinguishing ~limits sess cand) with
         | `Unique ->
-          Obs.Loop.verdict lp "unique";
-          finished (Synthesized (cand, stats ()))
-        | `Unknown r ->
-          exhausted ~best:(Some cand) (stats ()) (Smt.Govern.reason_of_sat r)
+          Loop.verdict lp "unique";
+          Budget.Converged (Synthesized (cand, stats ()))
+        | `Unknown r -> exhausted (Some cand) (Loop.reason_of_sat r)
         | `Input input ->
-          Obs.Loop.verdict lp "distinguished";
+          Loop.verdict lp "distinguished";
           let ex = ask input in
-          Obs.Loop.counterexample lp;
+          Loop.counterexample lp;
           Encode.add_example sess ex;
           (* candidate retention: the distinguishing input separates
              the candidate from some alternative, so the oracle's
