@@ -1,3 +1,5 @@
+module Loop = Sciduction.Loop
+
 type result =
   | Safe of {
       visible : int list;
@@ -86,96 +88,87 @@ let verify ?initial_visible ?(max_iterations = 64)
   let initial =
     Option.value initial_visible ~default:(fst (Ts.support ts [ ts.Ts.bad ]))
   in
-  let meter = Budget.start budget in
-  let lp =
-    Obs.Loop.start "cegar"
-      ~attrs:
-        [
-          ("latches", Obs.Int ts.Ts.num_latches);
-          ("inputs", Obs.Int ts.Ts.num_inputs);
-        ]
-  in
-  let exhaust ~visible ~iterations reason =
-    Obs.Loop.budget_exhausted lp
-      ~reason:(Budget.reason_to_string reason)
-      ~attrs:[ ("iterations", Obs.Int iterations) ];
-    Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "exhausted") ];
-    Budget.Exhausted { visible; iterations; reason }
-  in
+  let outcome label = [ ("outcome", Obs.String label) ] in
+  Loop.run "cegar" ~budget ~max_iterations
+    ~attrs:
+      [
+        ("latches", Obs.Int ts.Ts.num_latches);
+        ("inputs", Obs.Int ts.Ts.num_inputs);
+      ]
+    ~finished:(function
+      | Safe _ -> outcome "safe" | Unsafe _ -> outcome "unsafe")
+    ~exhausted:(fun (p : partial) ->
+      (p.reason, [ ("iterations", Obs.Int p.iterations) ], []))
+  @@ fun lp ->
   (* one BMC session answers every spuriousness check of the loop *)
   let bmc = Bmc.new_session ts in
-  let concretize ~depth =
-    let limits = Smt.Govern.limits_of_meter meter in
-    let c0 = Bmc.session_conflicts bmc in
-    let q = Bmc.check_depth ~limits bmc ~depth in
-    Budget.charge_conflicts meter (Bmc.session_conflicts bmc - c0);
-    q
-  in
   let rec loop visible iterations =
-    match
-      if iterations >= max_iterations then Some Budget.Iterations
-      else Budget.tick meter
-    with
-    | Some reason -> exhaust ~visible ~iterations reason
-    | None -> real_loop visible iterations
-  and real_loop visible iterations =
-    Obs.Loop.iteration lp iterations
-      ~attrs:[ ("visible", Obs.Int (List.length visible)) ];
-    let a = Abstraction.localize ts ~visible in
-    (* the abstraction is this loop's candidate: a localization that may
-       or may not prove the property *)
-    Obs.Loop.candidate lp
-      ~attrs:[ ("visible", Obs.Int (List.length visible)) ];
-    match Reach.check a.Abstraction.abstract with
-    | Reach.Safe _ ->
-      Obs.Loop.verdict lp "abstract_safe";
-      Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "safe") ];
-      Budget.Converged
-        (Safe
-           {
-             visible;
-             iterations = iterations + 1;
-             abstract_latches = List.length visible;
-           })
-    | Reach.Cex abstract_trace -> (
-      let depth = List.length abstract_trace in
-      Obs.Loop.verdict lp "abstract_cex" ~attrs:[ ("depth", Obs.Int depth) ];
-      match concretize ~depth with
-      | `Cex trace ->
-        assert (Reach.replay ts trace);
-        Obs.Loop.verdict lp "concrete";
-        Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "unsafe") ];
-        Budget.Converged (Unsafe { trace; iterations = iterations + 1 })
-      | `Unknown r ->
-        (* without the spuriousness verdict the loop can neither report
-           Unsafe nor refine; stop with the abstraction proved so far *)
-        exhaust ~visible ~iterations:(iterations + 1)
-          (Smt.Govern.reason_of_sat r)
-      | `No_cex -> (
-        (* abstract counterexample refuted by BMC: a spurious cex is the
-           counterexample that drives refinement *)
-        Obs.Loop.counterexample lp ~attrs:[ ("depth", Obs.Int depth) ];
-        (* pick a hidden latch to reveal *)
-        let hidden_all =
-          List.filter
-            (fun i -> not (List.mem i visible))
-            (List.init ts.Ts.num_latches Fun.id)
-        in
-        let strategy_candidates =
-          match refinement with
-          | Most_referenced -> Abstraction.referenced_hidden a
-          | Decision_tree { samples; seed } ->
-            decision_tree_candidates ts ~visible ~samples
-              ~seed:(seed + iterations)
-        in
-        let candidates =
-          match strategy_candidates with [] -> hidden_all | cs -> cs
-        in
-        match candidates with
-        | [] ->
-          Obs.Loop.finish lp
-            ~attrs:[ ("outcome", Obs.String "refinement_stuck") ];
-          failwith "Cegar.verify: spurious counterexample but nothing to refine"
-        | pick :: _ -> loop (List.sort compare (pick :: visible)) (iterations + 1)))
+    match Loop.tick lp with
+    | Some reason -> Budget.Exhausted { visible; iterations; reason }
+    | None -> (
+      Loop.iteration lp iterations
+        ~attrs:[ ("visible", Obs.Int (List.length visible)) ];
+      let a = Abstraction.localize ts ~visible in
+      (* the abstraction is this loop's candidate: a localization that
+         may or may not prove the property *)
+      Loop.candidate lp ~attrs:[ ("visible", Obs.Int (List.length visible)) ];
+      match Loop.deduce lp Reach.check a.Abstraction.abstract with
+      | Reach.Safe _ ->
+        Loop.verdict lp "abstract_safe";
+        Budget.Converged
+          (Safe
+             {
+               visible;
+               iterations = iterations + 1;
+               abstract_latches = List.length visible;
+             })
+      | Reach.Cex abstract_trace -> (
+        let depth = List.length abstract_trace in
+        Loop.verdict lp "abstract_cex" ~attrs:[ ("depth", Obs.Int depth) ];
+        match
+          Loop.solve lp
+            ~conflicts:(fun () -> Bmc.session_conflicts bmc)
+            (fun limits -> Bmc.check_depth ~limits bmc ~depth)
+        with
+        | `Cex trace ->
+          assert (Reach.replay ts trace);
+          Loop.verdict lp "concrete";
+          Budget.Converged (Unsafe { trace; iterations = iterations + 1 })
+        | `Unknown r ->
+          (* without the spuriousness verdict the loop can neither
+             report Unsafe nor refine; stop with the abstraction proved
+             so far *)
+          Budget.Exhausted
+            {
+              visible;
+              iterations = iterations + 1;
+              reason = Loop.reason_of_sat r;
+            }
+        | `No_cex -> (
+          (* abstract counterexample refuted by BMC: a spurious cex is
+             the counterexample that drives refinement *)
+          Loop.counterexample lp ~attrs:[ ("depth", Obs.Int depth) ];
+          (* pick a hidden latch to reveal *)
+          let hidden_all =
+            List.filter
+              (fun i -> not (List.mem i visible))
+              (List.init ts.Ts.num_latches Fun.id)
+          in
+          let strategy_candidates =
+            match refinement with
+            | Most_referenced -> Abstraction.referenced_hidden a
+            | Decision_tree { samples; seed } ->
+              decision_tree_candidates ts ~visible ~samples
+                ~seed:(seed + iterations)
+          in
+          let candidates =
+            match strategy_candidates with [] -> hidden_all | cs -> cs
+          in
+          match candidates with
+          | [] ->
+            failwith
+              "Cegar.verify: spurious counterexample but nothing to refine"
+          | pick :: _ ->
+            loop (List.sort compare (pick :: visible)) (iterations + 1))))
   in
   loop initial 0
