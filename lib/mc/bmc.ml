@@ -1,6 +1,7 @@
 module Tseitin = Smt.Tseitin
 module Sat = Smt.Sat
 module Lit = Smt.Lit
+module Loop = Sciduction.Loop
 
 let compile ctx ~state ~input e =
   let rec go = function
@@ -203,28 +204,18 @@ let () =
            depth start)
     | _ -> None)
 
-(* Budget headroom attached to every iteration record, so a progress
-   heartbeat mid-sweep answers "how much runway is left" without a
-   second channel; unlimited dimensions are omitted, not sent as
-   sentinels. *)
-let budget_attrs meter =
-  let conflicts =
-    match Budget.remaining_conflicts meter with
-    | Some n -> [ ("conflicts_left", Obs.Int n) ]
-    | None -> []
-  in
-  match Budget.deadline meter with
-  | Some dl ->
-    ("deadline_in", Obs.Float (dl -. Unix.gettimeofday ())) :: conflicts
-  | None -> conflicts
-
-(* the budget_exhausted loop event, then finish: terminal for the loop *)
-let exhaust lp ~proved_depth reason =
-  Obs.Loop.budget_exhausted lp
-    ~reason:(Budget.reason_to_string reason)
-    ~attrs:[ ("proved_depth", Obs.Int proved_depth) ];
-  Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "exhausted") ];
-  Budget.Exhausted { proved_depth; reason }
+(* both sweeps end the same way: a minimal counterexample, a clean
+   bound, or the proved prefix of an exhausted sweep *)
+let run_loop ~budget attrs body =
+  Loop.run "bmc" ~budget ~attrs
+    ~finished:(fun cex ->
+      [
+        ( "outcome",
+          Obs.String (if cex = None then "safe_within_bound" else "unsafe") );
+      ])
+    ~exhausted:(fun p ->
+      (p.reason, [ ("proved_depth", Obs.Int p.proved_depth) ], []))
+    body
 
 (* Parallel sweep over a shared work-stealing depth queue.
 
@@ -269,7 +260,7 @@ let exhaust lp ~proved_depth reason =
    [Domain.recommended_domain_count]: on a machine with fewer cores
    than [jobs] the sweep runs fewer workers over the same claim queue —
    same claims, same verdict, no convoy. *)
-let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
+let sweep_par ~start ~budget ?workers pool (ts : Ts.t) ~max_depth =
   let width =
     match workers with
     | Some w ->
@@ -278,18 +269,16 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
     | None ->
       max 1 (min (Par.Pool.jobs pool) (Domain.recommended_domain_count ()))
   in
-  let lp =
-    Obs.Loop.start "bmc"
-      ~attrs:
-        [
-          ("start", Obs.Int start);
-          ("max_depth", Obs.Int max_depth);
-          ("latches", Obs.Int ts.Ts.num_latches);
-          ("inputs", Obs.Int ts.Ts.num_inputs);
-          ("jobs", Obs.Int (Par.Pool.jobs pool));
-          ("workers", Obs.Int width);
-        ]
-  in
+  run_loop ~budget
+    [
+      ("start", Obs.Int start);
+      ("max_depth", Obs.Int max_depth);
+      ("latches", Obs.Int ts.Ts.num_latches);
+      ("inputs", Obs.Int ts.Ts.num_inputs);
+      ("jobs", Obs.Int (Par.Pool.jobs pool));
+      ("workers", Obs.Int width);
+    ]
+  @@ fun lp ->
   let best = Atomic.make max_int in
   let iter_ix = Atomic.make 0 in
   let rec record depth =
@@ -328,7 +317,6 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
   in
   let worker _w () =
     let sess = new_session ts in
-    let solver = Tseitin.solver sess.ctx in
     let found = ref None in
     let note depth trace =
       record depth;
@@ -345,32 +333,28 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
         let hi = min hi (Atomic.get best - 1) in
         if lo > hi then running := false
         else
-          match Budget.tick meter with
+          match Loop.tick lp with
           | Some reason ->
             record_stop reason;
             running := false
           | None -> (
-            Obs.Loop.iteration lp
+            Loop.iteration lp
               (Atomic.fetch_and_add iter_ix 1)
-              ~attrs:
-                (("depth", Obs.Int lo) :: ("hi", Obs.Int hi)
-                :: budget_attrs meter);
-            Sat.set_limits solver (Smt.Govern.limits_of_meter meter);
+              ~attrs:[ ("depth", Obs.Int lo); ("hi", Obs.Int hi) ];
             let solve_range lo hi =
-              let c0 = Sat.num_conflicts solver in
-              let q = check_range sess ~lo ~hi in
-              Budget.charge_conflicts meter (Sat.num_conflicts solver - c0);
-              q
+              Loop.solve lp
+                ~conflicts:(fun () -> session_conflicts sess)
+                (fun limits -> check_range ~limits sess ~lo ~hi)
             in
             match solve_range lo hi with
             | `No_cex ->
               for d = lo to hi do
                 status.(d - start) <- true
               done;
-              Obs.Loop.verdict lp "no_cex"
+              Loop.verdict lp "no_cex"
                 ~attrs:[ ("depth", Obs.Int lo); ("hi", Obs.Int hi) ]
             | `Unknown r ->
-              record_stop (Smt.Govern.reason_of_sat r);
+              record_stop (Loop.reason_of_sat r);
               running := false
             | `Cex trace ->
               (* refine to this claim's minimal counterexample depth;
@@ -386,7 +370,7 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
                       status.(i - start) <- true
                     done
                   | `Cex trace' -> refine trace'
-                  | `Unknown r -> record_stop (Smt.Govern.reason_of_sat r)
+                  | `Unknown r -> record_stop (Loop.reason_of_sat r)
               in
               refine trace))
     done;
@@ -413,17 +397,12 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
   match first with
   | Some (depth, trace)
     when Atomic.get stopped = None || prefix_proved depth ->
-    Obs.Loop.counterexample lp
-      ~attrs:[ ("length", Obs.Int (List.length trace)) ];
-    Obs.Loop.verdict lp "unsafe" ~attrs:[ ("depth", Obs.Int depth) ];
-    Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "unsafe") ];
+    Loop.counterexample lp ~attrs:[ ("length", Obs.Int (List.length trace)) ];
+    Loop.verdict lp "unsafe" ~attrs:[ ("depth", Obs.Int depth) ];
     Budget.Converged (Some (depth, trace))
   | _ -> (
     match Atomic.get stopped with
-    | None ->
-      Obs.Loop.finish lp
-        ~attrs:[ ("outcome", Obs.String "safe_within_bound") ];
-      Budget.Converged None
+    | None -> Budget.Converged None
     | Some reason ->
       (* deepest depth below which every depth was proved clean *)
       let proved = ref (start - 1) in
@@ -432,7 +411,7 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
            if status.(i) then proved := start + i else raise Exit
          done
        with Exit -> ());
-      exhaust lp ~proved_depth:!proved reason)
+      Budget.Exhausted { proved_depth = !proved; reason })
 
 (* The classic BMC loop: one persistent session, depths start..max_depth
    in turn. Each depth is one loop iteration, so a trace of a sweep
@@ -448,63 +427,56 @@ let sweep_par ~start ~meter ?workers pool (ts : Ts.t) ~max_depth =
    and the replayed trace has exactly [depth] steps. A shorter trace
    can only mean the [start] claim was false; it is raised, never
    reported as a minimal counterexample. *)
-let sweep_over ~start ~meter sess ~max_depth =
+let sweep_over ~start ~budget sess ~max_depth =
   let ts = sess.ts in
-  let lp =
-    Obs.Loop.start "bmc"
-      ~attrs:
-        [
-          ("start", Obs.Int start);
-          ("max_depth", Obs.Int max_depth);
-          ("latches", Obs.Int ts.Ts.num_latches);
-          ("inputs", Obs.Int ts.Ts.num_inputs);
-          ("warm_frames", Obs.Int sess.frames);
-        ]
-  in
-  let solver = Tseitin.solver sess.ctx in
+  run_loop ~budget
+    [
+      ("start", Obs.Int start);
+      ("max_depth", Obs.Int max_depth);
+      ("latches", Obs.Int ts.Ts.num_latches);
+      ("inputs", Obs.Int ts.Ts.num_inputs);
+      ("warm_frames", Obs.Int sess.frames);
+    ]
+  @@ fun lp ->
   let rec go depth i =
-    if depth > max_depth then begin
-      Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "safe_within_bound") ];
-      Budget.Converged None
-    end
+    if depth > max_depth then Budget.Converged None
     else
-      match Budget.tick meter with
-      | Some reason -> exhaust lp ~proved_depth:(depth - 1) reason
+      let exhausted reason =
+        Budget.Exhausted { proved_depth = depth - 1; reason }
+      in
+      match Loop.tick lp with
+      | Some reason -> exhausted reason
       | None -> (
-        Obs.Loop.iteration lp i
-          ~attrs:(("depth", Obs.Int depth) :: budget_attrs meter);
-        Sat.set_limits solver (Smt.Govern.limits_of_meter meter);
-        let c0 = Sat.num_conflicts solver in
-        let q = check_range sess ~lo:depth ~hi:depth in
-        Budget.charge_conflicts meter (Sat.num_conflicts solver - c0);
-        match q with
+        Loop.iteration lp i ~attrs:[ ("depth", Obs.Int depth) ];
+        match
+          Loop.solve lp
+            ~conflicts:(fun () -> session_conflicts sess)
+            (fun limits -> check_range ~limits sess ~lo:depth ~hi:depth)
+        with
         | `Cex trace when List.length trace <> depth ->
           raise (False_start { start; depth = List.length trace })
         | `Cex trace ->
-          Obs.Loop.counterexample lp
+          Loop.counterexample lp
             ~attrs:[ ("length", Obs.Int (List.length trace)) ];
-          Obs.Loop.verdict lp "unsafe" ~attrs:[ ("depth", Obs.Int depth) ];
-          Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "unsafe") ];
+          Loop.verdict lp "unsafe" ~attrs:[ ("depth", Obs.Int depth) ];
           Budget.Converged (Some (depth, trace))
         | `No_cex ->
-          Obs.Loop.verdict lp "no_cex" ~attrs:[ ("depth", Obs.Int depth) ];
+          Loop.verdict lp "no_cex" ~attrs:[ ("depth", Obs.Int depth) ];
           go (depth + 1) (i + 1)
-        | `Unknown r ->
-          exhaust lp ~proved_depth:(depth - 1) (Smt.Govern.reason_of_sat r))
+        | `Unknown r -> exhausted (Loop.reason_of_sat r))
   in
   go start 0
 
 let sweep ?(start = 0) ?pool ?workers ?(budget = Budget.unlimited)
     (ts : Ts.t) ~max_depth =
-  let meter = Budget.start budget in
   match pool with
   | Some pool when Par.Pool.jobs pool > 1 ->
-    sweep_par ~start ~meter ?workers pool ts ~max_depth
-  | _ -> sweep_over ~start ~meter (new_session ts) ~max_depth
+    sweep_par ~start ~budget ?workers pool ts ~max_depth
+  | _ -> sweep_over ~start ~budget (new_session ts) ~max_depth
 
 let sweep_session ?(start = 0) ?(budget = Budget.unlimited) sess ~max_depth =
   if start < 0 then invalid_arg "Bmc.sweep_session: start must be >= 0";
-  sweep_over ~start ~meter:(Budget.start budget) sess ~max_depth
+  sweep_over ~start ~budget sess ~max_depth
 
 let session_system sess = sess.ts
 let session_frames sess = sess.frames

@@ -245,6 +245,37 @@ let test_bmc_false_start_raises () =
     (fun () ->
       ignore (Bmc.sweep_session ~start:5 (Bmc.new_session t) ~max_depth:8))
 
+(* A loop that raises still finishes: with tracing on, the false start
+   above ends its loop with [outcome = "raised"] and pops it, so later
+   solver calls on this domain are not attributed to a dead loop. *)
+let test_bmc_raise_finishes_loop () =
+  let t =
+    Ts.make ~name:"sticky" ~num_latches:2 ~num_inputs:0
+      ~init:[| false; false |] ~next:[| Ts.T; Ts.V 0 |] ~bad:(Ts.V 1)
+  in
+  Obs.reset ();
+  let sink, records = Obs.memory_sink () in
+  Obs.add_sink sink;
+  Obs.enable ();
+  (match Bmc.sweep_session ~start:5 (Bmc.new_session t) ~max_depth:8 with
+  | _ -> Alcotest.fail "the false start should raise"
+  | exception Bmc.False_start _ -> ());
+  let current = Obs.current_loop () in
+  Obs.shutdown ();
+  let field k r = Option.bind (Obs.Json.member k r) Obs.Json.to_str in
+  let finished =
+    List.filter
+      (fun r -> field "name" r = Some "loop_finished")
+      (records ())
+  in
+  Obs.reset ();
+  Alcotest.(check string) "no loop left open" "" current;
+  match finished with
+  | [ r ] ->
+    Alcotest.(check (option string)) "outcome" (Some "raised")
+      (Option.bind (Obs.Json.member "attrs" r) (field "outcome"))
+  | _ -> Alcotest.fail "the raising sweep must finish its loop once"
+
 let test_bmc_agrees_with_reach () =
   (* differential: BMC at a generous depth agrees with explicit search *)
   List.iter
@@ -632,6 +663,8 @@ let () =
             test_bmc_sweep_gates_linear;
           Alcotest.test_case "false start raises" `Quick
             test_bmc_false_start_raises;
+          Alcotest.test_case "a raising sweep finishes its loop" `Quick
+            test_bmc_raise_finishes_loop;
         ] );
       ( "cegar",
         [
