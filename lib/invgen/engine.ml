@@ -1,3 +1,5 @@
+module Loop = Sciduction.Loop
+
 type report = {
   candidates : int;
   proven : Candidates.t list;
@@ -19,31 +21,31 @@ let string_of_verdict = function
   | Induction.Aborted _ -> "aborted"
 
 let run ?frames ?seed ?pool ?(budget = Budget.unlimited) aig ~bad =
-  let meter = Budget.start budget in
-  let lp =
-    Obs.Loop.start "invgen"
-      ~attrs:[ ("latches", Obs.Int (Aig.num_latches aig)) ]
-  in
-  let exhaust ~p_candidates ~survivors ~filtered reason =
-    Obs.Loop.budget_exhausted lp
-      ~reason:(Budget.reason_to_string reason)
-      ~attrs:
+  Loop.run "invgen" ~budget
+    ~attrs:[ ("latches", Obs.Int (Aig.num_latches aig)) ]
+    ~finished:(fun r ->
+      [
+        ("outcome", Obs.String (string_of_verdict r.verdict));
+        ("unaided", Obs.String (string_of_verdict r.verdict_unaided));
+      ])
+    ~exhausted:(fun p ->
+      ( p.reason,
         [
-          ("survivors", Obs.Int (List.length survivors));
-          ("filtered", Obs.Bool filtered);
-        ];
-    Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "exhausted") ];
-    Budget.Exhausted { p_candidates; survivors; filtered; reason }
-  in
+          ("survivors", Obs.Int (List.length p.survivors));
+          ("filtered", Obs.Bool p.filtered);
+        ],
+        [] ))
+  @@ fun lp ->
   let cands =
     Obs.with_span "invgen.simulate" (fun () ->
         Candidates.from_simulation ?frames ?seed ?pool aig)
   in
+  let p_candidates = List.length cands in
   (* the simulation-pruned candidate set is this loop's hypothesis *)
-  Obs.Loop.candidate lp ~attrs:[ ("count", Obs.Int (List.length cands)) ];
-  match Induction.filter_inductive ~loop:lp ~meter aig cands with
+  Loop.candidate lp ~attrs:[ ("count", Obs.Int p_candidates) ];
+  match Induction.filter_inductive ~loop:lp aig cands with
   | Budget.Exhausted (survivors, reason) ->
-    exhaust ~p_candidates:(List.length cands) ~survivors ~filtered:false reason
+    Budget.Exhausted { p_candidates; survivors; filtered = false; reason }
   | Budget.Converged proven -> (
     (* the strengthened and unaided property checks are independent SAT
        problems over separate solvers, so with a pool they race on two
@@ -51,42 +53,34 @@ let run ?frames ?seed ?pool ?(budget = Budget.unlimited) aig ~bad =
        The meter's counters are atomic, so the racing checks share the
        conflict pool safely. *)
     let emit_verdict v =
-      Obs.Loop.verdict lp (string_of_verdict v)
+      Loop.verdict lp (string_of_verdict v)
         ~attrs:[ ("proven", Obs.Int (List.length proven)) ]
+    in
+    let prove invariants () =
+      Induction.prove_property ~loop:lp aig ~bad ~invariants
     in
     let verdict, verdict_unaided =
       match pool with
       | Some pool when Par.Pool.jobs pool > 1 ->
-        let aided =
-          Par.submit pool (fun () ->
-              Induction.prove_property ~meter aig ~bad ~invariants:proven)
-        and unaided =
-          Par.submit pool (fun () ->
-              Induction.prove_property ~meter aig ~bad ~invariants:[])
-        in
+        let aided = Par.submit pool (prove proven)
+        and unaided = Par.submit pool (prove []) in
         let v = Par.await pool aided in
         emit_verdict v;
         (v, Par.await pool unaided)
       | _ ->
-        let v = Induction.prove_property ~meter aig ~bad ~invariants:proven in
+        let v = prove proven () in
         emit_verdict v;
-        (v, Induction.prove_property ~meter aig ~bad ~invariants:[])
+        (v, prove [] ())
     in
     match verdict with
     | Induction.Aborted reason ->
       (* the fixpoint did finish: [survivors] are genuinely inductive
          even though the property check was cut short *)
-      exhaust ~p_candidates:(List.length cands) ~survivors:proven
-        ~filtered:true reason
+      Budget.Exhausted
+        { p_candidates; survivors = proven; filtered = true; reason }
     | _ ->
-      Obs.Loop.finish lp
-        ~attrs:
-          [
-            ("outcome", Obs.String (string_of_verdict verdict));
-            ("unaided", Obs.String (string_of_verdict verdict_unaided));
-          ];
       Budget.Converged
-        { candidates = List.length cands; proven; verdict; verdict_unaided })
+        { candidates = p_candidates; proven; verdict; verdict_unaided })
 
 let ring_counter ~n =
   let aig = Aig.create () in

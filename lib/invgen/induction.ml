@@ -1,5 +1,6 @@
 module Tseitin = Smt.Tseitin
 module Sat = Smt.Sat
+module Loop = Sciduction.Loop
 
 type verdict =
   | Proved
@@ -7,20 +8,19 @@ type verdict =
   | Unknown
   | Aborted of Budget.reason
 
-(* shared by the metered entry points: bound one query by the meter's
-   remaining pool, then charge what the query actually spent *)
-let solve_metered ?meter sat assumptions =
-  Option.iter
-    (fun m -> Sat.set_limits sat (Smt.Govern.limits_of_meter m))
-    meter;
-  let c0 = Sat.num_conflicts sat in
-  let r = Sat.solve_with_assumptions sat assumptions in
-  Option.iter
-    (fun m -> Budget.charge_conflicts m (Sat.num_conflicts sat - c0))
-    meter;
-  r
+(* inside a loop, every query is a metered call of its deductive
+   engine *)
+let solve_metered ?loop sat assumptions =
+  match loop with
+  | None -> Sat.solve_with_assumptions sat assumptions
+  | Some lp ->
+    Loop.solve lp
+      ~conflicts:(fun () -> Sat.num_conflicts sat)
+      (fun limits ->
+        Sat.set_limits sat limits;
+        Sat.solve_with_assumptions sat assumptions)
 
-let tick_opt = function None -> None | Some m -> Budget.tick m
+let tick_opt = function None -> None | Some lp -> Loop.tick lp
 
 (* encode one combinational frame: node index -> Tseitin literal. AND
    operands always precede their gate (structural hashing allocates
@@ -71,7 +71,7 @@ let next_latch_lits aig m =
 let pass_started loop ~base ~index ~survivors =
   Option.iter
     (fun lp ->
-      Obs.Loop.iteration lp index
+      Loop.iteration lp index
         ~attrs:
           [
             ("phase", Obs.String (if base then "base" else "step"));
@@ -82,7 +82,7 @@ let pass_started loop ~base ~index ~survivors =
 let pass_dropped loop ~before ~after =
   Option.iter
     (fun lp ->
-      Obs.Loop.counterexample lp
+      Loop.counterexample lp
         ~attrs:[ ("dropped", Obs.Int (before - after)) ])
     loop
 
@@ -93,7 +93,7 @@ let pass_dropped loop ~before ~after =
    the per-pass "some survivor fails in the check frame" clause lives in
    a push/pop scope. Conflict clauses learned while refuting one pass
    carry over to the next. *)
-let fixpoint ?loop ?meter aig cands ~base =
+let fixpoint ?loop aig cands ~base =
   match cands with
   | [] -> Budget.Converged []
   | _ ->
@@ -135,7 +135,7 @@ let fixpoint ?loop ?meter aig cands ~base =
       match survivors with
       | [] -> Budget.Converged []
       | _ -> (
-        match tick_opt meter with
+        match tick_opt loop with
         | Some reason -> Budget.Exhausted (cands_of survivors, reason)
         | None -> (
           pass_started loop ~base ~index ~survivors:(List.length survivors);
@@ -144,9 +144,9 @@ let fixpoint ?loop ?meter aig cands ~base =
           Tseitin.assert_clause ctx
             (List.map (fun (_, l, _) -> Tseitin.not_ l) survivors);
           let next =
-            match solve_metered ?meter sat assumptions with
+            match solve_metered ?loop sat assumptions with
             | Sat.Unsat -> `Fixpoint
-            | Sat.Unknown r -> `Aborted (Smt.Govern.reason_of_sat r)
+            | Sat.Unknown r -> `Aborted (Loop.reason_of_sat r)
             | Sat.Sat ->
               `Survivors
                 (List.filter
@@ -164,13 +164,13 @@ let fixpoint ?loop ?meter aig cands ~base =
     in
     go 0 items
 
-let filter_inductive ?loop ?meter aig cands =
+let filter_inductive ?loop aig cands =
   Aig.validate aig;
-  match fixpoint ?loop ?meter aig cands ~base:true with
+  match fixpoint ?loop aig cands ~base:true with
   | Budget.Exhausted _ as e -> e
-  | Budget.Converged after_base -> fixpoint ?loop ?meter aig after_base ~base:false
+  | Budget.Converged after_base -> fixpoint ?loop aig after_base ~base:false
 
-let prove_property ?(k = 1) ?meter aig ~bad ~invariants =
+let prove_property ?(k = 1) ?loop aig ~bad ~invariants =
   Aig.validate aig;
   if k < 1 then invalid_arg "Induction.prove_property: k must be positive";
   (* base: no bad state within the first k steps from the initial state *)
@@ -187,11 +187,11 @@ let prove_property ?(k = 1) ?meter aig ~bad ~invariants =
       latch := next_latch_lits aig m
     done;
     Tseitin.assert_lit ctx (Tseitin.or_list ctx !bads);
-    solve_metered ?meter (Tseitin.solver ctx) []
+    solve_metered ?loop (Tseitin.solver ctx) []
   in
   match base with
   | Sat.Sat -> Cex_in_base
-  | Sat.Unknown r -> Aborted (Smt.Govern.reason_of_sat r)
+  | Sat.Unknown r -> Aborted (Loop.reason_of_sat r)
   | Sat.Unsat ->
     (* step: k consecutive frames satisfying the invariants and ~bad,
        followed by a bad frame, must be unsatisfiable *)
@@ -213,7 +213,7 @@ let prove_property ?(k = 1) ?meter aig ~bad ~invariants =
     done;
     let m_last = encode_frame ctx aig ~latch_lits:!latch in
     Tseitin.assert_lit ctx (lit_of m_last bad);
-    (match solve_metered ?meter (Tseitin.solver ctx) [] with
+    (match solve_metered ?loop (Tseitin.solver ctx) [] with
     | Sat.Unsat -> Proved
     | Sat.Sat -> Unknown
-    | Sat.Unknown r -> Aborted (Smt.Govern.reason_of_sat r))
+    | Sat.Unknown r -> Aborted (Loop.reason_of_sat r))

@@ -23,29 +23,28 @@ type verdict =
           fault); no conclusion either way *)
 
 val filter_inductive :
-  ?loop:Obs.Loop.t ->
-  ?meter:Budget.meter ->
+  ?loop:Sciduction.Loop.t ->
   Aig.t ->
   Candidates.t list ->
   (Candidates.t list, Candidates.t list * Budget.reason) Budget.outcome
 (** Each phase of the fixpoint keeps one incremental solver across
     all filtering passes — selector literals turn the shrinking
-    survivor set into solver assumptions. When [loop] is given, each filtering pass is reported as
-    one telemetry iteration of that loop, and dropped candidates as its
-    counterexamples.
+    survivor set into solver assumptions.
 
-    With [?meter], each pass charges one iteration and its query is
-    bounded by the remaining conflict pool / deadline. [Converged]
+    When [loop] is given, each filtering pass is one iteration of that
+    loop: it is reported as one, charged to the loop's budget, and its
+    query is a metered call of the loop's deductive engine; dropped
+    candidates are the loop's counterexamples. [Converged]
     survivors are mutually inductive; [Exhausted] carries the survivor
     set at the moment the budget ran out — candidates not yet {e
     refuted}, with no inductiveness claim. *)
 
 val prove_property :
   ?k:int ->
-  ?meter:Budget.meter ->
+  ?loop:Sciduction.Loop.t ->
   Aig.t ->
   bad:Aig.lit ->
   invariants:Candidates.t list ->
   verdict
-(** [?meter] bounds the two SAT queries by the remaining pool and
-    charges their conflicts; a cut-short query answers {!Aborted}. *)
+(** With [?loop], the two SAT queries are metered calls of that loop's
+    deductive engine; a cut-short query answers {!Aborted}. *)
