@@ -1,3 +1,5 @@
+module Loop = Sciduction.Loop
+
 type stats = {
   membership_queries : int;
   equivalence_queries : int;
@@ -195,63 +197,50 @@ let learn ~alphabet ~membership ~equivalence ?(max_rounds = 200)
   in
   add_s t [];
   add_e t [];
-  let meter = Budget.start budget in
-  let lp = Obs.Loop.start "lstar" ~attrs:[ ("alphabet", Obs.Int alphabet) ] in
   let eq_queries = ref 0 in
+  let stats rounds =
+    {
+      membership_queries = t.queries;
+      equivalence_queries = !eq_queries;
+      rounds;
+    }
+  in
+  Loop.run "lstar" ~budget ~max_iterations:max_rounds
+    ~attrs:[ ("alphabet", Obs.Int alphabet) ]
+    ~finished:(fun (_, st) ->
+      [
+        ("outcome", Obs.String "learned");
+        ("membership_queries", Obs.Int st.membership_queries);
+        ("rounds", Obs.Int st.rounds);
+      ])
+    ~exhausted:(fun p -> (p.reason, [ ("rounds", Obs.Int p.stats.rounds) ], []))
+  @@ fun lp ->
   let rec go round last_h =
-    let stats () =
-      {
-        membership_queries = t.queries;
-        equivalence_queries = !eq_queries;
-        rounds = round - 1;
-      }
-    in
-    match
-      if round > max_rounds then Some Budget.Iterations
-      else Budget.tick meter
-    with
+    match Loop.tick lp with
     | Some reason ->
-      Obs.Loop.budget_exhausted lp
-        ~reason:(Budget.reason_to_string reason)
-        ~attrs:[ ("rounds", Obs.Int (round - 1)) ];
-      Obs.Loop.finish lp ~attrs:[ ("outcome", Obs.String "exhausted") ];
-      Budget.Exhausted { hypothesis = last_h; stats = stats (); reason }
-    | None ->
-      go_round round
-  and go_round round =
-    Obs.Loop.iteration lp round
-      ~attrs:[ ("rows", Obs.Int (Wmap.cardinal t.s)) ];
-    Obs.with_span "lstar.fix" (fun () -> fix t);
-    let h = Obs.with_span "lstar.hypothesis" (fun () -> hypothesis t) in
-    Obs.Loop.candidate lp ~attrs:[ ("states", Obs.Int h.Dfa.num_states) ];
-    incr eq_queries;
-    match equivalence h with
-    | None ->
-      Obs.Loop.verdict lp "equivalent";
-      Obs.Loop.finish lp
-        ~attrs:
-          [
-            ("outcome", Obs.String "learned");
-            ("membership_queries", Obs.Int t.queries);
-            ("rounds", Obs.Int round);
-          ];
-      Budget.Converged
-        ( h,
-          {
-            membership_queries = t.queries;
-            equivalence_queries = !eq_queries;
-            rounds = round;
-          } )
-    | Some cex ->
-      Obs.Loop.verdict lp "counterexample";
-      Obs.Loop.counterexample lp ~attrs:[ ("length", Obs.Int (List.length cex)) ];
-      (* add all prefixes of the counterexample to S *)
-      let rec prefixes acc = function
-        | [] -> acc
-        | a :: rest -> prefixes ((List.hd acc @ [ a ]) :: acc) rest
-      in
-      List.iter (add_s t) (prefixes [ [] ] cex);
-      go (round + 1) (Some h)
+      Budget.Exhausted { hypothesis = last_h; stats = stats (round - 1); reason }
+    | None -> (
+      Loop.iteration lp round ~attrs:[ ("rows", Obs.Int (Wmap.cardinal t.s)) ];
+      Obs.with_span "lstar.fix" (fun () -> fix t);
+      let h = Obs.with_span "lstar.hypothesis" (fun () -> hypothesis t) in
+      Loop.candidate lp ~attrs:[ ("states", Obs.Int h.Dfa.num_states) ];
+      incr eq_queries;
+      (* membership queries are answered inside [fix], a few at a time;
+         only the equivalence query is timed as the deductive engine's *)
+      match Loop.deduce lp equivalence h with
+      | None ->
+        Loop.verdict lp "equivalent";
+        Budget.Converged (h, stats round)
+      | Some cex ->
+        Loop.verdict lp "counterexample";
+        Loop.counterexample lp ~attrs:[ ("length", Obs.Int (List.length cex)) ];
+        (* add all prefixes of the counterexample to S *)
+        let rec prefixes acc = function
+          | [] -> acc
+          | a :: rest -> prefixes ((List.hd acc @ [ a ]) :: acc) rest
+        in
+        List.iter (add_s t) (prefixes [ [] ] cex);
+        go (round + 1) (Some h))
   in
   go 1 None
 
