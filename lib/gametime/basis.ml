@@ -1,6 +1,7 @@
 module Paths = Prog.Paths
 module Cfg = Prog.Cfg
 module Testgen = Prog.Testgen
+module Loop = Sciduction.Loop
 
 type basis_path = {
   path : Paths.path;
@@ -21,14 +22,22 @@ let extract ?(max_paths = 100_000) ?assuming ?(budget = Budget.unlimited) p
   let dim = Cfg.num_edges g in
   let span = Linalg.empty_span ~dim in
   let bound = rank_bound g in
-  let meter = Budget.start budget in
-  let lp =
-    Obs.Loop.start "gametime"
-      ~attrs:[ ("edges", Obs.Int dim); ("rank_bound", Obs.Int bound) ]
-  in
-  let sess = Testgen.new_session ?assuming p g in
   let acc = ref [] in
   let examined = ref 0 in
+  let totals () =
+    [
+      ("examined", Obs.Int !examined);
+      ("basis", Obs.Int (List.length !acc));
+      ("rank", Obs.Int (Linalg.rank span));
+    ]
+  in
+  Loop.run "gametime" ~budget
+    ~attrs:[ ("edges", Obs.Int dim); ("rank_bound", Obs.Int bound) ]
+    ~finished:(fun _ -> totals ())
+    ~exhausted:(fun p ->
+      (p.reason, [ ("examined", Obs.Int p.examined) ], totals ()))
+  @@ fun lp ->
+  let sess = Testgen.new_session ?assuming p g in
   (* a cut-short run loses basis paths, never gains wrong ones: every
      kept path is still feasibility-certified and independent *)
   let stopped = ref None in
@@ -37,20 +46,20 @@ let extract ?(max_paths = 100_000) ?assuming ?(budget = Budget.unlimited) p
     if not (Linalg.in_span span vector) then begin
       (* independent direction: a candidate basis path, pending the
          feasibility oracle's verdict *)
-      Obs.Loop.candidate lp ~attrs:[ ("rank", Obs.Int (Linalg.rank span)) ];
-      let limits = Smt.Govern.limits_of_meter meter in
-      let c0 = Testgen.session_conflicts sess in
-      let q = Testgen.feasible_in ~limits sess path in
-      Budget.charge_conflicts meter (Testgen.session_conflicts sess - c0);
-      match q with
+      Loop.candidate lp ~attrs:[ ("rank", Obs.Int (Linalg.rank span)) ];
+      match
+        Loop.solve lp
+          ~conflicts:(fun () -> Testgen.session_conflicts sess)
+          (fun limits -> Testgen.feasible_in ~limits sess path)
+      with
       | `Infeasible ->
-        Obs.Loop.verdict lp "infeasible";
-        Obs.Loop.counterexample lp
+        Loop.verdict lp "infeasible";
+        Loop.counterexample lp
       | `Unknown r ->
-        Obs.Loop.verdict lp "unknown";
-        stopped := Some (Smt.Govern.reason_of_sat r)
+        Loop.verdict lp "unknown";
+        stopped := Some (Loop.reason_of_sat r)
       | `Test test ->
-        Obs.Loop.verdict lp "feasible";
+        Loop.verdict lp "feasible";
         ignore (Linalg.add_if_independent span vector);
         acc := { path; vector; test } :: !acc
     end
@@ -58,34 +67,20 @@ let extract ?(max_paths = 100_000) ?assuming ?(budget = Budget.unlimited) p
   let rec consume seq =
     if Linalg.rank span < bound && !examined < max_paths && !stopped = None
     then begin
-      match Budget.tick meter with
+      match Loop.tick lp with
       | Some reason -> stopped := Some reason
       | None -> (
         match seq () with
         | Seq.Nil -> ()
         | Seq.Cons (path, rest) ->
-          Obs.Loop.iteration lp !examined;
+          Loop.iteration lp !examined;
           incr examined;
           take path;
           consume rest)
     end
   in
   consume (Paths.enumerate g);
-  let finish_attrs =
-    [
-      ("examined", Obs.Int !examined);
-      ("basis", Obs.Int (List.length !acc));
-      ("rank", Obs.Int (Linalg.rank span));
-    ]
-  in
   match !stopped with
-  | None ->
-    Obs.Loop.finish lp ~attrs:finish_attrs;
-    Budget.Converged (List.rev !acc)
+  | None -> Budget.Converged (List.rev !acc)
   | Some reason ->
-    Obs.Loop.budget_exhausted lp
-      ~reason:(Budget.reason_to_string reason)
-      ~attrs:[ ("examined", Obs.Int !examined) ];
-    Obs.Loop.finish lp
-      ~attrs:(("outcome", Obs.String "exhausted") :: finish_attrs);
     Budget.Exhausted { found = List.rev !acc; examined = !examined; reason }
