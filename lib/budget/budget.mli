@@ -21,7 +21,7 @@ type t = {
   cancel : (unit -> bool) option;
       (** cooperative cancellation hook: once it answers [true], the
           loop stops at its next budget check (and, through
-          [Smt.Govern.limits_of_meter], any in-flight solver call stops
+          [Sciduction.Loop.solve], any in-flight solver call stops
           at its next poll) with reason {!Cancelled}. Must be cheap and
           safe to call from any domain — an [Atomic.get] like
           [Par.Cancel.is_set]. The verification server cancels jobs on
@@ -101,4 +101,4 @@ val deadline : meter -> float option
 
 val cancel_hook : meter -> (unit -> bool) option
 (** The budget's cancellation hook, for bridges that install it on
-    solvers ([Smt.Govern.limits_of_meter]). *)
+    solvers ([Sciduction.Loop.solve]). *)

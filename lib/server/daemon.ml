@@ -14,7 +14,7 @@
    order, so a high-priority stream cannot starve earlier cheap
    requests forever. Cancellation is cooperative end to end: every job
    owns a Par.Cancel token, installed as the Budget's cancel hook (and,
-   through Govern.limits_of_meter, as the in-flight solver's stop
+   through Sciduction.Loop.solve, as the in-flight solver's stop
    callback), so an explicit cancel, a client disconnect, or shutdown
    stops a running solver within a poll interval.
 

@@ -185,7 +185,7 @@ type limits = {
           [Unknown Interrupted]. Unlike {!set_terminate} — which one
           owner (the portfolio) installs directly on a solver it built —
           the hook rides inside the limits record, so budget bridges
-          like [Govern.limits_of_meter] propagate it to every solver a
+          like [Sciduction.Loop.solve] propagate it to every solver a
           loop constructs without the loop knowing it exists. The
           verification server cancels in-flight jobs through this. *)
 }

@@ -1,9 +1,7 @@
-(* Tests for the sciduction framework: oracle combinators, soundness
-   reports, Table 1 rendering, and a worked end-to-end instance tying the
-   framework types to the OGIS application. *)
+(* Tests for the sciduction library: soundness reports, decision trees,
+   Table 1 rendering, and a worked OGIS instance run by the loop
+   driver. *)
 
-module Framework = Sciduction.Framework
-module Oracles = Sciduction.Oracles
 module Soundness = Sciduction.Soundness
 module Instances = Sciduction.Instances
 
@@ -11,39 +9,6 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
-
-(* ------------------------------------------------------------------ *)
-(* Oracles                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_counting () =
-  let c = Oracles.counting (fun x -> x * 2) in
-  Alcotest.(check int) "initially zero" 0 (c.Oracles.count ());
-  Alcotest.(check int) "answer" 14 (c.Oracles.oracle 7);
-  ignore (c.Oracles.oracle 1);
-  Alcotest.(check int) "two queries" 2 (c.Oracles.count ());
-  c.Oracles.reset ();
-  Alcotest.(check int) "reset" 0 (c.Oracles.count ())
-
-let test_memoizing () =
-  let calls = ref 0 in
-  let f x =
-    incr calls;
-    x + 1
-  in
-  let m = Oracles.memoizing f in
-  Alcotest.(check int) "first" 6 (m 5);
-  Alcotest.(check int) "cached" 6 (m 5);
-  Alcotest.(check int) "underlying called once" 1 !calls;
-  Alcotest.(check int) "different query" 8 (m 7);
-  Alcotest.(check int) "called twice total" 2 !calls
-
-let test_log_to () =
-  let log = ref [] in
-  let f = Oracles.log_to log (fun x -> -x) in
-  ignore (f 1);
-  ignore (f 2);
-  Alcotest.(check (list (pair int int))) "log order" [ (2, -2); (1, -1) ] !log
 
 (* ------------------------------------------------------------------ *)
 (* Soundness                                                           *)
@@ -143,83 +108,68 @@ let test_table1 () =
       Alcotest.(check bool) (needle ^ " present") true (contains rendered needle))
     [ "Timing analysis"; "hyperboxes"; "distinguishing inputs"; "SMT" ]
 
-(* a live instance: OGIS on the paper's P2 benchmark, at width 8 *)
+(* a live instance: OGIS on the paper's P2 benchmark, at width 8. H is
+   the loop-free programs over {shl2, shl3, add, add}, I learns from
+   distinguishing inputs, D is the SMT solver; the loop driver runs it
+   and, traced, records the time D took. *)
 let test_live_ogis_instance () =
   let width = 8 in
-  let library = Ogis.Component.fig8_p2 in
-  let spec = { Ogis.Encode.width; ninputs = 1; noutputs = 1; library } in
-  let oracle =
-    Oracles.counting
-      (Ogis.Deobfuscate.oracle_of_program
-         (Prog.Benchmarks.multiply45_obs_w ~width))
-  in
-  let hypothesis =
+  let spec =
     {
-      Framework.h_name = "loop-free over {shl2, shl3, add, add}";
-      h_description = "straight-line compositions of the component library";
-      member = (fun (p : Ogis.Straightline.t) -> List.length p.Ogis.Straightline.lines = 4);
-      strict = true;
-      primitive =
-        Some
-          (fun p (ins, outs) -> Ogis.Straightline.eval p ins = outs);
+      Ogis.Encode.width;
+      ninputs = 1;
+      noutputs = 1;
+      library = Ogis.Component.fig8_p2;
     }
   in
-  let inductive =
-    {
-      Framework.i_name = "distinguishing-input learner";
-      i_description = "OGIS loop over the I/O oracle";
-      infer =
-        (fun seeds ->
-          match
-            Ogis.Synth.synthesize ~initial_inputs:(List.map fst seeds) spec
-              oracle.Oracles.oracle
-          with
-          | Budget.Converged (Ogis.Synth.Synthesized (p, _)) -> Some p
-          | _ -> None);
-    }
+  let queries = ref 0 in
+  let oracle ins =
+    incr queries;
+    Ogis.Deobfuscate.oracle_of_program
+      (Prog.Benchmarks.multiply45_obs_w ~width)
+      ins
   in
-  let deductive =
-    {
-      Framework.d_name = "QF_BV SMT solver";
-      d_description = "candidate + distinguishing-input queries";
-      lightweight =
-        Framework.Lower_complexity
-          "NP queries instead of the Sigma2 synthesis problem";
-      solve = (fun fs -> Smt.Solver.check_formulas fs);
-    }
+  Obs.reset ();
+  let sink, records = Obs.memory_sink () in
+  Obs.add_sink sink;
+  Obs.enable ();
+  let outcome =
+    Ogis.Synth.synthesize ~initial_inputs:[ [ 0 ]; [ 1 ] ] spec oracle
   in
-  let inst =
-    {
-      Framework.name = "component-based synthesis";
-      problem = "deobfuscate multiply45Obs";
-      hypothesis;
-      inductive;
-      deductive;
-      soundness = Framework.Sound_if_hypothesis_valid;
-    }
-  in
-  (* run the instance end to end through the framework record *)
-  (match inst.Framework.inductive.Framework.infer [ ([ 0 ], [ 0 ]); ([ 1 ], [ 45 ]) ] with
-  | None -> Alcotest.fail "instance failed to synthesize"
-  | Some p ->
+  Obs.shutdown ();
+  let records = records () in
+  Obs.reset ();
+  (match outcome with
+  | Budget.Converged (Ogis.Synth.Synthesized (p, _)) ->
     Alcotest.(check bool) "artifact in C_H" true
-      (inst.Framework.hypothesis.Framework.member p);
+      (List.length p.Ogis.Straightline.lines = 4);
     Alcotest.(check (list int)) "computes 45y" [ (45 * 3) land 0xFF ]
-      (Ogis.Straightline.eval p [ 3 ]));
-  Alcotest.(check bool) "oracle was consulted" true (oracle.Oracles.count () > 0);
-  let rendered = Format.asprintf "%a" Framework.describe inst in
-  Alcotest.(check bool) "description mentions soundness" true
-    (contains rendered "sound if valid(H)")
+      (Ogis.Straightline.eval p [ 3 ])
+  | _ -> Alcotest.fail "instance failed to synthesize");
+  Alcotest.(check bool) "oracle was consulted" true (!queries > 0);
+  let attr k r =
+    Option.bind (Obs.Json.member "attrs" r) (fun a ->
+        Option.bind (Obs.Json.member k a) Obs.Json.to_float)
+  in
+  match
+    List.filter
+      (fun r ->
+        Option.bind (Obs.Json.member "name" r) Obs.Json.to_str
+        = Some "loop_finished")
+      records
+  with
+  | [ r ] -> (
+    match (attr "deduce_ms" r, attr "elapsed" r) with
+    | Some d, Some e ->
+      Alcotest.(check bool) "D took time" true (d > 0.0);
+      Alcotest.(check bool) "D within the loop's wall time" true
+        (d <= 1000.0 *. e)
+    | _ -> Alcotest.fail "loop_finished without deduce_ms and elapsed")
+  | _ -> Alcotest.fail "one loop_finished"
 
 let () =
   Alcotest.run "sciduction"
     [
-      ( "oracles",
-        [
-          Alcotest.test_case "counting" `Quick test_counting;
-          Alcotest.test_case "memoizing" `Quick test_memoizing;
-          Alcotest.test_case "logging" `Quick test_log_to;
-        ] );
       ( "soundness",
         [
           Alcotest.test_case "conclude" `Quick test_conclude;
