@@ -10,7 +10,8 @@
    consistent with the nesting their intervals imply (every non-root
    completed span sits directly inside a completed span one level up),
    that each loop's event stream is well-formed (loop_started first,
-   iterations before loop_finished, nothing after loop_finished), that
+   iterations before loop_finished, nothing after loop_finished, the
+   deductive engine's [deduce_ms] within the loop's [elapsed]), that
    the server's supervision events are sane (every job_requeued inside
    its restart budget, degraded_entered/exited strictly alternating —
    a trailing open entered is tolerated, a crashed daemon dies
@@ -314,6 +315,23 @@ let check_event lineno r =
              seconds_stalled"
             lineno loop
         | Some _ -> ())
+      | "loop_finished" -> (
+        (* the deductive engine's time is part of the loop's wall time;
+           the two are rounded separately, hence the microsecond slack *)
+        let attr_float k =
+          Option.bind (Json.member "attrs" r) (fun a ->
+              Option.bind (Json.member k a) Json.to_float)
+        in
+        match (attr_float "deduce_ms", attr_float "elapsed") with
+        | Some d, _ when d < 0.0 ->
+          error "line %d: loop_finished for loop %S with negative deduce_ms"
+            lineno loop
+        | Some d, Some e when d > (1000.0 *. e) +. 1e-3 ->
+          error
+            "line %d: loop_finished for loop %S with deduce_ms %.3f past \
+             its elapsed %.3f ms"
+            lineno loop d (1000.0 *. e)
+        | _ -> ())
       | _ -> ());
       match name with
       | "iteration" -> st.iterations <- st.iterations + 1

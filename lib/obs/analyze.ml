@@ -126,6 +126,7 @@ type loop_run = {
   lr_start : float;
   lr_finish : float;
   lr_elapsed : float;
+  lr_deduce : float option;
   lr_outcome : string;
   lr_truncated : bool;
   lr_iterations : iteration list;
@@ -165,6 +166,7 @@ type run_b = {
   mutable rb_last : float;
   mutable rb_finish : float option;
   mutable rb_elapsed : float option;
+  mutable rb_deduce : float option;
   mutable rb_outcome : string;
   mutable rb_iterations : it_b list; (* newest first *)
   mutable rb_candidates : int;
@@ -247,6 +249,7 @@ let freeze_run rb =
     lr_elapsed =
       Option.value ~default:(Float.max 0.0 (finish -. rb.rb_start))
         rb.rb_elapsed;
+    lr_deduce = rb.rb_deduce;
     lr_outcome = rb.rb_outcome;
     lr_truncated = rb.rb_finish = None;
     lr_iterations = iterations;
@@ -416,6 +419,7 @@ let analyze records =
         rb_last = t;
         rb_finish = None;
         rb_elapsed = None;
+        rb_deduce = None;
         rb_outcome = "";
         rb_iterations = [];
         rb_candidates = 0;
@@ -466,6 +470,8 @@ let analyze records =
           let rb = current loop t in
           rb.rb_finish <- Some t;
           rb.rb_elapsed <- attr_float attrs "elapsed";
+          rb.rb_deduce <-
+            Option.map (fun ms -> ms /. 1000.0) (attr_float attrs "deduce_ms");
           (match attr_str attrs "outcome" with
           | Some o -> rb.rb_outcome <- o
           | None -> ());
@@ -595,12 +601,21 @@ let histogram_of_json j =
 let pp_path ppf path =
   Format.pp_print_string ppf (String.concat ";" path)
 
+(* the loop's wall time split between its inductive engine I and its
+   deductive engine D, in percent: I is whatever D did not take *)
+let id_share lr =
+  match lr.lr_deduce with
+  | Some d when lr.lr_elapsed > 0.0 ->
+    let dp = Float.round (100.0 *. Float.min 1.0 (d /. lr.lr_elapsed)) in
+    Printf.sprintf "%.0f/%.0f" (100.0 -. dp) dp
+  | _ -> "-"
+
 let pp_run ppf lr =
   let line fmt = Format.fprintf ppf fmt in
   let iters = List.length lr.lr_iterations in
-  line "  %-10s %3d %6d %6d %6d %7d %5d/%-5d %9.3f %8.2f  %-10s %s%s@."
+  line "  %-10s %3d %6d %6d %6d %7d %5d/%-5d %9.3f %7s %8.2f  %-10s %s%s@."
     lr.lr_loop lr.lr_run iters lr.lr_candidates lr.lr_cexes lr.lr_solver_calls
-    lr.lr_sat lr.lr_unsat lr.lr_elapsed
+    lr.lr_sat lr.lr_unsat lr.lr_elapsed (id_share lr)
     (if iters = 0 then 0.0
      else 1000.0 *. lr.lr_elapsed /. float_of_int iters)
     (trend_to_string lr.lr_trend)
@@ -738,9 +753,9 @@ let pp_report ?(top = 12) ppf a =
     line "!! %d span(s) without a completed enclosing span@." a.a_orphan_spans;
   if a.a_loops <> [] then begin
     line "@.loops:@.";
-    line "  %-10s %3s %6s %6s %6s %7s %11s %9s %8s  %-10s %s@." "loop" "run"
-      "iters" "cands" "cexes" "solves" "sat/unsat" "seconds" "ms/iter" "trend"
-      "outcome";
+    line "  %-10s %3s %6s %6s %6s %7s %11s %9s %7s %8s  %-10s %s@." "loop"
+      "run" "iters" "cands" "cexes" "solves" "sat/unsat" "seconds" "I/D%"
+      "ms/iter" "trend" "outcome";
     List.iter (pp_run ppf) a.a_loops;
     line "@.";
     List.iter (pp_iteration_detail ppf) a.a_loops
@@ -784,10 +799,15 @@ let json_of_iteration it =
 
 let json_of_run lr =
   Json.Obj
-    [
-      ("name", Json.String lr.lr_loop);
-      ("run", Json.Int lr.lr_run);
-      ("seconds", Json.Float lr.lr_elapsed);
+    ([
+       ("name", Json.String lr.lr_loop);
+       ("run", Json.Int lr.lr_run);
+       ("seconds", Json.Float lr.lr_elapsed);
+     ]
+    @ (match lr.lr_deduce with
+      | Some d -> [ ("deduce_seconds", Json.Float d) ]
+      | None -> [])
+    @ [
       ("iterations", Json.Int (List.length lr.lr_iterations));
       ("candidates", Json.Int lr.lr_candidates);
       ("counterexamples", Json.Int lr.lr_cexes);
@@ -808,7 +828,7 @@ let json_of_run lr =
         Json.Obj (List.map (fun (v, c) -> (v, Json.Int c)) lr.lr_verdicts) );
       ( "iteration_detail",
         Json.List (List.map json_of_iteration lr.lr_iterations) );
-    ]
+      ])
 
 let json_of_metric v =
   match histogram_of_json v with

@@ -72,6 +72,10 @@ type loop_run = {
   lr_elapsed : float;
       (** the loop's own [elapsed] attribute when present, else
           [lr_finish -. lr_start] *)
+  lr_deduce : float option;
+      (** seconds the loop's deductive engine took (the [deduce_ms]
+          attribute of [loop_finished]), when recorded; the inductive
+          engine's share is the rest of [lr_elapsed] *)
   lr_outcome : string;  (** [outcome] attribute of [loop_finished], or "" *)
   lr_truncated : bool;  (** no [loop_finished] in the trace *)
   lr_iterations : iteration list;  (** in loop order *)

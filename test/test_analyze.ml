@@ -247,6 +247,32 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+(* loop_finished's deduce_ms splits the loop's wall time between its
+   deductive engine D and its inductive engine I, the rest *)
+let test_id_share () =
+  let records =
+    [
+      ev 0.0 "loop_started" "demo";
+      ev 0.0 "iteration" "demo" ~attrs:[ ("index", Json.Int 0) ];
+      ev 2.0 "loop_finished" "demo"
+        ~attrs:[ ("elapsed", Json.Float 2.0); ("deduce_ms", Json.Float 500.0) ];
+      snap 2.001;
+    ]
+  in
+  let a = Analyze.analyze (parse_all records) in
+  Alcotest.(check (option (float 1e-9))) "deduce seconds" (Some 0.5)
+    (the_loop a).Analyze.lr_deduce;
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  Analyze.pp_report ppf a;
+  Format.pp_print_flush ppf ();
+  let report = Buffer.contents buf in
+  Alcotest.(check bool) "I/D column" true (contains report "I/D%");
+  Alcotest.(check bool) "75% I, 25% D" true (contains report " 75/25 ");
+  let a = Analyze.analyze (parse_all (loop_trace [ 1.0 ])) in
+  Alcotest.(check (option (float 1e-9))) "no deduce_ms, no split" None
+    (the_loop a).Analyze.lr_deduce
+
 let test_load_errors () =
   (match Analyze.load "/nonexistent/trace.jsonl" with
   | Error _ -> ()
@@ -462,6 +488,7 @@ let () =
           Alcotest.test_case "thrashing loop" `Quick test_thrashing_loop;
           Alcotest.test_case "steady loop" `Quick test_steady_loop;
           Alcotest.test_case "truncated loop" `Quick test_truncated_loop;
+          Alcotest.test_case "I/D share" `Quick test_id_share;
           Alcotest.test_case "per-iteration attribution" `Quick
             test_per_iteration_attribution;
         ] );
