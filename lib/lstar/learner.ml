@@ -218,7 +218,8 @@ let learn ~alphabet ~membership ~equivalence ?(max_rounds = 200)
   let rec go round last_h =
     match Loop.tick lp with
     | Some reason ->
-      Budget.Exhausted { hypothesis = last_h; stats = stats (round - 1); reason }
+      Budget.Exhausted
+        { hypothesis = last_h; stats = stats (round - 1); reason }
     | None -> (
       Loop.iteration lp round ~attrs:[ ("rows", Obs.Int (Wmap.cardinal t.s)) ];
       Obs.with_span "lstar.fix" (fun () -> fix t);

@@ -3,7 +3,7 @@ type t = {
   meter : Budget.meter;
   cap : int option;
   ticks : int Atomic.t;
-  timed : bool;
+  traced : bool;
   (* D's time is the union of its calls' intervals: calls from a pool
      overlap, and a sum could exceed the loop's own wall time *)
   d_lock : Mutex.t;
@@ -20,7 +20,7 @@ let tick l =
     Budget.tick l.meter
 
 let deduce l d q =
-  if not l.timed then d q
+  if not l.traced then d q
   else begin
     Mutex.protect l.d_lock (fun () ->
         if l.d_inflight = 0 then l.d_since <- Unix.gettimeofday ();
@@ -68,7 +68,7 @@ let headroom meter =
   | None -> conflicts
 
 let iteration ?(attrs = []) l index =
-  if l.timed then
+  if l.traced then
     Obs.Loop.iteration l.lp index ~attrs:(attrs @ headroom l.meter)
 
 let candidate ?attrs l = Obs.Loop.candidate ?attrs l.lp
@@ -76,10 +76,8 @@ let verdict ?attrs l v = Obs.Loop.verdict ?attrs l.lp v
 let counterexample ?attrs l = Obs.Loop.counterexample ?attrs l.lp
 
 let finish l attrs =
-  Obs.Loop.finish l.lp
-    ~attrs:
-      (if l.timed then attrs @ [ ("deduce_ms", Obs.Float (1000.0 *. l.d_total)) ]
-       else attrs)
+  let deduce = ("deduce_ms", Obs.Float (1000.0 *. l.d_total)) in
+  Obs.Loop.finish l.lp ~attrs:(if l.traced then attrs @ [ deduce ] else attrs)
 
 let run ?attrs ?max_iterations ~budget ~finished ~exhausted name body =
   let meter = Budget.start budget in
@@ -90,7 +88,7 @@ let run ?attrs ?max_iterations ~budget ~finished ~exhausted name body =
       meter;
       cap = max_iterations;
       ticks = Atomic.make 0;
-      timed = Obs.enabled ();
+      traced = Obs.enabled ();
       d_lock = Mutex.create ();
       d_inflight = 0;
       d_since = 0.0;
