@@ -1,99 +1,24 @@
-(* Offline analysis over JSONL telemetry traces: typed ingestion,
-   per-loop convergence diagnostics, span flame profiles, and the
-   cross-trace regression diff behind the perf baseline gate. *)
+(* Offline analysis over JSONL telemetry traces: ingestion through the
+   Trace codec, per-loop convergence diagnostics, span flame profiles,
+   the validator behind trace_check, and the cross-trace regression
+   diff behind the perf baseline gate. *)
 
 (* ----- ingestion ----- *)
 
-type record =
-  | Span of {
-      t : float;
-      name : string;
-      dur : float;
-      depth : int;
-      dom : int;
-      attrs : (string * Json.t) list;
-    }
-  | Event of {
-      t : float;
-      name : string;
-      loop : string;
-      attrs : (string * Json.t) list;
-    }
-  | Snapshot of { t : float; metrics : (string * Json.t) list }
-
-let record_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_str in
-  let num k = Option.bind (Json.member k j) Json.to_float in
-  let fields k =
-    match Json.member k j with Some (Json.Obj f) -> f | _ -> []
-  in
-  match (str "kind", num "t") with
-  | None, _ -> Error "record without a kind"
-  | _, None -> Error "record without a timestamp"
-  | Some "span", Some t -> (
-    match (str "name", num "dur") with
-    | None, _ -> Error "span without a name"
-    | _, None -> Error "span without a duration"
-    | Some name, Some dur ->
-      let depth =
-        Option.value ~default:0 (Option.bind (Json.member "depth" j) Json.to_int)
-      in
-      (* traces predating the dom field are all single-domain *)
-      let dom =
-        Option.value ~default:0 (Option.bind (Json.member "dom" j) Json.to_int)
-      in
-      Ok (Span { t; name; dur; depth; dom; attrs = fields "attrs" }))
-  | Some "event", Some t -> (
-    match str "name" with
-    | None -> Error "event without a name"
-    | Some name ->
-      let loop = Option.value ~default:"" (str "loop") in
-      Ok (Event { t; name; loop; attrs = fields "attrs" }))
-  | Some "metrics", Some t -> Ok (Snapshot { t; metrics = fields "metrics" })
-  | Some kind, _ -> Error (Printf.sprintf "unknown record kind %S" kind)
+open Trace
 
 let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let records = ref [] in
-    let err = ref None in
-    let lineno = ref 0 in
-    (try
-       while !err = None do
-         let line = input_line ic in
-         incr lineno;
-         if String.trim line <> "" then begin
-           match Json.parse line with
-           | Error msg -> err := Some (Printf.sprintf "line %d: %s" !lineno msg)
-           | Ok j -> (
-             match record_of_json j with
-             | Error msg ->
-               err := Some (Printf.sprintf "line %d: %s" !lineno msg)
-             | Ok r -> records := r :: !records)
-         end
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (match !err with
-    | Some msg -> Error msg
-    | None ->
-      if !records = [] then Error "empty trace" else Ok (List.rev !records))
+  match Trace.read path with
+  | Error msg -> Error msg
+  | Ok [] -> Error "empty trace"
+  | Ok lines -> Ok (List.map snd lines)
 
 (* ----- attribute helpers ----- *)
 
-let attr_str attrs k =
-  match List.assoc_opt k attrs with Some (Json.String s) -> Some s | _ -> None
-
-let attr_int attrs k =
-  match List.assoc_opt k attrs with
-  | Some v -> Option.value ~default:0 (Json.to_int v)
-  | None -> 0
-
-let attr_float attrs k =
-  match List.assoc_opt k attrs with
-  | Some v -> Json.to_float v
-  | None -> None
+let attr conv attrs k = Option.bind (List.assoc_opt k attrs) conv
+let attr_str = attr Trace.string_of_value
+let attr_int = attr Trace.int_of_value
+let attr_float = attr Trace.float_of_value
 
 (* ----- convergence diagnostics ----- *)
 
@@ -454,19 +379,19 @@ let analyze records =
         wall := Float.max !wall (t +. dur);
         spans := (dom, (name, t, dur, depth)) :: !spans;
         last_kind := `Other
-      | Snapshot { t; metrics = m } ->
+      | Metrics { t; metrics = m } ->
         wall := Float.max !wall t;
         metrics := m;
         last_kind := `Metrics
-      | Event { t; name; loop; attrs } -> (
+      | Event { t; event; _ } -> (
         incr nevents;
         wall := Float.max !wall t;
         last_kind := `Other;
-        match name with
-        | "loop_started" ->
+        match event with
+        | Loop_started { loop; _ } ->
           (* a stale open run of the same name is a truncated trace *)
           ignore (start_run loop t)
-        | "loop_finished" ->
+        | Loop_finished { loop; attrs } ->
           let rb = current loop t in
           rb.rb_finish <- Some t;
           rb.rb_elapsed <- attr_float attrs "elapsed";
@@ -476,7 +401,7 @@ let analyze records =
           | Some o -> rb.rb_outcome <- o
           | None -> ());
           Hashtbl.remove open_runs loop
-        | "iteration" ->
+        | Iteration { loop; index; _ } ->
           let rb = current loop t in
           (match rb.rb_iterations with
           | prev :: _ when prev.bi_dur < 0.0 ->
@@ -484,7 +409,7 @@ let analyze records =
           | _ -> ());
           rb.rb_iterations <-
             {
-              bi_index = attr_int attrs "index";
+              bi_index = index;
               bi_start = t;
               bi_dur = -1.0;
               bi_candidates = 0;
@@ -496,29 +421,28 @@ let analyze records =
               bi_propagations = 0;
             }
             :: rb.rb_iterations
-        | "candidate" ->
+        | Candidate { loop; _ } ->
           let rb = current loop t in
           rb.rb_candidates <- rb.rb_candidates + 1;
           (match rb.rb_iterations with
           | it :: _ -> it.bi_candidates <- it.bi_candidates + 1
           | [] -> ())
-        | "counterexample" ->
+        | Counterexample { loop; _ } ->
           let rb = current loop t in
           rb.rb_cexes <- rb.rb_cexes + 1;
           (match rb.rb_iterations with
           | it :: _ -> it.bi_cexes <- it.bi_cexes + 1
           | [] -> ())
-        | "oracle_verdict" ->
+        | Oracle_verdict { loop; verdict = v; _ } ->
           let rb = current loop t in
-          let v = Option.value ~default:"" (attr_str attrs "verdict") in
           Hashtbl.replace rb.rb_verdicts v
             (1 + Option.value ~default:0 (Hashtbl.find_opt rb.rb_verdicts v))
-        | "solver_call" ->
+        | Solver_call { loop; result; attrs } ->
           if loop <> "" then begin
             let rb = current loop t in
-            let result = Option.value ~default:"" (attr_str attrs "result") in
-            let conflicts = attr_int attrs "conflicts" in
-            let propagations = attr_int attrs "propagations" in
+            let count k = Option.value ~default:0 (attr_int attrs k) in
+            let conflicts = count "conflicts" in
+            let propagations = count "propagations" in
             rb.rb_solver_calls <- rb.rb_solver_calls + 1;
             if result = "sat" then rb.rb_sat <- rb.rb_sat + 1;
             if result = "unsat" then rb.rb_unsat <- rb.rb_unsat + 1;
@@ -533,21 +457,25 @@ let analyze records =
               it.bi_propagations <- it.bi_propagations + propagations
             | [] -> ()
           end
-        | "certificate" ->
+        | Certificate { loop; attrs } ->
           (* portfolio workers certify with an empty loop name; those
              certificates still count in the proof.certificates metric
              but cannot be attributed to a loop run here *)
           if loop <> "" then begin
             let rb = current loop t in
             rb.rb_certs <- rb.rb_certs + 1;
-            rb.rb_proof_bytes <- rb.rb_proof_bytes + attr_int attrs "proof_bytes";
+            rb.rb_proof_bytes <-
+              rb.rb_proof_bytes
+              + Option.value ~default:0 (attr_int attrs "proof_bytes");
             match attr_str attrs "core" with
             | Some core when core <> "" ->
               Hashtbl.replace rb.rb_cores core
                 (1 + Option.value ~default:0 (Hashtbl.find_opt rb.rb_cores core))
             | _ -> ()
           end
-        | _ -> ()))
+        | Progress _ | Stall_detected _ | Budget_exhausted _ | Job_requeued _
+        | Degraded_entered _ | Degraded_exited _ ->
+          ()))
     records;
   Hashtbl.iter (fun _ rb -> rb.rb_finish <- None) open_runs;
   let roots, orphans = span_forest (List.rev !spans) in
@@ -562,6 +490,212 @@ let analyze records =
     a_metrics = !metrics;
     a_orphan_spans = orphans;
   }
+
+(* ----- validation: the rules behind trace_check ----- *)
+
+type bracket = {
+  mutable br_started : int;
+  mutable br_finished : int;
+  mutable br_iterations : int;
+  mutable br_exhausted : bool; (* in the current run *)
+  mutable br_last_progress : int; (* in the current run; -1 before any *)
+}
+
+type pending_span = {
+  ps_line : int;
+  ps_name : string;
+  ps_depth : int;
+  ps_start : float;
+  ps_end : float;
+}
+
+let known_budget_reasons =
+  [ "iterations"; "conflicts"; "deadline"; "solver"; "cancelled" ]
+
+let check ?(require = []) lines =
+  let errors = ref [] in
+  let error fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
+  let brackets : (string, bracket) Hashtbl.t = Hashtbl.create 8 in
+  let bracket loop =
+    match Hashtbl.find_opt brackets loop with
+    | Some b -> b
+    | None ->
+      let b =
+        {
+          br_started = 0;
+          br_finished = 0;
+          br_iterations = 0;
+          br_exhausted = false;
+          br_last_progress = -1;
+        }
+      in
+      Hashtbl.add brackets loop b;
+      b
+  in
+  (* emission order: events and snapshots are emitted at [t], spans at
+     completion, [t + dur]; the JSON round trip leaves a microsecond of
+     rounding *)
+  let last_emit = ref neg_infinity and last_line = ref 0 in
+  let emitted line t =
+    if t < !last_emit -. 1e-6 then
+      error "line %d: emission time %.9f earlier than line %d's %.9f" line t
+        !last_line !last_emit;
+    if t > !last_emit then begin
+      last_emit := t;
+      last_line := line
+    end
+  in
+  (* span depth: spans complete children first, so a completed span
+     waits until a span one level up adopts it; a deeper span left
+     inside a completing span means an intermediate one never completed.
+     Depth is domain-local, so each domain keeps its own waiting list. *)
+  let waiting : (int, pending_span list) Hashtbl.t = Hashtbl.create 4 in
+  let span_depth line ~dom name depth t t_end =
+    let eps = 1e-9 in
+    let inside p = p.ps_start >= t -. eps && p.ps_end <= t_end +. eps in
+    let rest =
+      Option.value ~default:[] (Hashtbl.find_opt waiting dom)
+      |> List.filter (fun p -> not (p.ps_depth = depth + 1 && inside p))
+    in
+    List.iter
+      (fun p ->
+        if p.ps_depth > depth && inside p then
+          error "line %d: span %S (depth %d) lies inside span %S (depth %d) \
+                 but is not its direct child"
+            p.ps_line p.ps_name p.ps_depth name depth)
+      rest;
+    Hashtbl.replace waiting dom
+      ({ ps_line = line; ps_name = name; ps_depth = depth; ps_start = t;
+         ps_end = t_end }
+      :: List.filter (fun p -> not (p.ps_depth > depth && inside p)) rest)
+  in
+  (* each certificate pairs with an earlier unsat solver_call *)
+  let unsat_calls = ref 0 and certificates = ref 0 in
+  let degraded = ref false in
+  let loop_event line ev loop =
+    let b = bracket loop in
+    let bad fmt =
+      error ("line %d: %s for loop %S " ^^ fmt) line (Trace.name ev) loop
+    in
+    (match ev with
+    | Loop_started _ ->
+      b.br_started <- b.br_started + 1;
+      b.br_exhausted <- false;
+      b.br_last_progress <- -1
+    | _ when b.br_started = 0 -> bad "before loop_started"
+    | Loop_finished _ -> ()
+    | _ when b.br_finished >= b.br_started -> bad "after loop_finished"
+    | _ when b.br_exhausted -> bad "after budget_exhausted"
+    | _ -> ());
+    match ev with
+    | Iteration _ -> b.br_iterations <- b.br_iterations + 1
+    | Budget_exhausted { reason; _ } ->
+      b.br_exhausted <- true;
+      if not (List.mem reason known_budget_reasons) then
+        bad "with unknown reason %S" reason
+    | Progress { iteration; _ } ->
+      if iteration < b.br_last_progress then
+        bad "went backwards (%d after %d)" iteration b.br_last_progress;
+      b.br_last_progress <- max b.br_last_progress iteration
+    | Stall_detected { seconds_stalled; _ } ->
+      if not (seconds_stalled > 0.0) then
+        bad "with non-positive seconds_stalled"
+    | Loop_finished { attrs; _ } -> (
+      b.br_finished <- b.br_finished + 1;
+      (* D's time is part of the loop's wall time; the two are rounded
+         separately, hence the microsecond slack *)
+      match (attr_float attrs "deduce_ms", attr_float attrs "elapsed") with
+      | Some d, _ when d < 0.0 -> bad "with negative deduce_ms"
+      | Some d, Some e when d > (1000.0 *. e) +. 1e-3 ->
+        bad "with deduce_ms %.3f past its elapsed %.3f ms" d (1000.0 *. e)
+      | _ -> ())
+    | _ -> ()
+  in
+  let event line ev =
+    (match ev with
+    | Solver_call { result = "unsat"; _ } -> incr unsat_calls
+    | Certificate { attrs; _ } ->
+      incr certificates;
+      if !certificates > !unsat_calls then
+        error "line %d: certificate without a preceding unsat solver_call" line;
+      List.iter
+        (fun k ->
+          match attr_int attrs k with
+          | Some n when n >= 0 -> ()
+          | _ -> error "line %d: certificate without a non-negative %s" line k)
+        [ "proof_bytes"; "core_size" ]
+    | Job_requeued { requeue; restart_budget; _ } ->
+      if requeue < 1 || requeue > restart_budget then
+        error "line %d: job_requeued with requeue %d outside 1..%d" line
+          requeue restart_budget
+    (* a trailing open degraded_entered is fine: a crashed daemon dies
+       degraded *)
+    | Degraded_entered _ ->
+      if !degraded then error "line %d: degraded_entered while degraded" line;
+      degraded := true
+    | Degraded_exited _ ->
+      if not !degraded then
+        error "line %d: degraded_exited without a degraded_entered" line;
+      degraded := false
+    | _ -> ());
+    match (ev, Trace.loop ev) with
+    (* portfolio members solve (and certify) on worker domains outside
+       any loop *)
+    | (Solver_call _ | Certificate _), "" -> ()
+    | _, "" ->
+      error "line %d: %s event with an empty loop name" line (Trace.name ev)
+    (* the server's events span the daemon's life, not a loop run *)
+    | (Job_requeued _ | Degraded_entered _ | Degraded_exited _), _ -> ()
+    | _, loop -> loop_event line ev loop
+  in
+  List.iter
+    (fun (line, r) ->
+      let t, dur =
+        match r with
+        | Span { t; dur; _ } -> (t, dur)
+        | Event { t; _ } | Metrics { t; _ } -> (t, 0.0)
+      in
+      if t < 0.0 then error "line %d: negative timestamp" line;
+      if dur < 0.0 then error "line %d: negative duration" line;
+      match r with
+      | Span { name; depth; dom; _ } ->
+        if depth < 0 then error "line %d: span %S with negative depth" line name
+        else if t >= 0.0 && dur >= 0.0 then begin
+          emitted line (t +. dur);
+          span_depth line ~dom name depth t (t +. dur)
+        end
+      | Event { event = ev; _ } ->
+        emitted line t;
+        event line ev
+      | Metrics _ -> emitted line t)
+    lines;
+  (match List.rev lines with
+  | [] -> error "empty trace"
+  | (_, Metrics _) :: _ -> ()
+  | _ -> error "trace does not end with a metrics snapshot");
+  Hashtbl.iter
+    (fun _ ->
+      List.iter (fun p ->
+          if p.ps_depth > 0 then
+            error "line %d: span %S at depth %d has no completed enclosing span"
+              p.ps_line p.ps_name p.ps_depth))
+    waiting;
+  Hashtbl.iter
+    (fun loop b ->
+      if b.br_finished > b.br_started then
+        error "loop %S: %d loop_finished but only %d loop_started" loop
+          b.br_finished b.br_started)
+    brackets;
+  List.iter
+    (fun loop ->
+      match Hashtbl.find_opt brackets loop with
+      | None -> error "required loop %S absent from the trace" loop
+      | Some b ->
+        if b.br_finished = 0 then error "required loop %S never finished" loop;
+        if b.br_iterations = 0 then
+          error "required loop %S has no iterations" loop)
+    require;
+  List.rev !errors
 
 (* ----- metrics snapshot helpers (parsed from JSON, not the registry) ----- *)
 

@@ -12,31 +12,29 @@
 
 (** {1 Trace ingestion} *)
 
-(** One trace line, typed. Span attributes keep their JSON values so
-    callers can pull loop-specific fields ([depth], [conflicts], ...)
-    without this module hard-coding every instrument. *)
-type record =
-  | Span of {
-      t : float;  (** start, seconds since [Obs.enable] *)
-      name : string;
-      dur : float;
-      depth : int;
-      dom : int;  (** emitting domain; 0 in single-domain traces *)
-      attrs : (string * Json.t) list;
-    }
-  | Event of {
-      t : float;
-      name : string;
-      loop : string;
-      attrs : (string * Json.t) list;
-    }
-  | Snapshot of { t : float; metrics : (string * Json.t) list }
+val load : string -> (Trace.record list, string) result
+(** Read a JSONL trace file through {!Trace.read}; blank lines are
+    skipped, the first line that does not decode aborts with its line
+    number, and a trace without records is an error. *)
 
-val record_of_json : Json.t -> (record, string) result
+(** {1 Validation} *)
 
-val load : string -> (record list, string) result
-(** Read a JSONL trace file; blank lines are skipped, the first
-    malformed line aborts with its line number. *)
+val check : ?require:string list -> (int * Trace.record) list -> string list
+(** The rules behind [trace_check], over the line-numbered records of
+    {!Trace.read}: every violation, each naming its line when it has
+    one; [[]] accepts the trace. Rejected are negative times, emission
+    times (a span's [t + dur]) going backwards, a span not directly
+    inside a completed span one level up on its domain, a loop event
+    outside its loop's [loop_started] .. [loop_finished] or after its
+    [budget_exhausted], an empty loop name (but on a portfolio member's
+    [solver_call] or [certificate]), an unknown budget reason, [progress]
+    going backwards, [seconds_stalled <= 0], a [deduce_ms] below 0 or
+    past [elapsed], a [certificate] without an unpaired unsat
+    [solver_call] or a non-negative [proof_bytes] and [core_size], a
+    [requeue] outside [1..restart_budget], [degraded_entered]/[_exited]
+    out of turn (a trailing open entered is accepted), a trace not
+    ending in a metrics snapshot, and a loop in [require] that is
+    absent, never finishes or has no iterations. *)
 
 (** {1 Convergence diagnostics} *)
 
@@ -117,7 +115,7 @@ type t = {
       (** completed spans whose enclosing span never completed *)
 }
 
-val analyze : record list -> t
+val analyze : Trace.record list -> t
 
 val pp_report : ?top:int -> Format.formatter -> t -> unit
 (** The human-readable report: header, per-loop convergence tables with

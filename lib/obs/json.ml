@@ -155,7 +155,9 @@ let parse s =
       advance ()
     done;
     let tok = String.sub s start (!pos - start) in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then
+    (* "-0" is how the printer writes the float -0.0; no int prints so *)
+    if tok = "-0" || String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok
+    then
       match float_of_string_opt tok with
       | Some f -> Float f
       | None -> fail "bad number"

@@ -1,17 +1,11 @@
 module Json = Json
 module Metrics = Metrics
+module Trace = Trace
 module Analyze = Analyze
 module Heartbeat = Heartbeat
 module Live = Live
 module Statsd = Statsd
-
-type value =
-  | Int of int
-  | Float of float
-  | Bool of bool
-  | String of string
-
-type attrs = (string * value) list
+include Trace.Schema
 
 (* ----- global state -----
 
@@ -73,52 +67,23 @@ let enable () =
 
 (* ----- record plumbing ----- *)
 
-let json_of_value = function
-  | Int i -> Json.Int i
-  | Float f -> Json.Float f
-  | Bool b -> Json.Bool b
-  | String s -> Json.String s
-
-let json_of_attrs attrs =
-  Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) attrs)
-
 (* must be called with [obs_lock] held *)
-let emit_record r = List.iter (fun s -> s.emit r) !sinks
+let emit_record r =
+  let j = Trace.to_json r in
+  List.iter (fun s -> s.emit j) !sinks
 
-let span_record ~t ~name ~dur ~depth ~attrs =
-  Json.Obj
-    [
-      ("t", Json.Float t);
-      ("kind", Json.String "span");
-      ("name", Json.String name);
-      ("dur", Json.Float dur);
-      ("depth", Json.Int depth);
-      ("dom", Json.Int (dom_id ()));
-      ("attrs", json_of_attrs attrs);
-    ]
-
-let event_record ~t ~name ~loop ~attrs =
-  Json.Obj
-    [
-      ("t", Json.Float t);
-      ("kind", Json.String "event");
-      ("name", Json.String name);
-      ("loop", Json.String loop);
-      ("dom", Json.Int (dom_id ()));
-      ("attrs", json_of_attrs attrs);
-    ]
+let emit_event ~t event =
+  emit_record (Trace.Event { t; dom = dom_id (); event })
 
 let metrics_record () =
-  Json.Obj
-    [
-      ("t", Json.Float (now () -. !t0));
-      ("kind", Json.String "metrics");
-      ( "metrics",
-        Json.Obj
-          (List.map
-             (fun (name, v) -> (name, Metrics.to_json v))
-             (Metrics.snapshot ())) );
-    ]
+  Trace.Metrics
+    {
+      t = now () -. !t0;
+      metrics =
+        List.map
+          (fun (name, v) -> (name, Metrics.to_json v))
+          (Metrics.snapshot ());
+    }
 
 let close_sinks () =
   List.iter (fun s -> s.close ()) !sinks;
@@ -243,8 +208,15 @@ let end_span ?(attrs = []) sp =
     a.s_total <- a.s_total +. dur;
     if dur > a.s_max then a.s_max <- dur;
     emit_record
-      (span_record ~t:sp.sp_start ~name:sp.sp_name ~dur ~depth:sp.sp_depth
-         ~attrs:(sp.sp_attrs @ attrs));
+      (Trace.Span
+         {
+           t = sp.sp_start;
+           name = sp.sp_name;
+           dur;
+           depth = sp.sp_depth;
+           dom = dom_id ();
+           attrs = sp.sp_attrs @ attrs;
+         });
     Mutex.unlock obs_lock
   end
 
@@ -259,33 +231,6 @@ let with_span ?attrs name f =
     raise e
 
 (* ----- typed loop events ----- *)
-
-type event =
-  | Loop_started of { loop : string; attrs : attrs }
-  | Iteration of { loop : string; index : int; attrs : attrs }
-  | Candidate of { loop : string; attrs : attrs }
-  | Oracle_verdict of { loop : string; verdict : string; attrs : attrs }
-  | Counterexample of { loop : string; attrs : attrs }
-  | Solver_call of { loop : string; result : string; attrs : attrs }
-  | Certificate of { loop : string; attrs : attrs }
-  | Progress of { loop : string; iteration : int; attrs : attrs }
-  | Stall_detected of {
-      loop : string;
-      iteration : int;
-      seconds_stalled : float;
-      attrs : attrs;
-    }
-  | Budget_exhausted of { loop : string; reason : string; attrs : attrs }
-  | Loop_finished of { loop : string; attrs : attrs }
-  | Job_requeued of {
-      loop : string;
-      id : string;
-      requeue : int;
-      restart_budget : int;
-      attrs : attrs;
-    }
-  | Degraded_entered of { loop : string; reason : string; attrs : attrs }
-  | Degraded_exited of { loop : string; attrs : attrs }
 
 let loop_agg_of name =
   match Hashtbl.find_opt loop_aggs name with
@@ -309,64 +254,26 @@ let emit ev =
     Mutex.lock obs_lock;
     let wall = now () in
     let t = wall -. !t0 in
-    let name, loop, attrs =
-      match ev with
-      | Loop_started { loop; attrs } ->
-        (loop_agg_of loop).l_runs <- (loop_agg_of loop).l_runs + 1;
-        ("loop_started", loop, attrs)
-      | Iteration { loop; index; attrs } ->
-        (loop_agg_of loop).l_iterations <- (loop_agg_of loop).l_iterations + 1;
-        ("iteration", loop, ("index", Int index) :: attrs)
-      | Candidate { loop; attrs } ->
-        (loop_agg_of loop).l_candidates <- (loop_agg_of loop).l_candidates + 1;
-        ("candidate", loop, attrs)
-      | Oracle_verdict { loop; verdict; attrs } ->
-        ("oracle_verdict", loop, ("verdict", String verdict) :: attrs)
-      | Counterexample { loop; attrs } ->
-        (loop_agg_of loop).l_cexes <- (loop_agg_of loop).l_cexes + 1;
-        ("counterexample", loop, attrs)
-      | Solver_call { loop; result; attrs } ->
-        if loop <> "" then
-          (loop_agg_of loop).l_solver_calls
-          <- (loop_agg_of loop).l_solver_calls + 1;
-        ("solver_call", loop, ("result", String result) :: attrs)
-      | Certificate { loop; attrs } -> ("certificate", loop, attrs)
-      | Progress { loop; iteration; attrs } ->
-        ("progress", loop, ("iteration", Int iteration) :: attrs)
-      | Stall_detected { loop; iteration; seconds_stalled; attrs } ->
-        ( "stall_detected",
-          loop,
-          ("iteration", Int iteration)
-          :: ("seconds_stalled", Float seconds_stalled)
-          :: attrs )
-      | Budget_exhausted { loop; reason; attrs } ->
-        ("budget_exhausted", loop, ("reason", String reason) :: attrs)
-      | Loop_finished { loop; attrs } -> ("loop_finished", loop, attrs)
-      | Job_requeued { loop; id; requeue; restart_budget; attrs } ->
-        ( "job_requeued",
-          loop,
-          ("id", String id)
-          :: ("requeue", Int requeue)
-          :: ("restart_budget", Int restart_budget)
-          :: attrs )
-      | Degraded_entered { loop; reason; attrs } ->
-        ("degraded_entered", loop, ("reason", String reason) :: attrs)
-      | Degraded_exited { loop; attrs } -> ("degraded_exited", loop, attrs)
-    in
-    emit_record (event_record ~t ~name ~loop ~attrs);
-    (* heartbeat bookkeeping and the derived progress channel, still
-       under [obs_lock]: the watchdog can never see a loop advance
-       before the advancing record is in the trace, and a progress
-       record can never follow its loop's terminal event *)
+    emit_event ~t ev;
+    (* the per-loop aggregates, heartbeat bookkeeping and the derived
+       progress channel, still under [obs_lock]: the watchdog can never
+       see a loop advance before the advancing record is in the trace,
+       and a progress record can never follow its loop's terminal
+       event *)
     (match ev with
-    | Loop_started { loop; _ } -> Heartbeat.started ~loop ~now:wall
+    | Loop_started { loop; _ } ->
+      let a = loop_agg_of loop in
+      a.l_runs <- a.l_runs + 1;
+      Heartbeat.started ~loop ~now:wall
     | Iteration { loop; index; attrs } ->
+      let a = loop_agg_of loop in
+      a.l_iterations <- a.l_iterations + 1;
       (* parallel sweeps hand out iteration indices before taking the
          lock, so records may arrive out of order; the heartbeat keeps
          the max, which is what progress reports *)
       let reached =
         Heartbeat.beat ~loop ~now:wall ~iteration:index
-          ~attrs:(List.map (fun (k, v) -> (k, json_of_value v)) attrs)
+          ~attrs:(List.map (fun (k, v) -> (k, Trace.json_of_value v)) attrs)
       in
       let iv = !progress_interval in
       if iv > 0.0 then begin
@@ -377,17 +284,25 @@ let emit ev =
         in
         if due then begin
           Hashtbl.replace last_progress loop t;
-          emit_record
-            (event_record ~t ~name:"progress" ~loop
-               ~attrs:(("iteration", Int reached) :: attrs))
+          emit_event ~t (Progress { loop; iteration = reached; attrs })
         end
+      end
+    | Candidate { loop; _ } ->
+      let a = loop_agg_of loop in
+      a.l_candidates <- a.l_candidates + 1
+    | Counterexample { loop; _ } ->
+      let a = loop_agg_of loop in
+      a.l_cexes <- a.l_cexes + 1
+    | Solver_call { loop; _ } ->
+      if loop <> "" then begin
+        let a = loop_agg_of loop in
+        a.l_solver_calls <- a.l_solver_calls + 1
       end
     | Budget_exhausted { loop; _ } | Loop_finished { loop; _ } ->
       Heartbeat.finish ~loop;
       Hashtbl.remove last_progress loop
-    | Candidate _ | Oracle_verdict _ | Counterexample _ | Solver_call _
-    | Certificate _ | Progress _ | Stall_detected _ | Job_requeued _
-    | Degraded_entered _ | Degraded_exited _ ->
+    | Oracle_verdict _ | Certificate _ | Progress _ | Stall_detected _
+    | Job_requeued _ | Degraded_entered _ | Degraded_exited _ ->
       ());
     Mutex.unlock obs_lock
   end
@@ -400,15 +315,14 @@ let check_stalls ~window =
     List.iter
       (fun st ->
         Metrics.incr m_stalls;
-        emit_record
-          (event_record ~t ~name:"stall_detected" ~loop:st.Heartbeat.hb_loop
-             ~attrs:
-               [
-                 ("iteration", Int st.Heartbeat.hb_iteration);
-                 ( "seconds_stalled",
-                   Float (wall -. st.Heartbeat.hb_last_advance) );
-                 ("window", Float window);
-               ]))
+        emit_event ~t
+          (Stall_detected
+             {
+               loop = st.Heartbeat.hb_loop;
+               iteration = st.Heartbeat.hb_iteration;
+               seconds_stalled = wall -. st.Heartbeat.hb_last_advance;
+               attrs = [ ("window", Float window) ];
+             }))
       (Heartbeat.poll ~now:wall ~window);
     Mutex.unlock obs_lock
   end
@@ -432,6 +346,17 @@ module Loop = struct
     end
 
   let name l = l.ln
+
+  (* the calling domain's stack is restored on every exit, whatever
+     loops [f] started or finished on it *)
+  let within l f =
+    if not l.alive then f ()
+    else begin
+      let stack = loop_stack () in
+      let saved = !stack in
+      stack := l.ln :: saved;
+      Fun.protect ~finally:(fun () -> stack := saved) f
+    end
 
   let iteration ?(attrs = []) l index =
     if l.alive then emit (Iteration { loop = l.ln; index; attrs })
@@ -584,82 +509,45 @@ let pp_summary ppf () =
 (* ----- Chrome trace_event export ----- *)
 
 let export_chrome ~input ~output =
-  match open_in input with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let events = ref [] in
-    let push e = events := e :: !events in
-    let err = ref None in
-    let lineno = ref 0 in
-    (try
-       while !err = None do
-         let line = input_line ic in
-         incr lineno;
-         if String.trim line <> "" then begin
-           match Json.parse line with
-           | Error msg ->
-             err := Some (Printf.sprintf "line %d: %s" !lineno msg)
-           | Ok r -> (
-             let field k = Json.member k r in
-             let str k = Option.bind (field k) Json.to_str in
-             let num k = Option.bind (field k) Json.to_float in
-             let us v = Json.Float (1e6 *. v) in
-             let common name ph t =
-               [
-                 ("name", Json.String name);
-                 ("ph", Json.String ph);
-                 ("ts", us t);
-                 ("pid", Json.Int 1);
-                 ("tid", Json.Int 1);
-               ]
-             in
-             match (str "kind", str "name", num "t") with
-             | Some "span", Some name, Some t ->
-               let dur = Option.value (num "dur") ~default:0.0 in
-               let args =
-                 Option.value (field "attrs") ~default:(Json.Obj [])
-               in
-               push
-                 (Json.Obj
-                    (common name "X" t
-                    @ [ ("dur", us dur); ("args", args) ]))
-             | Some "event", Some name, Some t ->
-               let loop = Option.value (str "loop") ~default:"" in
-               let label = if loop = "" then name else loop ^ "." ^ name in
-               let args =
-                 Option.value (field "attrs") ~default:(Json.Obj [])
-               in
-               push
-                 (Json.Obj
-                    (common label "i" t
-                    @ [ ("s", Json.String "t"); ("args", args) ]))
-             | Some "metrics", _, Some t ->
-               (* counters only; histograms don't fit Chrome's "C" shape *)
-               (match field "metrics" with
-               | Some (Json.Obj fields) ->
-                 List.iter
-                   (fun (name, v) ->
-                     match v with
-                     | Json.Int _ | Json.Float _ ->
-                       push
-                         (Json.Obj
-                            (common name "C" t
-                            @ [ ("args", Json.Obj [ ("value", v) ]) ]))
-                     | _ -> ())
-                   fields
-               | _ -> ())
-             | _ ->
-               err := Some (Printf.sprintf "line %d: unknown record" !lineno))
-         end
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (match !err with
-    | Some msg -> Error msg
-    | None ->
-      let oc = open_out output in
-      output_string oc
-        (Json.to_string (Json.Obj [ ("traceEvents", Json.List (List.rev !events)) ]));
-      output_char oc '\n';
-      close_out oc;
-      Ok ())
+  match Trace.read input with
+  | Error msg -> Error msg
+  | Ok records ->
+    let us v = Json.Float (1e6 *. v) in
+    let common name ph t =
+      [
+        ("name", Json.String name);
+        ("ph", Json.String ph);
+        ("ts", us t);
+        ("pid", Json.Int 1);
+        ("tid", Json.Int 1);
+      ]
+    in
+    let args attrs = ("args", Trace.json_of_attrs attrs) in
+    let chrome = function
+      | Trace.Span { t; name; dur; attrs; _ } ->
+        [ Json.Obj (common name "X" t @ [ ("dur", us dur); args attrs ]) ]
+      | Trace.Event { t; event; _ } ->
+        let name, loop, attrs = Trace.fields event in
+        let label = if loop = "" then name else loop ^ "." ^ name in
+        [
+          Json.Obj
+            (common label "i" t @ [ ("s", Json.String "t"); args attrs ]);
+        ]
+      | Trace.Metrics { t; metrics } ->
+        (* counters only; histograms don't fit Chrome's "C" shape *)
+        List.filter_map
+          (fun (name, v) ->
+            match v with
+            | Json.Int _ | Json.Float _ ->
+              let value = Json.Obj [ ("value", v) ] in
+              Some (Json.Obj (common name "C" t @ [ ("args", value) ]))
+            | _ -> None)
+          metrics
+    in
+    let events = List.concat_map (fun (_, r) -> chrome r) records in
+    let oc = open_out output in
+    output_string oc
+      (Json.to_string (Json.Obj [ ("traceEvents", Json.List events) ]));
+    output_char oc '\n';
+    close_out oc;
+    Ok ()

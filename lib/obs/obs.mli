@@ -22,9 +22,14 @@
 module Json = Json
 module Metrics = Metrics
 
+module Trace = Trace
+(** The trace record schema and its codec: every record this library
+    writes is encoded there, and every reader decodes through it. *)
+
 module Analyze = Analyze
 (** The read side: trace ingestion, convergence diagnostics, flame
-    profiles, and the cross-trace regression diff. *)
+    profiles, the trace validator, and the cross-trace regression
+    diff. *)
 
 module Heartbeat = Heartbeat
 (** Per-loop liveness ledger behind {!check_stalls} and the stats
@@ -41,14 +46,11 @@ module Statsd = Statsd
     the ticker's data as Prometheus text ([/metrics]) or JSON
     ([/json]). *)
 
-(** Attribute values attached to spans and events. *)
-type value =
-  | Int of int
-  | Float of float
-  | Bool of bool
-  | String of string
-
-type attrs = (string * value) list
+include module type of struct
+  include Trace.Schema
+end
+(** The attribute values and the typed loop events, re-exported from
+    {!Trace.Schema} so emitters write [Obs.Int], [Obs.Job_requeued]. *)
 
 (** {1 Lifecycle} *)
 
@@ -104,63 +106,9 @@ val with_span : ?attrs:attrs -> string -> (unit -> 'a) -> 'a
 
 (** {1 Typed loop events}
 
-    The shared vocabulary of the paper's counterexample-guided loops
-    (OGIS, CEGAR, BMC, invariant generation, L*, GameTime): an
-    iteration begins, a candidate is proposed, an oracle delivers a
-    verdict, a counterexample joins the example set, a solver call
-    completes. Each event names its loop, so interleaved loops (CEGAR
-    driving BMC) stay distinguishable in one trace. *)
-
-type event =
-  | Loop_started of { loop : string; attrs : attrs }
-  | Iteration of { loop : string; index : int; attrs : attrs }
-  | Candidate of { loop : string; attrs : attrs }
-  | Oracle_verdict of { loop : string; verdict : string; attrs : attrs }
-  | Counterexample of { loop : string; attrs : attrs }
-  | Solver_call of { loop : string; result : string; attrs : attrs }
-  | Certificate of { loop : string; attrs : attrs }
-      (** a proof certificate was issued for an unsat solver verdict
-          (see [Smt.Proof]); carries [cert], [proof_bytes], [core_size]
-          and the core's constraint names. Emitted at most once per
-          solver call, directly after the matching [solver_call]
-          record. *)
-  | Progress of { loop : string; iteration : int; attrs : attrs }
-      (** rate-limited liveness heartbeat: the highest iteration the
-          loop has reached, plus whatever the iteration carried (depth,
-          budget remaining). Synthesized by [emit] from [Iteration]
-          when {!set_progress_interval} is positive — at most one per
-          loop per interval — so callers rarely emit it directly. *)
-  | Stall_detected of {
-      loop : string;
-      iteration : int;
-      seconds_stalled : float;
-      attrs : attrs;
-    }
-      (** the watchdog ({!check_stalls}) saw no iteration advance for a
-          full window. Diagnostic only: nothing is killed, and the loop
-          may advance again afterwards. *)
-  | Budget_exhausted of { loop : string; reason : string; attrs : attrs }
-      (** the loop's resource budget ran out; terminal for the loop —
-          only [Loop_finished] may follow for the same loop *)
-  | Loop_finished of { loop : string; attrs : attrs }
-  | Job_requeued of {
-      loop : string;
-      id : string;
-      requeue : int;
-      restart_budget : int;
-      attrs : attrs;
-    }
-      (** server plane ([loop = "server"]): a dispatcher died while
-          holding this job; the supervisor put it back on the queue.
-          [requeue] is the victim's cumulative requeue count, always
-          [<= restart_budget] — past the budget the job is given up with
-          a typed [internal_error] instead. *)
-  | Degraded_entered of { loop : string; reason : string; attrs : attrs }
-      (** server plane: sustained overload or repeated dispatcher
-          failure; the daemon now sheds fresh heavy jobs and only serves
-          cache/warm hits *)
-  | Degraded_exited of { loop : string; attrs : attrs }
-      (** server plane: pressure receded; normal admission resumed *)
+    The loop events are {!Trace.Schema.event}; each names its loop, so
+    interleaved loops (CEGAR driving BMC) stay distinguishable in one
+    trace. *)
 
 val emit : event -> unit
 (** No-op while disabled. *)
@@ -186,6 +134,13 @@ module Loop : sig
 
   val start : ?attrs:attrs -> string -> t
   val name : t -> string
+
+  val within : t -> (unit -> 'a) -> 'a
+  (** [within l f] runs [f] with [l] as the calling domain's current
+      loop, so the solver calls [f] makes are attributed to [l] on
+      whichever domain runs it. The domain's loop stack is restored
+      when [f] returns or raises. Once [l] has finished, it is [f ()]. *)
+
   val iteration : ?attrs:attrs -> t -> int -> unit
   val candidate : ?attrs:attrs -> t -> unit
   val verdict : ?attrs:attrs -> t -> string -> unit

@@ -31,7 +31,7 @@ let deduce l d q =
             l.d_inflight <- l.d_inflight - 1;
             if l.d_inflight = 0 then
               l.d_total <- l.d_total +. (Unix.gettimeofday () -. l.d_since)))
-      (fun () -> d q)
+      (fun () -> Obs.Loop.within l.lp (fun () -> d q))
   end
 
 let solve l ~conflicts d =

@@ -51,8 +51,10 @@ val tick : t -> Budget.reason option
 
 val deduce : t -> ('a -> 'b) -> 'a -> 'b
 (** [deduce l d q] asks D the query [q]. While the loop is traced, the
-    wall time D spends is summed into [deduce_ms]; overlapping calls
-    from a pool count once. Untraced, it is [d q]. *)
+    call runs as the loop [l] on whichever domain runs it (its solver
+    calls and certificates name [l]), and the wall time D spends is
+    summed into [deduce_ms]; overlapping calls from a pool count once.
+    Untraced, it is [d q]. *)
 
 val solve : t -> conflicts:(unit -> int) -> (Smt.Sat.limits -> 'a) -> 'a
 (** The metered D call: [solve l ~conflicts d] runs [d limits] through

@@ -36,7 +36,7 @@ let snap t = Json.Obj [ ("t", Json.Float t); ("kind", Json.String "metrics"); ("
 let parse_all js =
   List.map
     (fun j ->
-      match Analyze.record_of_json j with
+      match Obs.Trace.of_json j with
       | Ok r -> r
       | Error msg -> Alcotest.fail msg)
     js
@@ -296,6 +296,316 @@ let test_load_errors () =
   Sys.remove path;
   Sys.remove empty
 
+(* the strict decoder: a line the schema does not know is an error
+   naming its line, where ingestion used to accept it *)
+let test_unknown_event_rejected () =
+  let path = Filename.temp_file "analyze_test" ".jsonl" in
+  let out = Filename.temp_file "analyze_test" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path; Sys.remove out)
+  @@ fun () ->
+  let oc = open_out path in
+  List.iter
+    (fun j -> output_string oc (Json.to_string j ^ "\n"))
+    [ ev 0.0 "loop_started" "l"; ev 0.1 "loop_exploded" "l"; snap 0.2 ];
+  close_out oc;
+  let names_line_2 what = function
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names line 2 and the event" what msg)
+        true
+        (contains msg "line 2" && contains msg "loop_exploded")
+    | Ok _ -> Alcotest.failf "%s accepted an unknown event" what
+  in
+  names_line_2 "Analyze.load" (Analyze.load path);
+  names_line_2 "export_chrome" (Obs.export_chrome ~input:path ~output:out)
+
+(* ------------------------------------------------------------------ *)
+(* trace_check's rules: one planted trace per rejection                *)
+(* ------------------------------------------------------------------ *)
+
+let ln_ev ?(attrs = "") t name loop =
+  Printf.sprintf
+    {|{"t":%g,"kind":"event","name":"%s","loop":"%s","dom":0,"attrs":{%s}}|} t
+    name loop attrs
+
+let ln_span ?(dom = {|"dom":0,|}) t name dur depth =
+  Printf.sprintf
+    {|{"t":%g,"kind":"span","name":"%s","dur":%g,"depth":%d,%s"attrs":{}}|} t
+    name dur depth dom
+
+let ln_metrics t = Printf.sprintf {|{"t":%g,"kind":"metrics","metrics":{}}|} t
+
+(* a loop [l] whose run holds [body] (events from t = 0.1 on) *)
+let run_of body =
+  (ln_ev 0.0 "loop_started" "l" :: body)
+  @ [ ln_ev 0.9 "loop_finished" "l" ~attrs:{|"elapsed":0.9|}; ln_metrics 1.0 ]
+
+let iteration t = ln_ev t "iteration" "l" ~attrs:{|"index":0|}
+let good = run_of [ iteration 0.1 ]
+let unsat t loop = ln_ev t "solver_call" loop ~attrs:{|"result":"unsat"|}
+
+let cert ?(attrs = {|"proof_bytes":10,"core_size":1|}) t loop =
+  ln_ev t "certificate" loop ~attrs
+
+(* (case, trace lines, required loops, Some fragment of the expected
+   error, or None when the trace is valid) *)
+let planted =
+  [
+    ("valid loop run", good, [ "l" ], None);
+    ("unknown record kind",
+     [ {|{"t":0,"kind":"bogus"}|}; ln_metrics 0.1 ], [],
+     Some "unknown record kind");
+    ("unknown event name",
+     [ ln_ev 0.0 "loop_exploded" "l"; ln_metrics 0.1 ], [],
+     Some "unknown event");
+    ("event before loop_started",
+     [ iteration 0.0; ln_metrics 0.1 ], [], Some "before loop_started");
+    ("event after loop_finished", good @ [ iteration 1.1; ln_metrics 1.2 ], [],
+     Some "after loop_finished");
+    ("event after budget_exhausted",
+     run_of
+       [ ln_ev 0.1 "budget_exhausted" "l" ~attrs:{|"reason":"iterations"|};
+         iteration 0.2 ],
+     [], Some "after budget_exhausted");
+    ("unknown budget reason",
+     run_of [ ln_ev 0.1 "budget_exhausted" "l" ~attrs:{|"reason":"tea"|} ], [],
+     Some "unknown reason");
+    ("progress going backwards",
+     run_of
+       [ ln_ev 0.1 "progress" "l" ~attrs:{|"iteration":3|};
+         ln_ev 0.2 "progress" "l" ~attrs:{|"iteration":2|} ],
+     [], Some "went backwards");
+    ("stall without seconds_stalled",
+     run_of [ ln_ev 0.1 "stall_detected" "l" ~attrs:{|"iteration":0|} ], [],
+     Some "without seconds_stalled");
+    ("stall with seconds_stalled 0",
+     run_of
+       [ ln_ev 0.1 "stall_detected" "l"
+           ~attrs:{|"iteration":0,"seconds_stalled":0|} ],
+     [], Some "non-positive seconds_stalled");
+    ("negative deduce_ms",
+     [ ln_ev 0.0 "loop_started" "l";
+       ln_ev 0.1 "loop_finished" "l" ~attrs:{|"deduce_ms":-1,"elapsed":0.1|};
+       ln_metrics 0.2 ],
+     [], Some "negative deduce_ms");
+    ("deduce_ms past elapsed",
+     [ ln_ev 0.0 "loop_started" "l";
+       ln_ev 0.1 "loop_finished" "l" ~attrs:{|"deduce_ms":500,"elapsed":0.1|};
+       ln_metrics 0.2 ],
+     [], Some "past its elapsed");
+    ("certificate without an unsat solver_call",
+     run_of
+       [ ln_ev 0.1 "solver_call" "l" ~attrs:{|"result":"sat"|}; cert 0.2 "l" ],
+     [], Some "without a preceding unsat solver_call");
+    ("certificate without proof_bytes",
+     run_of [ unsat 0.1 "l"; cert 0.2 "l" ~attrs:{|"core_size":1|} ], [],
+     Some "proof_bytes");
+    ("certificate without core_size",
+     run_of [ unsat 0.1 "l"; cert 0.2 "l" ~attrs:{|"proof_bytes":10|} ], [],
+     Some "core_size");
+    ("requeue below 1",
+     [ ln_ev 0.0 "job_requeued" "server"
+         ~attrs:{|"id":"j","requeue":0,"restart_budget":2|};
+       ln_metrics 0.1 ],
+     [], Some "job_requeued with requeue 0");
+    ("requeue past the restart budget",
+     [ ln_ev 0.0 "job_requeued" "server"
+         ~attrs:{|"id":"j","requeue":3,"restart_budget":2|};
+       ln_metrics 0.1 ],
+     [], Some "job_requeued with requeue 3");
+    ("degraded_entered twice",
+     [ ln_ev 0.0 "degraded_entered" "server" ~attrs:{|"reason":"overload"|};
+       ln_ev 0.1 "degraded_entered" "server" ~attrs:{|"reason":"overload"|};
+       ln_metrics 0.2 ],
+     [], Some "while degraded");
+    ("degraded_exited without degraded_entered",
+     [ ln_ev 0.0 "degraded_exited" "server"; ln_metrics 0.1 ], [],
+     Some "without a degraded_entered");
+    ("emission time going backwards",
+     [ ln_ev 0.5 "loop_started" "l"; ln_ev 0.1 "loop_finished" "l";
+       ln_metrics 0.6 ],
+     [], Some "earlier than line 1");
+    ("span at the wrong depth",
+     [ ln_span 0.1 "deep" 0.1 2; ln_span 0.0 "root" 1.0 0; ln_metrics 1.1 ], [],
+     Some "not its direct child");
+    ("no final metrics snapshot", [ ln_ev 0.0 "loop_started" "l" ], [],
+     Some "metrics snapshot");
+    ("required loop absent", good, [ "other" ], Some "absent");
+    ("required loop never finishes",
+     [ ln_ev 0.0 "loop_started" "l"; iteration 0.1; ln_metrics 0.2 ], [ "l" ],
+     Some "never finished");
+    ("required loop without iterations", run_of [], [ "l" ],
+     Some "no iterations");
+    ("trailing open degraded_entered",
+     [ ln_ev 0.0 "degraded_entered" "server" ~attrs:{|"reason":"overload"|};
+       ln_metrics 0.1 ],
+     [], None);
+    ("span without dom",
+     [ ln_span ~dom:"" 0.0 "root" 0.1 0; ln_metrics 0.2 ], [], None);
+    ("portfolio solver_call with an empty loop",
+     [ unsat 0.0 ""; cert 0.1 ""; ln_metrics 0.2 ], [], None);
+  ]
+
+(* what trace_check does: decode every line, then run the rules *)
+let check_lines ~require lines =
+  let path = Filename.temp_file "planted" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  match Obs.Trace.read path with
+  | Error msg -> [ msg ]
+  | Ok records -> Analyze.check ~require records
+
+let planted_case (case, lines, require, expected) =
+  Alcotest.test_case case `Quick (fun () ->
+      match (check_lines ~require lines, expected) with
+      | [], None -> ()
+      | errors, None ->
+        Alcotest.failf "valid trace rejected: %s" (String.concat "; " errors)
+      | [], Some _ -> Alcotest.fail "planted trace accepted"
+      | errors, Some fragment ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s in %s" fragment (String.concat "; " errors))
+          true
+          (List.exists (fun e -> contains e fragment) errors))
+
+(* encode -> decode -> encode is a fixpoint for every record. The
+   encoded lines are compared, not the values: %.12g writes 2.0 as 2,
+   which reads back as an Int, and a non-finite float as null. *)
+let codec_fixpoint =
+  let open QCheck.Gen in
+  let short = string_size ~gen:printable (0 -- 6) in
+  let any_float =
+    oneof
+      [
+        float;
+        oneofl [ nan; infinity; neg_infinity; -0.0; 2.0; 1e-7; 1e20; 0.1 ];
+      ]
+  in
+  let time = map Float.abs (float_bound_inclusive 1e4) in
+  let value =
+    oneof
+      [
+        map (fun i -> Obs.Int i) int;
+        map (fun f -> Obs.Float f) any_float;
+        map (fun b -> Obs.Bool b) bool;
+        map (fun s -> Obs.String s) short;
+      ]
+  in
+  let key = oneof [ short; oneofl [ "index"; "result"; "reason"; "id" ] ] in
+  let attrs = list_size (0 -- 4) (pair key value) in
+  let event =
+    let* loop = oneof [ short; return "" ] in
+    let* attrs = attrs in
+    let* i = int and* j = int and* f = any_float and* s = short in
+    oneofl
+      Obs.
+        [
+          Loop_started { loop; attrs };
+          Iteration { loop; index = i; attrs };
+          Candidate { loop; attrs };
+          Oracle_verdict { loop; verdict = s; attrs };
+          Counterexample { loop; attrs };
+          Solver_call { loop; result = s; attrs };
+          Certificate { loop; attrs };
+          Progress { loop; iteration = i; attrs };
+          Stall_detected { loop; iteration = i; seconds_stalled = f; attrs };
+          Budget_exhausted { loop; reason = s; attrs };
+          Loop_finished { loop; attrs };
+          Job_requeued { loop; id = s; requeue = i; restart_budget = j; attrs };
+          Degraded_entered { loop; reason = s; attrs };
+          Degraded_exited { loop; attrs };
+        ]
+  in
+  let metric =
+    pair short
+      (oneof
+         [
+           map (fun i -> Json.Int i) int;
+           map (fun f -> Json.Float f) any_float;
+           map
+             (fun (c, m) ->
+               let bucket = Json.List [ Json.Int 1; Json.Int c ] in
+               Json.Obj
+                 [ ("count", Json.Int c); ("max", Json.Int m);
+                   ("buckets", Json.List [ bucket ]) ])
+             (pair nat nat);
+         ])
+  in
+  let record =
+    let* t = time and* dom = nat in
+    oneof
+      [
+        (let* name = short and* dur = time and* depth = nat
+         and* attrs = attrs in
+         return (Obs.Trace.Span { t; name; dur; depth; dom; attrs }));
+        map (fun event -> Obs.Trace.Event { t; dom; event }) event;
+        map
+          (fun metrics -> Obs.Trace.Metrics { t; metrics })
+          (list_size (0 -- 4) metric);
+      ]
+  in
+  let line r = Json.to_string (Obs.Trace.to_json r) in
+  QCheck.Test.make ~count:2000 ~name:"encode-decode-encode is a fixpoint"
+    (QCheck.make ~print:line record)
+    (fun r ->
+      let l = line r in
+      match Result.bind (Json.parse l) Obs.Trace.of_json with
+      | Ok r' -> line r' = l
+      | Error msg -> QCheck.Test.fail_reportf "%s does not decode: %s" l msg)
+
+(* on pool workers, a loop's D calls still name it: every solver call
+   and certificate of a parallel BMC sweep is the sweep's, and the
+   analysis counts all of them *)
+let test_pool_calls_name_their_loop () =
+  Obs.reset ();
+  let sink, records = Obs.memory_sink () in
+  Obs.add_sink sink;
+  Obs.enable ();
+  let prefix =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "test_analyze_pool_%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () ->
+      Smt.Proof.disable ();
+      Certs.cleanup_spools prefix;
+      Obs.reset ())
+  @@ fun () ->
+  Smt.Proof.enable ~prefix;
+  let ts = Mc.Systems.mod_counter ~bits:3 ~modulus:6 ~bad_value:7 () in
+  (match
+     Par.Pool.with_pool ~jobs:2 (fun pool ->
+         Mc.Bmc.sweep ~pool ~workers:2 ts ~max_depth:24)
+   with
+  | Budget.Converged None -> ()
+  | _ -> Alcotest.fail "the counter never reaches 7");
+  Smt.Proof.disable ();
+  Obs.shutdown ();
+  let events name =
+    List.filter_map
+      (fun j ->
+        match Obs.Trace.of_json j with
+        | Ok (Obs.Trace.Event { event; _ }) when Obs.Trace.name event = name ->
+          Some (Obs.Trace.loop event)
+        | _ -> None)
+      (records ())
+  in
+  let calls = events "solver_call" and certs = events "certificate" in
+  Alcotest.(check bool) "solver calls made" true (calls <> []);
+  Alcotest.(check int) "one certificate per unsat call" (List.length calls)
+    (List.length certs);
+  Alcotest.(check (list string)) "every solver call names bmc"
+    (List.map (fun _ -> "bmc") calls) calls;
+  Alcotest.(check (list string)) "every certificate names bmc"
+    (List.map (fun _ -> "bmc") certs) certs;
+  let lr = the_loop (Analyze.analyze (parse_all (records ()))) in
+  Alcotest.(check int) "analysis counts every call" (List.length calls)
+    lr.Analyze.lr_solver_calls;
+  Alcotest.(check int) "analysis counts every certificate" (List.length certs)
+    lr.Analyze.lr_certs
+
 (* ------------------------------------------------------------------ *)
 (* cross-trace diff                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -501,7 +811,11 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_load_roundtrip;
           Alcotest.test_case "errors" `Quick test_load_errors;
+          Alcotest.test_case "unknown event rejected" `Quick
+            test_unknown_event_rejected;
         ] );
+      ("codec", [ QCheck_alcotest.to_alcotest codec_fixpoint ]);
+      ("check", List.map planted_case planted);
       ( "diff",
         [
           Alcotest.test_case "key figures" `Quick test_key_figures;
@@ -513,5 +827,7 @@ let () =
         [
           Alcotest.test_case "traced ogis analysis" `Quick
             test_traced_ogis_analysis;
+          Alcotest.test_case "pool D calls name their loop" `Quick
+            test_pool_calls_name_their_loop;
         ] );
     ]

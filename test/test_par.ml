@@ -147,8 +147,8 @@ let test_spans_from_domains () =
   let spans =
     List.filter_map
       (fun r ->
-        match Obs.Analyze.record_of_json r with
-        | Ok (Obs.Analyze.Span { name; depth; dom; _ }) -> Some (name, depth, dom)
+        match Obs.Trace.of_json r with
+        | Ok (Obs.Trace.Span { name; depth; dom; _ }) -> Some (name, depth, dom)
         | _ -> None)
       (records ())
   in
