@@ -218,8 +218,11 @@ let of_json j =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "%s without a valid %s" what k)
   in
-  let dom =
-    Option.value ~default:0 (Option.bind (Json.member "dom" j) Json.to_int)
+  (* traces written before the dom field are all single-domain *)
+  let dom what =
+    match Json.member "dom" j with
+    | None -> Ok 0
+    | Some _ -> field what "dom" Json.to_int
   in
   let attrs what =
     match Json.member "attrs" j with
@@ -240,12 +243,14 @@ let of_json j =
     let* name = field "span" "name" Json.to_str in
     let* dur = field "span" "dur" Json.to_float in
     let* depth = field "span" "depth" Json.to_int in
+    let* dom = dom "span" in
     let* attrs = attrs "span" in
     Ok (Span { t; name; dur; depth; dom; attrs })
   | Some "event" ->
     let* t = field "event" "t" Json.to_float in
     let* name = field "event" "name" Json.to_str in
     let* loop = field name "loop" Json.to_str in
+    let* dom = dom name in
     let* attrs = attrs name in
     let* event = event_of ~name ~loop attrs in
     Ok (Event { t; dom; event })
