@@ -296,8 +296,8 @@ let test_load_errors () =
   Sys.remove path;
   Sys.remove empty
 
-(* the strict decoder: a line the schema does not know is an error
-   naming its line, where ingestion used to accept it *)
+(* the strict decoder: every reader rejects an event the schema does
+   not know, naming its line *)
 let test_unknown_event_rejected () =
   let path = Filename.temp_file "analyze_test" ".jsonl" in
   let out = Filename.temp_file "analyze_test" ".json" in
