@@ -93,7 +93,7 @@ type wcet = {
 
 (* The eager answer is the first feasible path (in enumeration order)
    of greatest prediction. Predictions need no feasibility, so rank every
-   path by prediction, descending, with a stable sort (ties keep
+   live path by prediction, descending, with a stable sort (ties keep
    enumeration order) and ask the oracle only until the first feasible
    one: the same path, usually after one query instead of one per path. *)
 let wcet_opt t ~platform =

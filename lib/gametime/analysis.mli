@@ -85,7 +85,7 @@ val wcet_opt : t -> platform:((string * int) list -> int) -> wcet option
 (** Predict the longest path, then execute its test case (the final step
     of GameTime's answer to problem <TA>). The path is the first of
     {!predictions} with the greatest prediction, found lazily: every
-    path is predicted, and the feasibility oracle is asked in
+    live path is predicted, and the feasibility oracle is asked in
     descending order of prediction until it answers with a test case.
     [None] when no feasible path has a prediction (e.g. a truncated
     basis from an exhausted {!analyze}). *)

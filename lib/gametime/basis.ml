@@ -15,7 +15,24 @@ type partial = {
   reason : Budget.reason;
 }
 
-let rank_bound (g : Cfg.t) = Cfg.num_edges g - g.Cfg.nnodes + 2
+let count_true = Array.fold_left (fun n b -> if b then n + 1 else n) 0
+let live_edges (g : Cfg.t) = count_true g.Cfg.live
+
+(* every path vector over live edges is a unit flow from entry to exit
+   in the live subgraph, whose flow space has dimension
+   edges - nodes + 2; a subgraph without edges carries no nonzero
+   vector *)
+let rank_bound (g : Cfg.t) =
+  let nodes = Array.make g.Cfg.nnodes false in
+  Array.iter
+    (fun (e : Cfg.edge) ->
+      if g.Cfg.live.(e.Cfg.id) then begin
+        nodes.(e.Cfg.src) <- true;
+        nodes.(e.Cfg.dst) <- true
+      end)
+    g.Cfg.edges;
+  let n = count_true nodes in
+  if n = 0 then 0 else live_edges g - n + 2
 
 let extract ?(max_paths = 100_000) ?assuming ?(budget = Budget.unlimited) p
     (g : Cfg.t) =
@@ -31,9 +48,21 @@ let extract ?(max_paths = 100_000) ?assuming ?(budget = Budget.unlimited) p
       ("rank", Obs.Int (Linalg.rank span));
     ]
   in
+  (* why a converged run stopped: the span filled the live flow space,
+     the live paths ran out, or the enumeration cap was hit *)
+  let outcome () =
+    if Linalg.rank span >= bound then "rank_bound"
+    else if !examined >= max_paths then "max_paths"
+    else "enumerated"
+  in
   Loop.run "gametime" ~budget
-    ~attrs:[ ("edges", Obs.Int dim); ("rank_bound", Obs.Int bound) ]
-    ~finished:(fun _ -> totals ())
+    ~attrs:
+      [
+        ("edges", Obs.Int dim);
+        ("live_edges", Obs.Int (live_edges g));
+        ("rank_bound", Obs.Int bound);
+      ]
+    ~finished:(fun _ -> ("outcome", Obs.String (outcome ())) :: totals ())
     ~exhausted:(fun p ->
       (p.reason, [ ("examined", Obs.Int p.examined) ], totals ()))
   @@ fun lp ->

@@ -29,17 +29,23 @@ val extract :
   Prog.Lang.t ->
   Prog.Cfg.t ->
   (basis_path list, partial) Budget.outcome
-(** [extract unrolled cfg] returns the feasible basis paths. [max_paths]
-    bounds the structural paths examined (default 100_000); extraction
-    also stops early once the rank bound [m - n + 2] is reached. The
+(** [extract unrolled cfg] returns the feasible basis paths. It walks
+    the live paths ({!Prog.Paths.enumerate}) and stops once the span
+    reaches {!rank_bound}: no later path can then be independent, so the
+    basis is the one a walk of every structural path would keep.
+    [max_paths] bounds the paths examined (default 100_000). The
     program must be the unrolled one the CFG was built from. [assuming]
     constrains the generated test cases (see {!Prog.Testgen.feasible}).
 
     [?budget] (default unlimited) meters the loop: iterations count
-    examined structural paths, the conflict pool is drained by the
+    examined paths, the conflict pool is drained by the
     feasibility queries, and a query abandoned mid-extraction stops it.
     [max_paths] running out still counts as convergence (it is the
-    algorithm's own enumeration cap, not a resource budget). *)
+    algorithm's own enumeration cap, not a resource budget). A converged
+    run's [loop_finished] names why it stopped as its [outcome]:
+    ["rank_bound"], ["enumerated"] or ["max_paths"]. *)
 
 val rank_bound : Prog.Cfg.t -> int
-(** The dimension bound [m - n + 2] on the path-vector space. *)
+(** The dimension [m - n + 2] of the flow space of the live subgraph
+    ([m] live edges, [n] nodes they touch; 0 without live edges), which
+    holds every feasible path vector. *)

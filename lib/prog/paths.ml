@@ -1,21 +1,29 @@
 type path = int list
 
+(* outgoing live edges per node, in source order *)
+let live_succ (g : Cfg.t) =
+  Array.map
+    (List.filter (fun (e : Cfg.edge) -> g.Cfg.live.(e.Cfg.id)))
+    g.Cfg.succ
+
 let enumerate (g : Cfg.t) =
+  let succ = live_succ g in
   let rec from node acc () =
     if node = g.Cfg.exit_ then Seq.Cons (List.rev acc, Seq.empty)
     else
       let branches =
         List.map
           (fun (e : Cfg.edge) -> from e.Cfg.dst (e.Cfg.id :: acc))
-          g.Cfg.succ.(node)
+          succ.(node)
       in
       List.fold_right Seq.append branches Seq.empty ()
   in
   from g.Cfg.entry []
 
 let count (g : Cfg.t) =
-  (* number of paths from each node to exit, processed in reverse
+  (* number of live paths from each node to exit, processed in reverse
      topological order via memoized recursion (the CFG is a DAG) *)
+  let succ = live_succ g in
   let memo = Array.make g.Cfg.nnodes (-1) in
   let rec paths_from node =
     if node = g.Cfg.exit_ then 1
@@ -24,7 +32,7 @@ let count (g : Cfg.t) =
       let n =
         List.fold_left
           (fun acc (e : Cfg.edge) -> acc + paths_from e.Cfg.dst)
-          0 g.Cfg.succ.(node)
+          0 succ.(node)
       in
       memo.(node) <- n;
       n

@@ -7,10 +7,12 @@
 type path = int list
 
 val enumerate : Cfg.t -> path Seq.t
-(** All structural entry→exit paths, lazily, in DFS order. *)
+(** The entry→exit paths over live edges ({!Cfg.t.live}), lazily, in DFS
+    order. Every feasible path is among them, in the order a walk of all
+    structural paths would meet it; a path left out is infeasible. *)
 
 val count : Cfg.t -> int
-(** Number of structural paths (by dynamic programming, no enumeration). *)
+(** Number of live paths (by dynamic programming, no enumeration). *)
 
 val vector : Cfg.t -> path -> int array
 val of_vector : Cfg.t -> int array -> path option

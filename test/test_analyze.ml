@@ -787,6 +787,76 @@ let test_traced_ogis_analysis () =
   | Error msg -> Alcotest.fail msg);
   Obs.reset ()
 
+(* a traced timing job at 9 bits: the GameTime loop announces its live
+   edges and the live rank bound, asks D once per basis path, and its
+   ending names why it stopped; every record survives the codec *)
+let test_traced_gametime_analysis () =
+  Obs.reset ();
+  let sink, records = Obs.memory_sink () in
+  Obs.add_sink sink;
+  Obs.enable ();
+  let p = Prog.Benchmarks.modexp ~bits:9 () in
+  let platform = Microarch.Platform.time (Microarch.Platform.create p) in
+  let wcet =
+    match
+      Gametime.Analysis.analyze ~bound:9 ~seed:2012 ~pin:[ ("base", 123) ]
+        ~platform p
+    with
+    | Budget.Converged t -> Gametime.Analysis.wcet_opt t ~platform
+    | Budget.Exhausted _ -> Alcotest.fail "unbudgeted analysis exhausted"
+  in
+  Obs.shutdown ();
+  (match wcet with
+  | Some w ->
+    Alcotest.(check int) "WCET" 763 w.Gametime.Analysis.measured_cycles
+  | None -> Alcotest.fail "no WCET");
+  let js = records () in
+  List.iter
+    (fun j ->
+      match Obs.Trace.of_json j with
+      | Ok r ->
+        Alcotest.(check string) "encode-decode-encode" (Json.to_string j)
+          (Json.to_string (Obs.Trace.to_json r))
+      | Error msg -> Alcotest.fail msg)
+    js;
+  let parsed = parse_all js in
+  let attrs_of name =
+    List.find_map
+      (function
+        | Obs.Trace.Event { event = Obs.Loop_started { loop; attrs }; _ }
+          when name = "loop_started" && loop = "gametime" ->
+          Some attrs
+        | Obs.Trace.Event { event = Obs.Loop_finished { loop; attrs }; _ }
+          when name = "loop_finished" && loop = "gametime" ->
+          Some attrs
+        | _ -> None)
+      parsed
+    |> Option.value ~default:[]
+  in
+  let started = attrs_of "loop_started" in
+  Alcotest.(check bool) "live edges announced" true
+    (match List.assoc_opt "live_edges" started with
+    | Some (Obs.Int n) -> n > 0
+    | _ -> false);
+  Alcotest.(check bool) "live rank bound 10" true
+    (List.assoc_opt "rank_bound" started = Some (Obs.Int 10));
+  Alcotest.(check bool) "stopped at the bound" true
+    (List.assoc_opt "outcome" (attrs_of "loop_finished")
+    = Some (Obs.String "rank_bound"));
+  let a = Analyze.analyze parsed in
+  let lr =
+    match
+      List.find_opt (fun l -> l.Analyze.lr_loop = "gametime") a.Analyze.a_loops
+    with
+    | Some lr -> lr
+    | None -> Alcotest.fail "no gametime loop in the trace"
+  in
+  Alcotest.(check int) "one query per basis path" 10 lr.Analyze.lr_solver_calls;
+  let audit = Format.asprintf "%a" Analyze.pp_audit a in
+  Alcotest.(check bool) "explain names the stop" true
+    (contains audit "gametime run 1: rank_bound");
+  Obs.reset ()
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -829,5 +899,7 @@ let () =
             test_traced_ogis_analysis;
           Alcotest.test_case "pool D calls name their loop" `Quick
             test_pool_calls_name_their_loop;
+          Alcotest.test_case "traced gametime stops at the live bound" `Quick
+            test_traced_gametime_analysis;
         ] );
     ]

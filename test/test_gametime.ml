@@ -223,6 +223,226 @@ let test_basis_spans_feasible_paths () =
            | Some _ -> ()
            | None -> Alcotest.fail "feasible path outside basis span")
 
+(* ------------------------------------------------------------------ *)
+(* Live paths against the structural references                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every entry→exit path of the DAG, dead edges included, in DFS order:
+   what [Paths.enumerate] walked before it followed only live edges. *)
+let structural_paths (g : Cfg.t) =
+  let rec from node acc () =
+    if node = g.Cfg.exit_ then Seq.Cons (List.rev acc, Seq.empty)
+    else
+      List.fold_right Seq.append
+        (List.map
+           (fun (e : Cfg.edge) -> from e.Cfg.dst (e.Cfg.id :: acc))
+           g.Cfg.succ.(node))
+        Seq.empty ()
+  in
+  from g.Cfg.entry []
+
+(* The greedy extraction over every structural path, stopped only at the
+   structural bound [m - n + 2]: the basis [Basis.extract] must keep. *)
+let reference_basis u (g : Cfg.t) =
+  let span = Linalg.empty_span ~dim:(Cfg.num_edges g) in
+  let bound = Cfg.num_edges g - g.Cfg.nnodes + 2 in
+  let rec go acc seq =
+    if Linalg.rank span >= bound then List.rev acc
+    else
+      match seq () with
+      | Seq.Nil -> List.rev acc
+      | Seq.Cons (path, rest) ->
+        let v = Paths.vector g path in
+        if (not (Linalg.in_span span v)) && is_feasible u g path then begin
+          ignore (Linalg.add_if_independent span v);
+          go (path :: acc) rest
+        end
+        else go acc rest
+  in
+  go [] (structural_paths g)
+
+(* the basis paths of modexp with the base pinned, as [Analysis.analyze]
+   extracts them; recorded on the structural enumeration. Each width
+   lists the exponent each basis path drives (its low [bits] bits are
+   fixed by the path) and the digest of the edge lists *)
+let modexp_basis bits =
+  let p = B.modexp ~bits () in
+  let u = Unroll.unroll ~bound:bits p in
+  let g = Cfg.of_program u in
+  let pin = Smt.Bv.(eq (var ~width:16 "base") (const ~width:16 123)) in
+  (g, conv (Basis.extract ~assuming:pin u g))
+
+let edge_list path = String.concat ";" (List.map string_of_int path)
+
+let test_modexp_basis_pinned () =
+  let pinned =
+    [
+      (3, [ 7; 3; 5; 6 ], "6f6bc937ad9f75c396e9cbef0a9ddbb7");
+      (4, [ 15; 7; 11; 13; 14 ], "d05dba069a7c83e3b1c6f7d26c67d7b8");
+      (5, [ 31; 15; 23; 27; 29; 30 ], "e5837eda4f24038a384d75d4dcdeb2af");
+      (6, [ 63; 31; 47; 55; 59; 61; 62 ], "72e3e111fdedcc327f06be601e5c823e");
+      ( 7,
+        [ 127; 63; 95; 111; 119; 123; 125; 126 ],
+        "b70454740f83865993b12177f8d401e3" );
+      ( 8,
+        [ 255; 127; 191; 223; 239; 247; 251; 253; 254 ],
+        "f2103604a77d62e9330572e7cef9dfdb" );
+      ( 9,
+        [ 511; 255; 383; 447; 479; 495; 503; 507; 509; 510 ],
+        "6fc895db569a151d6ad6672c97740578" );
+      ( 10,
+        [ 1023; 511; 767; 895; 959; 991; 1007; 1015; 1019; 1021; 1022 ],
+        "4e5169bbbce21c5a46f484941074183d" );
+      ( 11,
+        [ 2047; 1023; 1535; 1791; 1919; 1983; 2015; 2031; 2039; 2043; 2045;
+          2046 ],
+        "f3553e1ee5dd3e4d060e6c1490495957" );
+      ( 12,
+        [ 4095; 2047; 3071; 3583; 3839; 3967; 4031; 4063; 4079; 4087; 4091;
+          4093; 4094 ],
+        "eccfd62476ec16508dc389462641a5be" );
+    ]
+  in
+  List.iter
+    (fun (bits, exps, digest) ->
+      let _, basis = modexp_basis bits in
+      let name = Printf.sprintf "modexp %d bits" bits in
+      let edges = List.map (fun b -> edge_list b.Basis.path) basis in
+      Alcotest.(check (list int)) (name ^ ": exponents") exps
+        (List.map
+           (fun b -> List.assoc "exp" b.Basis.test land ((1 lsl bits) - 1))
+           basis);
+      Alcotest.(check string) (name ^ ": edge lists") digest
+        (Digest.to_hex (Digest.string (String.concat "|" edges)));
+      if bits = 3 then
+        Alcotest.(check (list string)) "modexp 3 bits: the edge lists"
+          [
+            "0;1;2;3;4;5;7;9;10;11;12;13;15;17;18;19;20;21;23;25;26;27;29;32;35";
+            "0;1;2;3;4;5;7;9;10;11;12;13;15;17;18;19;22;24;25;26;27;29;32;35";
+            "0;1;2;3;4;5;7;9;10;11;14;16;17;18;19;20;21;23;25;26;27;29;32;35";
+            "0;1;2;3;6;8;9;10;11;12;13;15;17;18;19;20;21;23;25;26;27;29;32;35";
+          ]
+          edges)
+    pinned
+
+(* modexp's feasible paths are exactly its live ones, so its basis
+   fills the live rank bound and extraction stops there *)
+let test_modexp_stops_at_live_bound () =
+  for bits = 3 to 12 do
+    let g, basis = modexp_basis bits in
+    Alcotest.(check int)
+      (Printf.sprintf "modexp %d bits: basis fills the live bound" bits)
+      (Basis.rank_bound g) (List.length basis);
+    Alcotest.(check int)
+      (Printf.sprintf "modexp %d bits: live paths" bits)
+      (1 lsl bits) (Paths.count g)
+  done
+
+(* Random small programs: loops unrolled, guards over a mix of
+   constants, locals (which start at 0) and inputs, so that some guards
+   fold and some need the oracle. *)
+let gen_program =
+  let open QCheck2.Gen in
+  let width = 4 in
+  let inputs = [ "a"; "b" ] and locals = [ "x"; "y" ] in
+  let var = oneofl (inputs @ locals) in
+  let leaf =
+    oneof
+      [
+        map (fun v -> Smt.Bv.const ~width v) (int_range 0 15);
+        map (fun x -> Smt.Bv.var ~width x) var;
+      ]
+  in
+  let term =
+    fix (fun self d ->
+        if d = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 3,
+                let* op =
+                  oneofl
+                    Smt.Bv.[ badd; bsub; band; bor; bxor; bmul; blshr; burem ]
+                in
+                let* l = self (d - 1) and* r = self (d - 1) in
+                return (op l r) );
+            ])
+  in
+  let guard =
+    fix (fun self d ->
+        let atom =
+          let* cmp = oneofl Smt.Bv.[ eq; neq; ult; ule; slt ] in
+          let* l = term 1 and* r = term 1 in
+          return (cmp l r)
+        in
+        if d = 0 then atom
+        else
+          frequency
+            [
+              (4, atom);
+              (1, map Smt.Bv.fnot (self (d - 1)));
+              ( 1,
+                let* l = self (d - 1) and* r = self (d - 1) in
+                return (Smt.Bv.fand l r) );
+            ])
+  in
+  let assign =
+    let* x = oneofl (locals @ locals @ inputs) and* t = term 2 in
+    return (Lang.Assign (x, t))
+  in
+  let stmt =
+    fix (fun self d ->
+        let block = list_size (1 -- 2) (self (d - 1)) in
+        if d = 0 then assign
+        else
+          frequency
+            [
+              (2, assign);
+              ( 3,
+                let* c = guard 1 and* a = block
+                and* b = list_size (0 -- 1) (self (d - 1)) in
+                return (Lang.If (c, a, b)) );
+              ( 2,
+                let* c = guard 1 and* body = block in
+                return (Lang.While (c, body)) );
+              (1, map (fun c -> Lang.Assume c) (guard 1));
+            ])
+  in
+  let* body = list_size (2 -- 5) (stmt 2) and* bound = int_range 1 3 in
+  let p = Lang.make ~name:"random" ~width ~inputs ~outputs:[ "x" ] body in
+  return (Unroll.unroll ~bound p)
+
+let prop_live_paths_match_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"live paths and basis match the structural references"
+    ~print:(Format.asprintf "%a" Lang.pp) gen_program
+    (fun u ->
+      let g = Cfg.of_program u in
+      let structural = List.of_seq (Seq.take 65 (structural_paths g)) in
+      QCheck2.assume (List.length structural <= 64);
+      let feasible = List.filter (is_feasible u g) structural in
+      let live = List.of_seq (Paths.enumerate g) in
+      (* every live path is structural, and every dropped one infeasible *)
+      let live_feasible =
+        List.filter
+          (fun path ->
+            if not (List.mem path structural) then
+              QCheck2.Test.fail_reportf "live path [%s] is not structural"
+                (edge_list path);
+            List.mem path feasible)
+          live
+      in
+      if live_feasible <> feasible then
+        QCheck2.Test.fail_reportf
+          "feasible live paths [%s] differ from the feasible structural \
+           paths [%s]"
+          (String.concat " | " (List.map edge_list live_feasible))
+          (String.concat " | " (List.map edge_list feasible));
+      Paths.count g = List.length live
+      && List.map (fun b -> b.Basis.path) (conv (Basis.extract u g))
+         = reference_basis u g)
+
 let test_modexp_nine_basis_paths () =
   (* the paper's Section 3.3 headline: 256 paths, 9 basis paths *)
   let u = Unroll.unroll ~bound:8 (B.modexp ()) in
@@ -505,9 +725,10 @@ let test_distributions_close () =
 (* [Learner.predict] for every enumerated path, as exact float bits
    (["%h"], "none" outside the span), digested; the digests were recorded
    when every prediction still ran its own elimination of [basis | path],
-   so they pin the factored solve to the same exact rationals *)
+   so they pin the factored solve to the same exact rationals. Dead paths
+   are predicted too, so the walk is the structural reference's *)
 let prediction_digest t =
-  Paths.enumerate t.Gt.cfg
+  structural_paths t.Gt.cfg
   |> Seq.map (fun path ->
          match Gt.predict_path t path with
          | None -> "none"
@@ -611,7 +832,12 @@ let () =
             test_basis_spans_feasible_paths;
           Alcotest.test_case "modexp has 9 basis paths (paper)" `Slow
             test_modexp_nine_basis_paths;
-        ] );
+          Alcotest.test_case "modexp basis paths pinned, 3-12 bits" `Quick
+            test_modexp_basis_pinned;
+          Alcotest.test_case "modexp stops at the live rank bound" `Quick
+            test_modexp_stops_at_live_bound;
+        ]
+        @ qsuite [ prop_live_paths_match_reference ] );
       ( "learner",
         [
           Alcotest.test_case "exact on a linear platform" `Quick

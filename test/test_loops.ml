@@ -197,18 +197,8 @@ let () =
                "loop_started iteration candidate solver_call \
                 oracle_verdict:feasible iteration candidate solver_call \
                 oracle_verdict:feasible iteration candidate solver_call \
-                oracle_verdict:infeasible counterexample iteration \
-                candidate solver_call oracle_verdict:feasible iteration*2 \
-                candidate solver_call oracle_verdict:infeasible \
-                counterexample iteration candidate solver_call \
-                oracle_verdict:infeasible counterexample iteration \
-                candidate solver_call oracle_verdict:feasible iteration*2 \
-                candidate solver_call oracle_verdict:infeasible \
-                counterexample iteration*3 candidate solver_call \
-                oracle_verdict:infeasible counterexample iteration \
-                candidate solver_call oracle_verdict:infeasible \
-                counterexample iteration candidate solver_call \
-                oracle_verdict:infeasible counterexample loop_finished:-");
+                oracle_verdict:feasible iteration*2 candidate solver_call \
+                oracle_verdict:feasible loop_finished:rank_bound");
           Alcotest.test_case "exhausted" `Quick
             (pin ~loop:"gametime" (gametime ~budget:(iterations 3))
                "loop_started iteration candidate solver_call \
