@@ -7,8 +7,8 @@
      (experiments: fig6 fig8 hd eq3 eq4 fig10 optimal table1 ablate
       perf par micro; `perf` runs the OGIS, CEGAR and BMC loops once
       each on their persistent sessions and writes BENCH_solver.json;
-      `par` reruns the portfolio-SAT and BMC suites sequentially and
-      under `--jobs N` worker domains and writes BENCH_par.json)
+      `par` reruns the BMC depth-sweep suite sequentially and under
+      `--jobs N` worker domains and writes BENCH_par.json)
 
    Absolute numbers (cycle counts, wall-clock) depend on our simulated
    platform and homemade solver; EXPERIMENTS.md records the comparison
@@ -889,29 +889,9 @@ let par_doc : Obs.Json.t option ref = ref None
 
 (* baseline snapshot taken by the driver *before* any experiment runs:
    [par] rewrites BENCH_par.json, so when the gate's baseline path is
-   the same file the read must happen first or the portfolio check
-   degenerates into comparing the current run against itself *)
+   the same file the read must happen first or the gate would report
+   the current run as its own baseline *)
 let par_baseline : (Obs.Json.t, string) result option ref = ref None
-
-(* Planted 3-SAT at clause ratio 4.2: clauses are random except that
-   each keeps at least one positive literal, so the all-true assignment
-   is a model. The vanilla solver (phase false) starts in the all-false
-   corner and has to climb out conflict by conflict, while a phase-true
-   portfolio member reads the planted model off in zero conflicts — the
-   race finishes at the speed of its luckiest configuration, which is
-   exactly the algorithmic win a portfolio buys (and the only kind
-   available on a single-core machine, where fan-out adds no cycles). *)
-let planted_3sat ~nvars ~seed =
-  let rng = Random.State.make [| seed |] in
-  let nclauses = int_of_float (6.0 *. float_of_int nvars) in
-  let rec clause () =
-    let c =
-      List.init 3 (fun _ ->
-          Smt.Lit.make (Random.State.int rng nvars) (Random.State.bool rng))
-    in
-    if List.exists Smt.Lit.sign c then c else clause ()
-  in
-  { Smt.Dimacs.nvars; clauses = List.init nclauses (fun _ -> clause ()) }
 
 let par () =
   let jobs = if !par_jobs > 0 then !par_jobs else Par.env_jobs ~default:4 () in
@@ -947,31 +927,6 @@ let par () =
         ("verdicts_agree", Obs.Json.Bool agree);
       ]
   in
-  subsection "portfolio SAT (planted 3-SAT, vanilla phase starts all-false)";
-  let nvars = 300 in
-  let sat_rows =
-    List.map
-      (fun i ->
-        let name = Printf.sprintf "planted-n%d-%d" nvars i in
-        let p = planted_3sat ~nvars ~seed:(1009 * (i + 1)) in
-        let seq, t_seq = timed (fun () -> Smt.Portfolio.solve p) in
-        let prl, t_par = timed (fun () -> Smt.Portfolio.solve ~pool p) in
-        let agree = seq.Smt.Portfolio.result = prl.Smt.Portfolio.result in
-        let model_ok =
-          match prl.Smt.Portfolio.model with
-          | Some m -> Smt.Dpll.eval m p.Smt.Dimacs.clauses
-          | None -> prl.Smt.Portfolio.result <> Smt.Sat.Sat
-        in
-        Format.printf
-          "%-18s seq %7.3fs | par %7.3fs (winner cfg %d of %d) | %6.2fx | \
-           agree=%b@."
-          name t_seq t_par prl.Smt.Portfolio.winner prl.Smt.Portfolio.raced
-          (t_seq /. max 1e-9 t_par)
-          (agree && model_ok);
-        (name, t_seq, t_par, agree && model_ok))
-      [ 0; 1; 2; 3 ]
-  in
-  let sat_suite = suite "portfolio_sat" sat_rows in
   subsection "BMC depth sweep (work-stealing ranged claims)";
   (* The parallel sweep guarantees the verdict and, on unsafe systems,
      the minimal counterexample depth — not the concrete trace, which
@@ -1028,7 +983,7 @@ let par () =
     Obs.Json.Obj
       [
         ("jobs", Obs.Json.Int jobs);
-        ("suites", Obs.Json.List [ sat_suite; bmc_suite ]);
+        ("suites", Obs.Json.List [ bmc_suite ]);
       ]
   in
   par_doc := Some doc;
@@ -1039,22 +994,17 @@ let par () =
   Format.printf "wrote BENCH_par.json@.";
   (* speedups are machine-dependent and only reported; verdict agreement
      is the contract, so divergence fails the run *)
-  if
-    not
-      (List.for_all (fun (_, _, _, ok) -> ok) sat_rows
-      && List.for_all (fun (_, _, _, ok) -> ok) bmc_rows)
-  then begin
+  if not (List.for_all (fun (_, _, _, ok) -> ok) bmc_rows) then begin
     Format.printf "!! parallel verdicts diverged from sequential@.";
     exit 1
   end
 
 (* `bench/main.exe par --check-baseline BENCH_par.json` gates the
-   cooperative-parallelism figures: the BMC sweep must actually beat
-   the sequential loop (speedup >= 1.0 at the requested job count), and
-   the portfolio may not regress more than 20% against the committed
-   baseline's speedup. Verdict divergence already fails inside [par]
-   before this gate runs. Writes BENCH_par_gate.json; exits 2 on an
-   unreadable baseline, 1 on a failed gate. *)
+   cooperative-parallelism figure: the BMC sweep must actually beat the
+   sequential loop (speedup >= 1.0 at the requested job count); the
+   baseline's speedup is reported beside it. Verdict divergence already
+   fails inside [par] before this gate runs. Writes BENCH_par_gate.json;
+   exits 2 on an unreadable baseline, 1 on a failed gate. *)
 let check_par_baseline path =
   let suite_speedup name doc =
     match Obs.Json.member "suites" doc with
@@ -1081,30 +1031,19 @@ let check_par_baseline path =
     Format.printf "cannot read baseline %s: %s@." path msg;
     exit 2
   | Ok base -> (
-    match
-      ( suite_speedup "bmc_sweep" doc,
-        suite_speedup "portfolio_sat" doc,
-        suite_speedup "portfolio_sat" base )
-    with
-    | Some bmc, Some sat, Some base_sat ->
-      let sat_floor = 0.8 *. base_sat in
-      let bmc_ok = bmc >= 1.0 in
-      let sat_ok = sat >= sat_floor in
-      Format.printf "bmc_sweep speedup %.2fx (gate: >= 1.00x): %s@." bmc
-        (if bmc_ok then "PASS" else "FAIL");
+    match (suite_speedup "bmc_sweep" doc, suite_speedup "bmc_sweep" base) with
+    | Some bmc, Some base_bmc ->
+      let ok = bmc >= 1.0 in
       Format.printf
-        "portfolio_sat speedup %.2fx (gate: >= %.2fx, 80%% of baseline \
-         %.2fx): %s@."
-        sat sat_floor base_sat
-        (if sat_ok then "PASS" else "FAIL");
-      let ok = bmc_ok && sat_ok in
+        "bmc_sweep speedup %.2fx (gate: >= 1.00x; baseline %.2fx): %s@." bmc
+        base_bmc
+        (if ok then "PASS" else "FAIL");
       let gate =
         Obs.Json.Obj
           [
             ("baseline", Obs.Json.String path);
             ("bmc_speedup", Obs.Json.Float bmc);
-            ("portfolio_speedup", Obs.Json.Float sat);
-            ("portfolio_floor", Obs.Json.Float sat_floor);
+            ("baseline_bmc_speedup", Obs.Json.Float base_bmc);
             ("verdict", Obs.Json.String (if ok then "PASS" else "FAIL"));
           ]
       in

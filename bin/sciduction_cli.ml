@@ -55,8 +55,11 @@ let obs_term =
       value
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for parallel fan-out (portfolio SAT, BMC \
-                depth sweep, candidate re-checking). Default: \
+          ~doc:"Worker domains for parallel fan-out: the BMC depth sweep \
+                (ranged depth claims, one solver per worker), the \
+                invariant implication-candidate scan, OGIS candidate \
+                re-checking and GameTime's basis-path measurements. Each \
+                SAT query still runs on one solver. Default: \
                 $(b,SCIDUCTION_JOBS) or 1; 1 keeps everything sequential.")
   in
   let stats_socket =

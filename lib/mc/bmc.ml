@@ -250,8 +250,8 @@ let run_loop ~budget attrs body =
    everything below it is proved; otherwise the sweep returns the
    contiguous proved prefix, like the sequential loop.
 
-   Worker count: cooperation, unlike the portfolio's racing, gains
-   nothing from more workers than hardware threads. BMC workers all
+   Worker count: cooperation gains nothing from more workers than
+   hardware threads. BMC workers all
    allocate heavily (each extends its own unrolling) and OCaml's minor
    collections synchronize every running domain, so oversubscribing
    cores turns each collection into a scheduling convoy — the old

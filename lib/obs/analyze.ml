@@ -458,9 +458,11 @@ let analyze records =
             | [] -> ()
           end
         | Certificate { loop; attrs } ->
-          (* portfolio workers certify with an empty loop name; those
-             certificates still count in the proof.certificates metric
-             but cannot be attributed to a loop run here *)
+          (* a solver call made after its loop ended (OGIS's final
+             equivalence check, GameTime's WCET test) certifies with an
+             empty loop name; those certificates still count in the
+             proof.certificates metric but cannot be attributed to a
+             loop run here *)
           if loop <> "" then begin
             let rb = current loop t in
             rb.rb_certs <- rb.rb_certs + 1;
@@ -639,8 +641,9 @@ let check ?(require = []) lines =
       degraded := false
     | _ -> ());
     match (ev, Trace.loop ev) with
-    (* portfolio members solve (and certify) on worker domains outside
-       any loop *)
+    (* solver calls made after their loop has ended carry no loop name:
+       OGIS's final equivalence check in [Synth] and GameTime's WCET
+       test in [Analysis.wcet_opt] *)
     | (Solver_call _ | Certificate _), "" -> ()
     | _, "" ->
       error "line %d: %s event with an empty loop name" line (Trace.name ev)
@@ -797,8 +800,8 @@ let pp_iteration_detail ppf lr =
 (* The audit view behind `sciduction_cli explain`: for every loop run,
    which verdicts were certified and which named constraints the unsat
    cores blamed. A run with unsat solver calls but no certificates was
-   recorded without --proof (or only its portfolio workers certified,
-   which the trace cannot attribute to a loop). *)
+   recorded without --proof (or only calls made after the loop ended
+   certified, which the trace cannot attribute to a loop). *)
 let pp_audit ppf a =
   let line fmt = Format.fprintf ppf fmt in
   if a.a_loops = [] then line "no loop runs in this trace@."
@@ -866,17 +869,7 @@ let pp_metrics ppf metrics =
       *. float_of_int shared_hits
       /. float_of_int (shared_hits + shared_misses))
       shared_hits
-      (shared_hits + shared_misses);
-  let exported = cval "portfolio.clauses_exported" in
-  let imported = cval "portfolio.clauses_imported" in
-  let dropped = cval "exchange.dropped" in
-  if exported + imported > 0 then begin
-    line "  clause sharing               %d exported, %d imported@." exported
-      imported;
-    if dropped > 0 then
-      line "  clauses dropped in transit   %d (%.1f%% of exports)@." dropped
-        (100.0 *. float_of_int dropped /. float_of_int (max 1 exported))
-  end
+      (shared_hits + shared_misses)
 
 let pp_report ?(top = 12) ppf a =
   let line fmt = Format.fprintf ppf fmt in

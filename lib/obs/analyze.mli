@@ -26,9 +26,10 @@ val check : ?require:string list -> (int * Trace.record) list -> string list
     times (a span's [t + dur]) going backwards, a span not directly
     inside a completed span one level up on its domain, a loop event
     outside its loop's [loop_started] .. [loop_finished] or after its
-    [budget_exhausted], an empty loop name (but on a portfolio member's
-    [solver_call] or [certificate]), an unknown budget reason, [progress]
-    going backwards, [seconds_stalled <= 0], a [deduce_ms] below 0 or
+    [budget_exhausted], an empty loop name (but on a [solver_call] or
+    [certificate] made after its loop ended, such as OGIS's final
+    equivalence check or GameTime's WCET test), an unknown budget
+    reason, [progress] going backwards, [seconds_stalled <= 0], a [deduce_ms] below 0 or
     past [elapsed], a [certificate] without an unpaired unsat
     [solver_call] or a non-negative [proof_bytes] and [core_size], a
     [requeue] outside [1..restart_budget], [degraded_entered]/[_exited]

@@ -482,18 +482,6 @@ let pp_summary ppf () =
         /. float_of_int (shared_hits + shared_misses))
         shared_hits
         (shared_hits + shared_misses);
-    (* derived: portfolio clause-sharing traffic (imports can exceed
-       exports: every export is importable by each other member) *)
-    let exported = cval "portfolio.clauses_exported" in
-    let imported = cval "portfolio.clauses_imported" in
-    let dropped = cval "exchange.dropped" in
-    if exported + imported > 0 then begin
-      line "  clause sharing               %d exported, %d imported@."
-        exported imported;
-      if dropped > 0 then
-        line "  clauses dropped in transit   %d (%.1f%% of exports)@." dropped
-          (100.0 *. float_of_int dropped /. float_of_int (max 1 exported))
-    end;
     (* derived: proof & certificate plane *)
     let proof_bytes = cval "proof.bytes" in
     let certs = cval "proof.certificates" in

@@ -44,8 +44,8 @@ module Schema : sig
     | Oracle_verdict of { loop : string; verdict : string; attrs : attrs }
     | Counterexample of { loop : string; attrs : attrs }
     | Solver_call of { loop : string; result : string; attrs : attrs }
-        (** [loop] is [""] for a call outside every loop, such as a
-            portfolio member on a worker domain *)
+        (** [loop] is [""] for a call made after its loop ended, such
+            as OGIS's final equivalence check or GameTime's WCET test *)
     | Certificate of { loop : string; attrs : attrs }
         (** a proof certificate was issued for an unsat solver verdict
             (see [Smt.Proof]); carries [cert], [proof_bytes],

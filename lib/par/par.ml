@@ -1,13 +1,9 @@
-exception Cancelled
-
 module Cancel = struct
   type t = bool Atomic.t
 
   let create () = Atomic.make false
-  let none = Atomic.make false
   let set t = Atomic.set t true
   let is_set t = Atomic.get t
-  let check t = if Atomic.get t then raise Cancelled
 end
 
 (* Scheduler telemetry. Pool tasks are coarse — a whole solver run, a
@@ -320,34 +316,3 @@ let iter ?chunk p f xs = ignore (map ?chunk p f xs : unit array)
 let map_list p f xs =
   let futs = List.map (fun x -> submit p (fun () -> f x)) xs in
   await_all p futs
-
-let first_some p thunks =
-  let token = Cancel.create () in
-  let winner = Atomic.make None in
-  let futs =
-    List.map
-      (fun thunk ->
-        submit p (fun () ->
-            match thunk token with
-            | Some v ->
-              (* first writer wins; everyone else backs off *)
-              if Atomic.compare_and_set winner None (Some v) then
-                Cancel.set token
-            | None -> ()))
-      thunks
-  in
-  let outcomes =
-    List.map
-      (fun fut ->
-        match await p fut with
-        | () -> None
-        | exception Cancelled -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
-      futs
-  in
-  match Atomic.get winner with
-  | Some _ as w -> w
-  | None -> (
-    match List.find_opt Option.is_some outcomes with
-    | Some (Some (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | _ -> None)

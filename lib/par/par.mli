@@ -14,24 +14,15 @@
     task (workers never block on other tasks, which keeps the pool
     deadlock-free). *)
 
-exception Cancelled
-(** Raised by {!Cancel.check} inside a task whose token has been set. *)
-
-(** Cooperative cancellation tokens: a racing task polls its token and
-    stops early once a sibling has produced the answer. *)
+(** Cooperative cancellation tokens: one domain sets the token, the
+    work it cancels polls it (the verification server passes
+    [is_set] to a job's solvers as their [Smt.Sat] stop hook). *)
 module Cancel : sig
   type t
 
   val create : unit -> t
-
-  val none : t
-  (** A shared token that is never set; do not [set] it. *)
-
   val set : t -> unit
   val is_set : t -> bool
-
-  val check : t -> unit
-  (** Raise {!Cancelled} if the token is set. *)
 end
 
 module Pool : sig
@@ -108,10 +99,3 @@ val iter : ?chunk:int -> Pool.t -> ('a -> unit) -> 'a array -> unit
 val map_list : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map], one task per element (use for coarse-grained
     elements like whole solver runs). *)
-
-val first_some : Pool.t -> (Cancel.t -> 'a option) list -> 'a option
-(** Race the thunks: each receives a shared token, set as soon as any
-    thunk returns [Some]. The first winner's value is returned after
-    every thunk has stopped; losers' {!Cancelled} exceptions are
-    swallowed, any other exception is re-raised only when nobody won.
-    The portfolio front-end in [Smt.Portfolio] is the main client. *)

@@ -57,10 +57,10 @@ let replay r ctx inputs =
 (* ---- global sharded table ---- *)
 
 (* Mutex-striped: a key's shard is its hash modulo [shards]. Lookups and
-   installs from concurrent domains (parallel BMC workers, portfolio
-   members' encoders) only contend when they hash to the same stripe,
-   and the critical sections are a hashtable probe — recording itself
-   happens outside any lock. *)
+   installs from concurrent domains (parallel BMC workers' encoders)
+   only contend when they hash to the same stripe, and the critical
+   sections are a hashtable probe — recording itself happens outside
+   any lock. *)
 let shards = 16
 
 type shard = { mu : Mutex.t; table : (string, recipe) Hashtbl.t }

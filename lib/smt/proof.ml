@@ -24,8 +24,7 @@ type stream = {
 
 type spool = {
   sp_id : int;
-  sp_shared : bool;
-  sp_lock : Mutex.t;
+  sp_lock : Mutex.t; (* certify and disable only; see [log_original] *)
   cnf : stream;
   drat : stream;
   mutable sp_cnf_clauses : int;
@@ -62,8 +61,7 @@ let mk_stream path =
    channel. No [flush ch]: the channel's own buffering batches the
    write syscalls, and [close_stream] (reached from [disable]) flushes
    before anything reads the file — a per-certificate flush costs a
-   syscall per verdict, which dominates sub-20ms verification runs.
-   Caller holds the spool lock. *)
+   syscall per verdict, which dominates sub-20ms verification runs. *)
 let flush_stream st =
   if Buffer.length st.st_buf > 0 || st.st_chan <> None then begin
     let ch =
@@ -104,7 +102,7 @@ let ensure_scratch st n =
 
 (* Close out one clause line rendered into the scratch up to [pos]:
    terminating 0, byte accounting, spill check. Returns the line
-   length. Caller holds the spool lock when the spool is shared. *)
+   length. *)
 let finish_line st pos =
   let b = st.st_scratch in
   Bytes.unsafe_set b pos '0';
@@ -144,12 +142,6 @@ let append_clause_list st lits =
     lits;
   finish_line st !pos
 
-(* A private spool belongs to exactly one solver and is only ever
-   touched from that solver's thread, so the lock is pure overhead on
-   the per-clause path; the shared portfolio spool genuinely needs it. *)
-let lock_if_shared sp = if sp.sp_shared then Mutex.lock sp.sp_lock
-let unlock_if_shared sp = if sp.sp_shared then Mutex.unlock sp.sp_lock
-
 (* A certificate references both spool files by path, so they must
    exist on disk even when nothing was ever logged — a root-level
    conflict learns no clauses and leaves the DRAT stream empty. Only
@@ -175,8 +167,7 @@ let meter sp added =
   sp.sp_pending_bytes <- sp.sp_pending_bytes + added;
   sp.sp_pending_clauses <- sp.sp_pending_clauses + 1
 
-(* Push batched deltas to the registry. Caller holds the spool lock
-   when the spool is shared. *)
+(* Push batched deltas to the registry. *)
 let sync_metrics sp =
   if sp.sp_pending_bytes > 0 then begin
     Obs.Metrics.add m_bytes sp.sp_pending_bytes;
@@ -235,7 +226,7 @@ let enable ~prefix =
          pl_spools = [];
        })
 
-let create_spool ?(shared = false) () =
+let create_spool () =
   match Atomic.get plane with
   | None -> None
   | Some p ->
@@ -246,7 +237,6 @@ let create_spool ?(shared = false) () =
     let sp =
       {
         sp_id = id;
-        sp_shared = shared;
         sp_lock = Mutex.create ();
         cnf = mk_stream (base ^ ".cnf");
         drat = mk_stream (base ^ ".drat");
@@ -260,33 +250,30 @@ let create_spool ?(shared = false) () =
     Mutex.unlock p.pl_lock;
     Some sp
 
-let is_shared sp = sp.sp_shared
-
+(* A spool belongs to one solver, and only that solver's domain
+   appends to it or certifies on it, so the per-clause path takes no
+   lock. The one path that reaches a spool from another domain is
+   [disable], which closes every spool of the plane from whichever
+   domain ends it. [certify] and [disable] take [sp_lock], so a late
+   certificate and the close never interleave. Every caller ends the
+   plane only once its solvers have stopped (the CLI after the command
+   returns and its pools have joined, the daemon after [stop] has
+   joined its dispatchers), so the lock is never contended there and
+   the appends need none. *)
 let log_original sp lits =
-  lock_if_shared sp;
   sp.sp_cnf_clauses <- sp.sp_cnf_clauses + 1;
-  meter sp (append_clause_list sp.cnf lits);
-  unlock_if_shared sp
+  meter sp (append_clause_list sp.cnf lits)
 
 let log_learnt sp c =
-  lock_if_shared sp;
-  meter sp (append_clause sp.drat (Array.length c) (Array.get c));
-  unlock_if_shared sp
+  meter sp (append_clause sp.drat (Array.length c) (Array.get c))
 
-let log_learnt_unit sp l =
-  lock_if_shared sp;
-  meter sp (append_clause sp.drat 1 (fun _ -> l));
-  unlock_if_shared sp
+let log_learnt_unit sp l = meter sp (append_clause sp.drat 1 (fun _ -> l))
 
 let log_delete sp c =
-  (* deletions are only logged on private spools (a shared spool's
-     clauses may be live in a sibling solver), so no lock is needed *)
-  if not sp.sp_shared then begin
-    sp.sp_pending_bytes <-
-      sp.sp_pending_bytes
-      + append_clause ~prefix:"d " sp.drat (Array.length c) (Array.get c);
-    sp.sp_pending_dels <- sp.sp_pending_dels + 1
-  end
+  sp.sp_pending_bytes <-
+    sp.sp_pending_bytes
+    + append_clause ~prefix:"d " sp.drat (Array.length c) (Array.get c);
+  sp.sp_pending_dels <- sp.sp_pending_dels + 1
 
 type cert = {
   cert_id : int;

@@ -20,14 +20,8 @@
     verdict's DIMACS/DRAT pair as: the CNF prefix plus one unit clause
     per core assumption; the DRAT prefix plus the empty clause.
 
-    Cooperating solvers on the same CNF (portfolio members exchanging
-    learnt clauses) share one spool: the log is totally ordered under
-    the spool lock and every clause is logged by its learner before it
-    is published, so an importer's later learnts always follow their
-    antecedents in the log — reverse unit propagation is monotone in
-    the clause set, which also makes import itself log-free. Deletions
-    are suppressed on shared spools (a clause deleted by one member may
-    still be live in another). *)
+    A spool belongs to one solver and only that solver appends to it.
+    {!disable} must run once every solver of the plane has stopped. *)
 
 type spool
 
@@ -46,12 +40,8 @@ val enabled : unit -> bool
 
 val active_prefix : unit -> string option
 
-val create_spool : ?shared:bool -> unit -> spool option
-(** A fresh spool under the active plane, [None] while disabled.
-    [shared] marks a spool appended by multiple cooperating solvers:
-    deletion logging is suppressed ({!log_delete} becomes a no-op). *)
-
-val is_shared : spool -> bool
+val create_spool : unit -> spool option
+(** A fresh spool under the active plane, [None] while disabled. *)
 
 val log_original : spool -> Lit.t list -> unit
 (** Append a problem clause (pre-normalization literals: the logged
@@ -59,13 +49,12 @@ val log_original : spool -> Lit.t list -> unit
     form) to the CNF stream. *)
 
 val log_learnt : spool -> Lit.t array -> unit
-(** Append a learnt clause to the DRAT stream. Must be called before
-    the clause is shared with any other solver on the same spool. *)
+(** Append a learnt clause to the DRAT stream. *)
 
 val log_learnt_unit : spool -> Lit.t -> unit
 
 val log_delete : spool -> Lit.t array -> unit
-(** Append a [d] line. No-op on shared spools. *)
+(** Append a [d] line. *)
 
 (** What {!certify} recorded, echoed to the telemetry plane. *)
 type cert = {

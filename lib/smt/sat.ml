@@ -27,11 +27,6 @@ let no_limits =
   { max_conflicts = None; max_propagations = None; max_steps = None;
     deadline = None; stop = None }
 
-type share = {
-  export : lbd:int -> Lit.t array -> unit;
-  import : unit -> (int * Lit.t array) list;
-}
-
 type stats = {
   conflicts : int;
   decisions : int;
@@ -132,19 +127,11 @@ type t = {
   mutable lbd_sum : int;
   mutable lbd_max : int;
   mutable max_assumption_depth : int;
-  (* diversification knobs (portfolio solving) *)
-  default_phase : bool;
-  seed : int;
-  restart_base : int;
-  (* cooperative cancellation *)
-  mutable terminate : (unit -> bool) option;
-  mutable poll : int; (* countdown to the next terminate poll *)
-  (* learnt-clause sharing (portfolio solving) *)
-  mutable share : share option;
   (* per-solve resource limits; the base_* fields snapshot the
      cumulative counters at the start of the current solve, so a limit
      bounds the delta of that one call *)
   mutable limits : limits;
+  mutable poll : int; (* countdown to the next stop/deadline poll *)
   mutable steps : int; (* cumulative search steps (conflicts+decisions) *)
   mutable base_conflicts : int;
   mutable base_propagations : int;
@@ -155,9 +142,7 @@ type t = {
   mutable last_core : Lit.t list; (* failed assumptions of the last Unsat *)
 }
 
-let create ?(learnt_limit = 0) ?(seed = 0) ?(default_phase = false)
-    ?(restart_base = 100) ?(proof = true) () =
-  if restart_base < 1 then invalid_arg "Sat.create: restart_base must be >= 1";
+let create ?(learnt_limit = 0) () =
   {
     ok = true;
     pages = [| [||] |];
@@ -200,18 +185,13 @@ let create ?(learnt_limit = 0) ?(seed = 0) ?(default_phase = false)
     lbd_sum = 0;
     lbd_max = 0;
     max_assumption_depth = 0;
-    default_phase;
-    seed;
-    restart_base;
-    terminate = None;
-    poll = 0;
-    share = None;
     limits = no_limits;
+    poll = 0;
     steps = 0;
     base_conflicts = 0;
     base_propagations = 0;
     base_steps = 0;
-    proof = (if proof then Proof.create_spool () else None);
+    proof = Proof.create_spool ();
     names = Hashtbl.create 7;
     last_core = [];
   }
@@ -303,24 +283,13 @@ let grow_to len arr fill =
     a
   end
 
-(* Deterministic avalanche of (seed, var): the low bits drive the
-   initial-activity jitter that perturbs the variable order. *)
-let mix seed v =
-  let h = ref (seed + (v * 0x9E3779B9)) in
-  h := !h lxor (!h lsr 16);
-  h := !h * 0x45D9F3B;
-  h := !h lxor (!h lsr 16);
-  h := !h * 0x45D9F3B;
-  h := !h lxor (!h lsr 16);
-  !h land 0x3FFFFFFF
-
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
   s.assign <- grow_to s.nvars s.assign (-1);
   s.level <- grow_to s.nvars s.level 0;
   s.reason <- grow_to s.nvars s.reason (-1);
-  s.phase <- grow_to s.nvars s.phase false;
+  s.phase <- grow_to s.nvars s.phase false (* first decided negative *);
   s.activity <- grow_to s.nvars s.activity 0.0;
   s.heap_pos <- grow_to s.nvars s.heap_pos (-1);
   s.level_mark <- grow_to (s.nvars + 1) s.level_mark (-1);
@@ -334,12 +303,6 @@ let new_var s =
     Array.blit s.watches 0 w 0 (Array.length s.watches);
     s.watches <- w
   end;
-  s.phase.(v) <- s.default_phase;
-  (* sub-var_inc jitter: invisible once real bumps arrive, but it breaks
-     the insertion-order tie among untouched variables, so different
-     seeds start their searches in different corners *)
-  if s.seed <> 0 then
-    s.activity.(v) <- float_of_int (mix s.seed v) *. 1e-12;
   heap_insert s v;
   v
 
@@ -474,15 +437,14 @@ let attach s c =
   Ivec.push s.watches.(l1) c;
   Ivec.push s.watches.(l1) l0
 
-let push_clause_list s lits ~lbd =
-  let c = alloc_clause s (List.length lits) ~lbd in
+let push_problem_clause s lits =
+  let c = alloc_clause s (List.length lits) ~lbd:(-1) in
   let pg = page_of s c and b = index_of c + hdr in
   List.iteri (fun i l -> pg.(b + i) <- l) lits;
-  attach s c;
-  c
+  attach s c
 
-(* The literals of the clause at [c], copied out for the proof and
-   share hooks (the arena itself is never handed out). *)
+(* The literals of the clause at [c], copied out for the proof log (the
+   arena itself is never handed out). *)
 let clause_lits s c =
   let pg = page_of s c and b = index_of c in
   Array.sub pg (b + hdr) pg.(b)
@@ -544,7 +506,7 @@ let add_clause_permanent s lits =
     | Some [ p ] -> enqueue s p (-1)
     | Some lits ->
       Obs.Metrics.incr m_clauses_added;
-      ignore (push_clause_list s lits ~lbd:(-1))
+      push_problem_clause s lits
   end
 
 (* ----- assumption-literal scopes ----- *)
@@ -742,17 +704,11 @@ let reduce_db s =
       if i < ndelete then (page_of s c).(index_of c + 1) <- deleted)
     cand;
   (* deletion lines keep an offline checker's database (and its unit
-     propagation) small; on a shared spool they are suppressed — a
-     clause this member discards may still be live in another *)
-  let log =
-    match s.proof with
-    | Some sp when not (Proof.is_shared sp) -> Some sp
-    | _ -> None
-  in
+     propagation) small *)
   compact s ~strengthen:false (fun pg b ->
       if pg.(b + 1) <> deleted then pg.(b)
       else begin
-        (match log with
+        (match s.proof with
         | Some sp -> Proof.log_delete sp (Array.sub pg (b + hdr) pg.(b))
         | None -> ());
         -1
@@ -914,38 +870,6 @@ let analyze s confl =
 exception Found of result
 exception Stop of reason
 
-let set_terminate s f =
-  s.terminate <- f;
-  s.poll <- 0
-
-let set_share s sh = s.share <- sh
-
-(* Adopt foreign learnt clauses at a restart boundary (decision level
-   0). Shared clauses are logical consequences of the common problem,
-   so adding any subset preserves the verdict; each is normalized like
-   a root-level clause — satisfied or tautological ones are dropped,
-   units enqueue at level 0, an empty one proves unsatisfiability. The
-   clause keeps its foreign LBD, so database reduction can reclaim it
-   like any home-grown learnt. Clauses mentioning unallocated variables
-   are rejected outright (a misconfigured exchange must not crash the
-   solver). *)
-let import_shared s =
-  match s.share with
-  | None -> ()
-  | Some sh ->
-    List.iter
-      (fun (lbd, lits) ->
-        if
-          s.ok
-          && Array.for_all (fun l -> var l < s.nvars) lits
-        then
-          match normalize_root_clause s (Array.to_list lits) with
-          | None -> () (* tautology, or already satisfied at level 0 *)
-          | Some [] -> s.ok <- false
-          | Some [ p ] -> enqueue s p (-1)
-          | Some lits -> ignore (push_clause_list s lits ~lbd:(max 1 lbd)))
-      (sh.import ())
-
 let set_limits s l =
   s.limits <- l;
   s.poll <- 0
@@ -954,12 +878,12 @@ let clear_limits s = s.limits <- no_limits
 let limits s = s.limits
 
 (* Run once per search step (conflict or decision), before that step
-   does any work — so a pre-set terminate flag or an already-exhausted
+   does any work — so a pre-set stop flag or an already-exhausted
    budget deterministically beats a verdict the same step would have
    produced. The counter limits are exact (checked every step); the
-   terminate callback and the wall clock are only consulted every 128
-   steps, keeping cancellation latency well under a restart at no
-   measurable cost to the hot loop. *)
+   stop hook and the wall clock are only consulted every 128 steps,
+   keeping cancellation latency well under a restart at no measurable
+   cost to the hot loop. *)
 let check_stop s =
   s.steps <- s.steps + 1;
   (match s.limits.max_conflicts with
@@ -973,15 +897,12 @@ let check_stop s =
   (match s.limits.max_steps with
   | Some m when s.steps - s.base_steps >= m -> raise (Stop Budget_exhausted)
   | _ -> ());
-  match (s.terminate, s.limits.stop, s.limits.deadline) with
-  | None, None, None -> ()
-  | terminate, stop, deadline ->
+  match (s.limits.stop, s.limits.deadline) with
+  | None, None -> ()
+  | stop, deadline ->
     s.poll <- s.poll - 1;
     if s.poll <= 0 then begin
       s.poll <- 128;
-      (match terminate with
-      | Some f when f () -> raise (Stop Interrupted)
-      | _ -> ());
       (match stop with
       | Some f when f () -> raise (Stop Interrupted)
       | _ -> ());
@@ -1028,13 +949,8 @@ let handle_conflict s ci =
      Obs.Metrics.observe m_lbd 1;
      s.lbd_sum <- s.lbd_sum + 1;
      if s.lbd_max = 0 then s.lbd_max <- 1;
-     (* log before export: on a shared spool the clause must be in the
-        log before any other member can learn from it *)
      (match s.proof with
      | Some sp -> Proof.log_learnt_unit sp (Ivec.get out 0)
-     | None -> ());
-     (match s.share with
-     | Some sh -> sh.export ~lbd:1 [| Ivec.get out 0 |]
      | None -> ());
      enqueue s (Ivec.get out 0) (-1)
    end
@@ -1049,18 +965,10 @@ let handle_conflict s ci =
      for i = 0 to n - 1 do
        pg.(b + i) <- Ivec.get out i
      done;
-     (* the proof and share hooks get their own copy, made only when
-        one of them is installed *)
-     (match (s.proof, s.share) with
-     | None, None -> ()
-     | proof, share -> (
-       let lits = clause_lits s c in
-       (match proof with
-       | Some sp -> Proof.log_learnt sp lits
-       | None -> ());
-       match share with
-       | Some sh -> sh.export ~lbd lits
-       | None -> ()));
+     (* the proof log gets its own copy, made only when it is on *)
+     (match s.proof with
+     | Some sp -> Proof.log_learnt sp (clause_lits s c)
+     | None -> ());
      attach s c;
      enqueue s (Ivec.get out 0) c
    end);
@@ -1226,13 +1134,10 @@ let run_solve s assumptions =
     if not s.ok then Unsat
     else
       try
-        (* foreign clauses come aboard at restart boundaries only: the
-           solver is at decision level 0 there, so imported units can
-           enqueue directly and new clauses need no backtracking *)
+        (* Luby restarts: the [i]-th search segment allows
+           [100 * luby i] conflicts *)
         let rec run i =
-          import_shared s;
-          if not s.ok then raise (Found Unsat);
-          match search s assumptions (s.restart_base * luby i) with
+          match search s assumptions (100 * luby i) with
           | `Restart -> run (i + 1)
         in
         run 1
@@ -1256,8 +1161,6 @@ let name_of_lit s l =
 
 let unsat_core s = s.last_core
 let core_names s = List.map (name_of_lit s) s.last_core
-let set_proof s sp = s.proof <- sp
-let proof_spool s = s.proof
 
 let push_named s name =
   let v = new_var s in

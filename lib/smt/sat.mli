@@ -22,7 +22,7 @@ type reason =
       (** a {!limits} counter (conflicts/propagations/steps) ran out *)
   | Deadline  (** the {!limits} wall-clock deadline passed *)
   | Interrupted
-      (** the {!set_terminate} callback answered [true], or a fault was
+      (** the {!limits} [stop] hook answered [true], or a fault was
           injected at the solve boundary (see [Fault]) *)
 
 val reason_to_string : reason -> string
@@ -62,33 +62,15 @@ type global_stats = {
   g_propagations : int;
 }
 
-val create :
-  ?learnt_limit:int ->
-  ?seed:int ->
-  ?default_phase:bool ->
-  ?restart_base:int ->
-  ?proof:bool ->
-  unit ->
-  t
+val create : ?learnt_limit:int -> unit -> t
 (** [learnt_limit] overrides the initial learned-clause cap (before
     geometric growth); the default is derived from the problem size.
     Mainly useful to force database reductions in tests.
 
-    The remaining knobs diversify the search without affecting
-    soundness, so a portfolio can race differently-configured solvers on
-    the same instance (see [Portfolio]):
-    - [seed] (default 0 = off) deterministically jitters initial
-      variable activities, perturbing the branching order;
-    - [default_phase] (default [false]) is the polarity a variable is
-      first decided with, before phase saving takes over;
-    - [restart_base] (default 100) scales the Luby restart schedule:
-      the [i]-th search segment allows [restart_base * luby i]
-      conflicts.
-
-    [proof] (default [true]) attaches a fresh proof spool when the
-    proof plane is enabled (see [Proof]); pass [false] for solvers
-    whose proof stream is managed externally, e.g. portfolio members
-    writing to a shared spool via {!set_proof}. *)
+    A variable is first decided negative, before phase saving takes
+    over, and the [i]-th search segment allows [100 * luby i]
+    conflicts. When the proof plane is enabled (see [Proof]) the
+    solver gets a fresh proof spool of its own. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
@@ -182,12 +164,13 @@ type limits = {
   stop : (unit -> bool) option;
       (** cooperative cancellation hook, polled with the deadline (every
           128 steps): answering [true] abandons the call with
-          [Unknown Interrupted]. Unlike {!set_terminate} — which one
-          owner (the portfolio) installs directly on a solver it built —
-          the hook rides inside the limits record, so budget bridges
+          [Unknown Interrupted]. It is the solver's one cancellation
+          hook. It rides inside the limits record, so budget bridges
           like [Sciduction.Loop.solve] propagate it to every solver a
           loop constructs without the loop knowing it exists. The
-          verification server cancels in-flight jobs through this. *)
+          verification server cancels in-flight jobs through this; it
+          must be cheap and safe to call from the solving domain (e.g.
+          [Par.Cancel.is_set] on a token another domain sets). *)
 }
 
 val no_limits : limits
@@ -200,41 +183,6 @@ val set_limits : t -> limits -> unit
 val clear_limits : t -> unit
 
 val limits : t -> limits
-
-val set_terminate : t -> (unit -> bool) option -> unit
-(** Install (or with [None], remove) a cooperative termination callback,
-    polled from the search loop every few dozen steps. Used by the
-    portfolio front-end to cancel losing solvers; the callback must be
-    cheap and safe to call from another domain's token (e.g.
-    [Par.Cancel.is_set]). *)
-
-(** {2 Learnt-clause sharing}
-
-    Cooperating solvers working on the {e same} CNF (identical variable
-    numbering, e.g. portfolio members) can exchange learned clauses:
-    every learnt is a logical consequence of the shared problem, so
-    adopting any subset of another member's learnts preserves both
-    [Sat] and [Unsat] verdicts. The hooks keep the solver decoupled
-    from any particular transport (see [Exchange] for the lock-free
-    ring the portfolio uses). *)
-
-type share = {
-  export : lbd:int -> Lit.t array -> unit;
-      (** called on every learned clause (unit learnts export with LBD
-          1), from the search hot path: it must be cheap, must not
-          block, and must copy the array if it retains it *)
-  import : unit -> (int * Lit.t array) list;
-      (** polled at restart boundaries (decision level 0); returns
-          [(lbd, literals)] pairs to adopt. Satisfied-at-root and
-          tautological clauses are dropped, units enqueue at level 0,
-          an empty clause settles the instance [Unsat], and imported
-          clauses keep their foreign LBD so database reduction can
-          reclaim them. Clauses mentioning variables the solver never
-          allocated are ignored. *)
-}
-
-val set_share : t -> share option -> unit
-(** Install (or with [None], remove) the sharing hooks. *)
 
 (** {2 Unsat cores and proof certificates}
 
@@ -260,10 +208,3 @@ val set_name : t -> int -> string -> unit
 (** [set_name s v name] names variable [v]'s constraint for core
     reporting (activation literals of named assertions, selector
     variables of candidate clauses, ...). *)
-
-val set_proof : t -> Proof.spool option -> unit
-(** Attach (or detach) the proof spool this solver logs to. Normally
-    managed by {!create}; the portfolio attaches one shared spool to
-    every member. *)
-
-val proof_spool : t -> Proof.spool option

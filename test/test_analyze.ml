@@ -442,8 +442,8 @@ let planted =
      [], None);
     ("span without dom",
      [ ln_span ~dom:"" 0.0 "root" 0.1 0; ln_metrics 0.2 ], [], None);
-    ("portfolio solver_call with an empty loop",
-     [ unsat 0.0 ""; cert 0.1 ""; ln_metrics 0.2 ], [], None);
+    ("solver_call after its loop ended",
+     good @ [ unsat 1.1 ""; cert 1.2 ""; ln_metrics 1.3 ], [], None);
   ]
 
 (* what trace_check does: decode every line, then run the rules *)

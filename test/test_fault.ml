@@ -1,9 +1,8 @@
 (* Robustness contract: deterministic fault injection, solver-boundary
-   faults surfacing as [Unknown], pool degradation without leaked
-   domains, [set_terminate] racing the final verdict, a fully starved
-   portfolio, and loop soundness under injected faults — a faulted run
-   may give up ([Exhausted] / [Unknown]) but must never flip a
-   verdict. *)
+   faults surfacing as [Unknown], the [limits.stop] hook racing the
+   final verdict, pool degradation without leaked domains, and loop
+   soundness under injected faults — a faulted run may give up
+   ([Exhausted] / [Unknown]) but must never flip a verdict. *)
 
 module Sat = Smt.Sat
 module Lit = Smt.Lit
@@ -122,29 +121,29 @@ let pigeonhole n =
   done;
   s
 
+let stop_when s f = Sat.set_limits s { Sat.no_limits with Sat.stop = Some f }
+
 let test_terminate_races_verdict () =
-  (* a pre-set terminate is polled before the first search step, so it
+  (* a pre-set stop is polled before the first search step, so it
      deterministically beats the verdict *)
   let s = pigeonhole 4 in
-  Sat.set_terminate s (Some (fun () -> true));
+  stop_when s (fun () -> true);
   (match Sat.solve s with
   | Sat.Unknown Sat.Interrupted -> ()
-  | _ -> Alcotest.fail "pre-set terminate must interrupt");
-  Sat.set_terminate s None;
+  | _ -> Alcotest.fail "pre-set stop must interrupt");
+  Sat.clear_limits s;
   (match Sat.solve s with
   | Sat.Unsat -> ()
   | _ -> Alcotest.fail "solver must recover its verdict after an interrupt");
-  (* a callback turning true after k polls either loses the race (the
-     full verdict lands first) or interrupts — never a flipped verdict *)
+  (* a hook turning true after k polls either loses the race (the full
+     verdict lands first) or interrupts — never a flipped verdict *)
   List.iter
     (fun k ->
       let s = pigeonhole 4 in
       let polls = ref 0 in
-      Sat.set_terminate s
-        (Some
-           (fun () ->
-             incr polls;
-             !polls > k));
+      stop_when s (fun () ->
+          incr polls;
+          !polls > k);
       match Sat.solve s with
       | Sat.Unsat | Sat.Unknown Sat.Interrupted -> ()
       | Sat.Sat -> Alcotest.fail "interrupt flipped an unsat instance to sat"
@@ -159,7 +158,7 @@ let test_terminate_races_verdict () =
       let s = pigeonhole 5 in
       let flag = Atomic.make false in
       let d = Domain.spawn (fun () -> Atomic.set flag true) in
-      Sat.set_terminate s (Some (fun () -> Atomic.get flag));
+      stop_when s (fun () -> Atomic.get flag);
       let r = Sat.solve s in
       Domain.join d;
       match r with
@@ -210,44 +209,6 @@ let test_spawn_failure_falls_back () =
             got;
           Par.Pool.shutdown pool))
     [ 1; 2; 3; 4; 5 ]
-
-(* ------------------------------------------------------------------ *)
-(* portfolio starvation                                                *)
-(* ------------------------------------------------------------------ *)
-
-let pigeonhole_problem n =
-  let v i h = (i * n) + h in
-  let at_least =
-    List.init (n + 1) (fun i -> List.init n (fun h -> Lit.pos (v i h)))
-  in
-  let at_most =
-    List.concat
-      (List.init n (fun h ->
-           List.concat
-             (List.init (n + 1) (fun i ->
-                  List.filter_map
-                    (fun j ->
-                      if j > i then
-                        Some [ Lit.neg_of (v i h); Lit.neg_of (v j h) ]
-                      else None)
-                    (List.init (n + 1) Fun.id)))))
-  in
-  { Smt.Dimacs.nvars = (n + 1) * n; clauses = at_least @ at_most }
-
-let test_portfolio_all_unknown () =
-  let p = pigeonhole_problem 4 in
-  let limits = { Sat.no_limits with Sat.max_conflicts = Some 0 } in
-  Par.Pool.with_pool ~jobs:2 (fun pool ->
-      let o = Smt.Portfolio.solve ~pool ~limits p in
-      (match o.Smt.Portfolio.result with
-      | Sat.Unknown _ -> ()
-      | Sat.Sat | Sat.Unsat ->
-        Alcotest.fail "a fully starved portfolio cannot have a verdict");
-      Alcotest.(check bool)
-        "the vanilla retry was attempted" true o.Smt.Portfolio.retried;
-      Alcotest.(check bool)
-        "no model on Unknown" true
-        (o.Smt.Portfolio.model = None))
 
 (* ------------------------------------------------------------------ *)
 (* budgeted BMC: the exhausted prefix is exactly the unbudgeted one    *)
@@ -359,8 +320,6 @@ let () =
             test_solver_fault_is_unknown;
           Alcotest.test_case "terminate races the verdict" `Quick
             test_terminate_races_verdict;
-          Alcotest.test_case "starved portfolio" `Quick
-            test_portfolio_all_unknown;
         ] );
       ( "pool",
         [

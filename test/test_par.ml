@@ -1,17 +1,9 @@
-(* The domain pool and the portfolio SAT front-end. The pool tests pin
-   down the contract the fan-out adapters rely on: results in input
-   order, exceptions funneled to the submitter without wedging the pool,
-   pools reusable across loop iterations, and cooperative cancellation
-   that actually stops losing tasks. The portfolio tests check the
-   soundness claim — parallel verdicts bit-for-bit equal to sequential
-   ones — on the DIMACS regression instances, and that the Sat
-   diversification knobs change the search without changing answers. *)
-
-module Lit = Smt.Lit
-module Sat = Smt.Sat
-module Dpll = Smt.Dpll
-module Dimacs = Smt.Dimacs
-module Portfolio = Smt.Portfolio
+(* The domain pool and the loops' fan-out adapters. The pool tests pin
+   down the contract the adapters rely on: results in input order,
+   exceptions funneled to the submitter without wedging the pool, and
+   pools reusable across loop iterations. The adapter tests check that
+   each pooled loop (BMC sweep, invgen, GameTime's learner) reaches the
+   sequential loop's verdict. *)
 
 exception Boom
 
@@ -85,40 +77,6 @@ let test_reuse_across_loops () =
       done)
 
 (* ------------------------------------------------------------------ *)
-(* cancellation                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_first_some_cancels_losers () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let losers_stopped = Atomic.make 0 in
-      let loser token =
-        match
-          while true do
-            Par.Cancel.check token
-          done
-        with
-        | () -> None
-        | exception Par.Cancelled ->
-          ignore (Atomic.fetch_and_add losers_stopped 1 : int);
-          None
-      in
-      let winner _token = Some 42 in
-      (* this test terminates only if cancellation reaches the spinning
-         losers; the winner's verdict must come through regardless *)
-      let got = Par.first_some pool [ loser; winner; loser; loser ] in
-      Alcotest.(check (option int)) "winner's value" (Some 42) got;
-      Alcotest.(check int) "all losers observed cancellation" 3
-        (Atomic.get losers_stopped))
-
-let test_first_some_no_winner () =
-  Par.Pool.with_pool ~jobs:2 (fun pool ->
-      let got = Par.first_some pool [ (fun _ -> None); (fun _ -> None) ] in
-      Alcotest.(check (option int)) "no winner" None got;
-      match Par.first_some pool [ (fun _ -> None); (fun _ -> raise Boom) ] with
-      | _ -> Alcotest.fail "loser-free failure must re-raise"
-      | exception Boom -> ())
-
-(* ------------------------------------------------------------------ *)
 (* obs under domains                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -160,265 +118,6 @@ let test_spans_from_domains () =
       Alcotest.(check bool) "dom id present" true (dom >= 0))
     spans;
   Obs.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Sat diversification                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* deterministic pseudo-random CNF (seeded LCG; no global Random state) *)
-let lcg seed =
-  let state = ref seed in
-  fun bound ->
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    (!state lsr 15) mod bound
-
-let random_cnf ~seed ~nvars ~nclauses =
-  let next = lcg seed in
-  let clause _ = List.init 3 (fun _ -> Lit.make (next nvars) (next 2 = 0)) in
-  { Dimacs.nvars; clauses = List.init nclauses clause }
-
-let solve_with ?seed ?default_phase ?restart_base (p : Dimacs.problem) =
-  let s = Sat.create ?seed ?default_phase ?restart_base () in
-  for _ = 1 to p.Dimacs.nvars do
-    ignore (Sat.new_var s : int)
-  done;
-  List.iter (Sat.add_clause s) p.Dimacs.clauses;
-  let r = Sat.solve s in
-  (r, Sat.stats s, s)
-
-let test_seed_diversification () =
-  let diverged = ref false in
-  for i = 1 to 8 do
-    let p = random_cnf ~seed:(100 + i) ~nvars:60 ~nclauses:255 in
-    let r0, st0, s0 = solve_with ~seed:0 p in
-    let r1, st1, _ = solve_with ~seed:987654321 p in
-    Alcotest.(check bool)
-      (Printf.sprintf "instance %d: seeds agree on sat/unsat" i)
-      true (r0 = r1);
-    if r0 = Sat.Sat then
-      Alcotest.(check bool)
-        (Printf.sprintf "instance %d: model sound" i)
-        true
-        (Dpll.eval (Array.init p.Dimacs.nvars (Sat.value s0)) p.Dimacs.clauses);
-    if
-      (st0.Sat.decisions, st0.Sat.conflicts, st0.Sat.propagations)
-      <> (st1.Sat.decisions, st1.Sat.conflicts, st1.Sat.propagations)
-    then diverged := true
-  done;
-  Alcotest.(check bool)
-    "some instance explored a different decision sequence" true !diverged
-
-let test_phase_default_changes_first_model () =
-  (* every clause has a positive literal, so all-true satisfies it: a
-     phase-true solver decides straight into a model *)
-  let p =
-    { Dimacs.nvars = 30;
-      clauses =
-        List.init 60 (fun i ->
-            [ Lit.pos (i mod 30); Lit.make ((i + 7) mod 30) (i mod 3 = 0) ]) }
-  in
-  let r_true, st_true, s = solve_with ~default_phase:true p in
-  let r_false, _, _ = solve_with ~default_phase:false p in
-  Alcotest.(check bool) "phase knobs agree on satisfiability" true
-    (r_true = Sat.Sat && r_false = Sat.Sat);
-  Alcotest.(check bool) "all-true model found without conflicts" true
-    (st_true.Sat.conflicts = 0);
-  Alcotest.(check bool) "model sound" true
-    (Dpll.eval (Array.init p.Dimacs.nvars (Sat.value s)) p.Dimacs.clauses)
-
-(* ------------------------------------------------------------------ *)
-(* portfolio vs sequential on the DIMACS regression instances          *)
-(* ------------------------------------------------------------------ *)
-
-let ring_cnf = "p cnf 4 5\n1 0\n-1 2 0\n-2 3 0\n-3 4 0\n-4 1 0\n"
-
-let multi_cnf =
-  "p cnf 8 9\n1 2 3 0\n-1 4 0\n-2 5 0\n-3 6 0\n4 5 6 0\n-7 -8 0\n7 8 0\n\
-   -4 -5 7 0\n-6 8 0\n"
-
-let ring_unsat_cnf =
-  "p cnf 4 6\n1 0\n-1 2 0\n-2 3 0\n-3 4 0\n-4 1 0\n-2 -4 0\n"
-
-let test_portfolio_agrees_with_sequential () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let instances =
-        [ Dimacs.parse ring_cnf; Dimacs.parse multi_cnf;
-          Dimacs.parse ring_unsat_cnf ]
-        @ List.init 10 (fun i ->
-              random_cnf ~seed:(500 + i) ~nvars:40 ~nclauses:172)
-      in
-      List.iteri
-        (fun i p ->
-          let seq = Portfolio.solve p in
-          Alcotest.(check int) "sequential races one solver" 1 seq.Portfolio.raced;
-          let par = Portfolio.solve ~pool p in
-          Alcotest.(check bool)
-            (Printf.sprintf "instance %d: verdicts identical" i)
-            true
-            (seq.Portfolio.result = par.Portfolio.result);
-          Alcotest.(check int)
-            (Printf.sprintf "instance %d: full race" i)
-            (Par.Pool.jobs pool) par.Portfolio.raced;
-          match par.Portfolio.model with
-          | Some m ->
-            Alcotest.(check bool)
-              (Printf.sprintf "instance %d: winner's model sound" i)
-              true
-              (Dpll.eval m p.Dimacs.clauses)
-          | None ->
-            Alcotest.(check bool)
-              (Printf.sprintf "instance %d: no model only on unsat" i)
-              true
-              (par.Portfolio.result = Sat.Unsat))
-        instances)
-
-
-(* ------------------------------------------------------------------ *)
-(* learnt-clause exchange                                              *)
-(* ------------------------------------------------------------------ *)
-
-let clause lits = Array.of_list (List.map (fun v -> Lit.pos v) lits)
-
-let test_exchange_roundtrip () =
-  let ex = Smt.Exchange.create ~workers:3 ~capacity:8 in
-  Smt.Exchange.publish ex ~worker:0 ~lbd:2 (clause [ 1; 2 ]);
-  Smt.Exchange.publish ex ~worker:1 ~lbd:3 (clause [ 3 ]);
-  (* a worker never re-imports its own exports *)
-  let mine = Smt.Exchange.drain ex ~worker:0 in
-  Alcotest.(check int) "own outbox excluded" 1 (List.length mine);
-  Alcotest.(check bool)
-    "worker 0 sees worker 1's clause" true
-    (match mine with [ (3, c) ] -> c = clause [ 3 ] | _ -> false);
-  (* draining is cursor-based: nothing new, nothing returned *)
-  Alcotest.(check int) "drain is idempotent" 0
-    (List.length (Smt.Exchange.drain ex ~worker:0));
-  let theirs = Smt.Exchange.drain ex ~worker:2 in
-  Alcotest.(check int) "third party sees both" 2 (List.length theirs);
-  Alcotest.(check int) "published totals" 2 (Smt.Exchange.published ex)
-
-let test_exchange_overflow_drops_oldest () =
-  let capacity = 4 in
-  let ex = Smt.Exchange.create ~workers:2 ~capacity in
-  Alcotest.(check int) "no drops before any traffic" 0
-    (Smt.Exchange.dropped ex);
-  (* publish well past capacity: never blocks, oldest entries are
-     overwritten in place *)
-  for i = 1 to 11 do
-    Smt.Exchange.publish ex ~worker:0 ~lbd:2 (clause [ i ])
-  done;
-  let got = Smt.Exchange.drain ex ~worker:1 in
-  Alcotest.(check int) "only the newest [capacity] survive" capacity
-    (List.length got);
-  Alcotest.(check bool)
-    "survivors are the most recent, oldest first" true
-    (List.map snd got = List.map (fun i -> clause [ i ]) [ 8; 9; 10; 11 ]);
-  (* the 7 lapped clauses are no longer silent: the drain counted them *)
-  Alcotest.(check int) "lap drops counted" 7 (Smt.Exchange.dropped ex);
-  (* the reader's cursor has caught up; later traffic flows normally *)
-  Smt.Exchange.publish ex ~worker:0 ~lbd:1 (clause [ 12 ]);
-  Alcotest.(check bool)
-    "post-overflow publish delivered" true
-    (List.map snd (Smt.Exchange.drain ex ~worker:1) = [ clause [ 12 ] ]);
-  Alcotest.(check int) "published counts every publish" 12
-    (Smt.Exchange.published ex);
-  Alcotest.(check int) "clean drain adds no drops" 7 (Smt.Exchange.dropped ex)
-
-(* The export hook must not perturb the search: a solver that exports
-   into an exchange nobody else writes to (so every import drains
-   empty) must take exactly the decision sequence of a plain solver. *)
-let test_share_export_does_not_perturb () =
-  let p = random_cnf ~seed:4242 ~nvars:60 ~nclauses:255 in
-  let r0, st0, _ = solve_with ~seed:17 p in
-  let ex = Smt.Exchange.create ~workers:2 ~capacity:64 in
-  let s = Sat.create ~seed:17 () in
-  for _ = 1 to p.Dimacs.nvars do
-    ignore (Sat.new_var s : int)
-  done;
-  List.iter (Sat.add_clause s) p.Dimacs.clauses;
-  Sat.set_share s
-    (Some
-       {
-         Sat.export =
-           (fun ~lbd lits -> Smt.Exchange.publish ex ~worker:0 ~lbd lits);
-         Sat.import = (fun () -> Smt.Exchange.drain ex ~worker:0);
-       });
-  let r1 = Sat.solve s in
-  let st1 = Sat.stats s in
-  Alcotest.(check bool) "verdicts equal" true (r0 = r1);
-  Alcotest.(check bool)
-    "decision sequence untouched" true
-    ((st0.Sat.decisions, st0.Sat.conflicts, st0.Sat.propagations)
-    = (st1.Sat.decisions, st1.Sat.conflicts, st1.Sat.propagations));
-  Alcotest.(check bool)
-    "learnt clauses were exported" true
-    (Smt.Exchange.published ex > 0)
-
-let test_share_import_filters () =
-  let s = Sat.create () in
-  let vp = Sat.new_var s and vq = Sat.new_var s and vr = Sat.new_var s in
-  let p = Lit.pos vp and q = Lit.pos vq and r = Lit.pos vr in
-  Sat.add_clause s [ p ];
-  Sat.add_clause s [ q; r ];
-  let batch = ref [] in
-  Sat.set_share s
-    (Some
-       {
-         Sat.export = (fun ~lbd:_ _ -> ());
-         Sat.import =
-           (fun () ->
-             let b = !batch in
-             batch := [];
-             b);
-       });
-  Alcotest.(check bool) "baseline sat" true (Sat.solve s = Sat.Sat);
-  let learnts0 = (Sat.stats s).Sat.learnts in
-  (* satisfied at root (p is a root unit) and out-of-range clauses must
-     both be dropped on import *)
-  batch :=
-    [ (2, [| p; q |]); (1, [| Lit.pos 99 |]) ];
-  Alcotest.(check bool) "still sat" true (Sat.solve s = Sat.Sat);
-  Alcotest.(check int)
-    "satisfied/foreign imports never stored" learnts0
-    (Sat.stats s).Sat.learnts;
-  (* a genuinely new consequence is adopted *)
-  batch := [ (2, [| q; Lit.neg r |]) ];
-  Alcotest.(check bool) "sat after real import" true (Sat.solve s = Sat.Sat);
-  Alcotest.(check int)
-    "imported clause stored as a learnt" (learnts0 + 1)
-    (Sat.stats s).Sat.learnts
-
-let test_portfolio_share_verdicts_stable () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let instances =
-        [ Dimacs.parse ring_cnf; Dimacs.parse multi_cnf;
-          Dimacs.parse ring_unsat_cnf ]
-        @ List.init 6 (fun i ->
-              random_cnf ~seed:(900 + i) ~nvars:50 ~nclauses:215)
-      in
-      List.iteri
-        (fun i p ->
-          let seq = Portfolio.solve p in
-          let shared = Portfolio.solve ~pool p in
-          let pure = Portfolio.solve ~pool ~share:false p in
-          let again = Portfolio.solve ~pool p in
-          Alcotest.(check bool)
-            (Printf.sprintf "instance %d: sharing preserves the verdict" i)
-            true
-            (seq.Portfolio.result = shared.Portfolio.result
-            && seq.Portfolio.result = pure.Portfolio.result
-            && seq.Portfolio.result = again.Portfolio.result);
-          match shared.Portfolio.model with
-          | Some m ->
-            Alcotest.(check bool)
-              (Printf.sprintf "instance %d: shared-race model sound" i)
-              true
-              (Dpll.eval m p.Dimacs.clauses)
-          | None ->
-            Alcotest.(check bool)
-              (Printf.sprintf "instance %d: no model only on unsat" i)
-              true
-              (shared.Portfolio.result = Sat.Unsat))
-        instances)
 
 (* ------------------------------------------------------------------ *)
 (* jobs parsing                                                        *)
@@ -582,47 +281,12 @@ let () =
           Alcotest.test_case "reuse across loop iterations" `Quick
             test_reuse_across_loops;
         ] );
-      ( "cancellation",
-        [
-          Alcotest.test_case "first_some cancels losers" `Quick
-            test_first_some_cancels_losers;
-          Alcotest.test_case "no winner, failures re-raised" `Quick
-            test_first_some_no_winner;
-        ] );
       ( "obs",
         [
           Alcotest.test_case "concurrent counters are exact" `Quick
             test_metrics_concurrent_exact;
           Alcotest.test_case "spans carry domain ids" `Quick
             test_spans_from_domains;
-        ] );
-      ( "diversification",
-        [
-          Alcotest.test_case "seeds diverge but agree" `Quick
-            test_seed_diversification;
-          Alcotest.test_case "phase default steers the search" `Quick
-            test_phase_default_changes_first_model;
-        ] );
-      ( "portfolio",
-        [
-          Alcotest.test_case "parallel verdicts = sequential verdicts" `Quick
-            test_portfolio_agrees_with_sequential;
-        ] );
-      ( "exchange",
-        [
-          Alcotest.test_case "publish/drain roundtrip" `Quick
-            test_exchange_roundtrip;
-          Alcotest.test_case "overflow drops oldest, never blocks" `Quick
-            test_exchange_overflow_drops_oldest;
-        ] );
-      ( "sharing",
-        [
-          Alcotest.test_case "export alone does not perturb the search"
-            `Quick test_share_export_does_not_perturb;
-          Alcotest.test_case "satisfied and foreign imports dropped" `Quick
-            test_share_import_filters;
-          Alcotest.test_case "shared-race verdicts stable and sequential"
-            `Quick test_portfolio_share_verdicts_stable;
         ] );
       ( "jobs",
         [

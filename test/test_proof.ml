@@ -3,16 +3,15 @@
    additions and proofs that never derive the empty clause rejected.
    The integration tests drive the real pipeline — solver verdicts
    logged to spools, certificates reconstructed exactly as the CLI
-   does, then verified by the independent checker — including the
-   shared-spool portfolio path, and check the no-observer-effect claim:
-   search statistics are bit-identical with the plane on and off. *)
+   does, then verified by the independent checker — and check the
+   no-observer-effect claim: search statistics are bit-identical with
+   the plane on and off. *)
 
 module Lit = Smt.Lit
 module Sat = Smt.Sat
 module Dpll = Smt.Dpll
 module Dimacs = Smt.Dimacs
 module Proof = Smt.Proof
-module Portfolio = Smt.Portfolio
 module Drat = Cert.Drat
 module Json = Obs.Json
 
@@ -33,8 +32,8 @@ let random_cnf ~seed ~nvars ~nclauses =
   let clause _ = List.init 3 (fun _ -> Lit.make (next nvars) (next 2 = 0)) in
   { Dimacs.nvars; clauses = List.init nclauses clause }
 
-let solve_problem ?seed (p : Dimacs.problem) =
-  let s = Sat.create ?seed () in
+let solve_problem (p : Dimacs.problem) =
+  let s = Sat.create () in
   for _ = 1 to p.Dimacs.nvars do
     ignore (Sat.new_var s : int)
   done;
@@ -175,26 +174,11 @@ let test_solver_certificates_verified () =
         (List.length entries);
       check_entries "solo solver" entries)
 
-let test_portfolio_shared_spool_verified () =
-  Par.Pool.with_pool ~jobs:4 @@ fun pool ->
-  let instances =
-    Dimacs.parse ring_unsat_cnf
-    :: List.init 6 (fun i -> random_cnf ~seed:(700 + i) ~nvars:40 ~nclauses:180)
-  in
-  (* a 4-way race with clause sharing writes one totally-ordered spool;
-     the winner's certificate must still check on its prefix *)
-  with_plane "portfolio"
-    (fun () ->
-      List.iter
-        (fun p -> ignore (Portfolio.solve ~pool p : Portfolio.outcome))
-        instances)
-    (check_entries "shared spool")
-
 let test_verdicts_identical_proof_on_off () =
   let instances =
     List.init 6 (fun i -> random_cnf ~seed:(40 + i) ~nvars:50 ~nclauses:215)
   in
-  let plain = List.map (solve_problem ~seed:5) instances in
+  let plain = List.map solve_problem instances in
   let logged =
     let prefix = tmp_prefix "observer" in
     Fun.protect
@@ -203,7 +187,7 @@ let test_verdicts_identical_proof_on_off () =
         Certs.cleanup_spools prefix)
     @@ fun () ->
     Proof.enable ~prefix;
-    List.map (solve_problem ~seed:5) instances
+    List.map solve_problem instances
   in
   List.iteri
     (fun i ((r0, st0), (r1, st1)) ->
@@ -278,8 +262,6 @@ let () =
         [
           Alcotest.test_case "solo verdicts reconstruct and verify" `Quick
             test_solver_certificates_verified;
-          Alcotest.test_case "shared portfolio spool verifies" `Quick
-            test_portfolio_shared_spool_verified;
           Alcotest.test_case "logging never perturbs the search" `Quick
             test_verdicts_identical_proof_on_off;
         ] );
