@@ -1,9 +1,11 @@
 (* The domain pool and the loops' fan-out adapters. The pool tests pin
    down the contract the adapters rely on: results in input order,
    exceptions funneled to the submitter without wedging the pool, and
-   pools reusable across loop iterations. The adapter tests check that
-   each pooled loop (BMC sweep, invgen, GameTime's learner) reaches the
-   sequential loop's verdict. *)
+   pools reusable across loop iterations. The solver test checks that a
+   Sat instance built inside a pool task searches exactly as it does on
+   the submitter, which the adapters need to reproduce sequential runs.
+   The adapter tests check that each pooled loop (BMC sweep, invgen,
+   GameTime's learner) reaches the sequential loop's verdict. *)
 
 exception Boom
 
@@ -118,6 +120,65 @@ let test_spans_from_domains () =
       Alcotest.(check bool) "dom id present" true (dom >= 0))
     spans;
   Obs.reset ()
+
+(* ------------------------------------------------------------------ *)
+(* one solver per task                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Lit = Smt.Lit
+module Sat = Smt.Sat
+
+(* deterministic pseudo-random 3-CNF (seeded LCG; no global Random state) *)
+let random_cnf ~seed ~nvars ~nclauses =
+  let state = ref seed in
+  let next bound =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    (!state lsr 15) mod bound
+  in
+  List.init nclauses (fun _ ->
+      List.init 3 (fun _ -> Lit.make (next nvars) (next 2 = 0)))
+
+let solve_cnf ~nvars clauses =
+  let s = Sat.create () in
+  for _ = 1 to nvars do
+    ignore (Sat.new_var s : int)
+  done;
+  List.iter (Sat.add_clause s) clauses;
+  let r = Sat.solve s in
+  let sound =
+    r <> Sat.Sat
+    || Smt.Dpll.eval (Array.init nvars (Sat.value s)) clauses
+  in
+  let st = Sat.stats s in
+  (r = Sat.Sat, sound, st.Sat.decisions, st.Sat.conflicts, st.Sat.propagations)
+
+let test_pooled_solves_match () =
+  (* near the 3-SAT threshold, so both verdicts and real search occur *)
+  let nvars = 60 in
+  let cnfs =
+    Array.init 12 (fun i -> random_cnf ~seed:(100 + i) ~nvars ~nclauses:255)
+  in
+  let sequential = Array.map (solve_cnf ~nvars) cnfs in
+  let pooled =
+    Par.Pool.with_pool ~jobs:4 (fun pool ->
+        Par.map ~chunk:1 pool (solve_cnf ~nvars) cnfs)
+  in
+  Array.iteri
+    (fun i (sat, sound, decisions, conflicts, propagations) ->
+      let sat', sound', decisions', conflicts', propagations' = pooled.(i) in
+      let label what = Printf.sprintf "instance %d: %s" i what in
+      Alcotest.(check bool) (label "verdict") sat sat';
+      Alcotest.(check bool) (label "sequential model sound") true sound;
+      Alcotest.(check bool) (label "pooled model sound") true sound';
+      Alcotest.(check (list int))
+        (label "decisions, conflicts, propagations")
+        [ decisions; conflicts; propagations ]
+        [ decisions'; conflicts'; propagations' ])
+    sequential;
+  Alcotest.(check bool)
+    "the suite holds both verdicts" true
+    (Array.exists (fun (sat, _, _, _, _) -> sat) sequential
+    && Array.exists (fun (sat, _, _, _, _) -> not sat) sequential)
 
 (* ------------------------------------------------------------------ *)
 (* jobs parsing                                                        *)
@@ -287,6 +348,11 @@ let () =
             test_metrics_concurrent_exact;
           Alcotest.test_case "spans carry domain ids" `Quick
             test_spans_from_domains;
+        ] );
+      ( "solver-per-task",
+        [
+          Alcotest.test_case "pooled solves match sequential" `Quick
+            test_pooled_solves_match;
         ] );
       ( "jobs",
         [
