@@ -5,10 +5,8 @@
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe fig6         -- one experiment
      (experiments: fig6 fig8 hd eq3 eq4 fig10 optimal table1 ablate
-      perf par micro; `perf` runs the OGIS, CEGAR and BMC loops once
-      each on their persistent sessions and writes BENCH_solver.json;
-      `par` reruns the BMC depth-sweep suite sequentially and under
-      `--jobs N` worker domains and writes BENCH_par.json)
+      perf micro; `perf` runs the OGIS, CEGAR and BMC loops once each
+      on their persistent sessions and writes BENCH_solver.json)
 
    Absolute numbers (cycle counts, wall-clock) depend on our simulated
    platform and homemade solver; EXPERIMENTS.md records the comparison
@@ -878,187 +876,6 @@ let check_baseline path =
     if regressed then exit 1
 
 (* ================================================================== *)
-(* Parallel fan-out: sequential vs --jobs N (writes BENCH_par.json)    *)
-(* ================================================================== *)
-
-(* set by the --jobs flag; 0 means "SCIDUCTION_JOBS or 4" *)
-let par_jobs = ref 0
-
-(* last doc written to BENCH_par.json, for the parallel gate *)
-let par_doc : Obs.Json.t option ref = ref None
-
-(* baseline snapshot taken by the driver *before* any experiment runs:
-   [par] rewrites BENCH_par.json, so when the gate's baseline path is
-   the same file the read must happen first or the gate would report
-   the current run as its own baseline *)
-let par_baseline : (Obs.Json.t, string) result option ref = ref None
-
-let par () =
-  let jobs = if !par_jobs > 0 then !par_jobs else Par.env_jobs ~default:4 () in
-  section (Printf.sprintf "Parallel fan-out: sequential vs --jobs %d" jobs);
-  Par.Pool.with_pool ~jobs @@ fun pool ->
-  let inst name t_seq t_par ok =
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.String name);
-        ("seconds_sequential", Obs.Json.Float t_seq);
-        ("seconds_parallel", Obs.Json.Float t_par);
-        ("speedup", Obs.Json.Float (t_seq /. max 1e-9 t_par));
-        ("verdicts_agree", Obs.Json.Bool ok);
-      ]
-  in
-  let suite name rows =
-    let tot sel = List.fold_left (fun a r -> a +. sel r) 0.0 rows in
-    let ts = tot (fun (_, s, _, _) -> s) and tp = tot (fun (_, _, p, _) -> p) in
-    let agree = List.for_all (fun (_, _, _, ok) -> ok) rows in
-    let speedup = ts /. max 1e-9 tp in
-    Format.printf
-      "suite total: sequential %.3fs | parallel %.3fs | %.2fx | all verdicts \
-       agree: %b@."
-      ts tp speedup agree;
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.String name);
-        ( "instances",
-          Obs.Json.List (List.map (fun (n, s, p, ok) -> inst n s p ok) rows) );
-        ("seconds_sequential", Obs.Json.Float ts);
-        ("seconds_parallel", Obs.Json.Float tp);
-        ("speedup", Obs.Json.Float speedup);
-        ("verdicts_agree", Obs.Json.Bool agree);
-      ]
-  in
-  subsection "BMC depth sweep (work-stealing ranged claims)";
-  (* The parallel sweep guarantees the verdict and, on unsafe systems,
-     the minimal counterexample depth — not the concrete trace, which
-     may differ between claim schedules. Agreement therefore means:
-     same verdict, same depth, and the parallel trace actually drives
-     the concrete system into a bad state in exactly that many steps
-     (replayed, so a bogus trace cannot pass). *)
-  let trace_reaches_bad ts trace =
-    let state =
-      List.fold_left
-        (fun st input -> Mc.Ts.step ts ~state:st ~input)
-        ts.Mc.Ts.init trace
-    in
-    Mc.Ts.is_bad ts state
-  in
-  let bmc_rows =
-    List.map
-      (fun (name, ts, max_depth) ->
-        let seq, t_seq = timed (fun () -> conv (Mc.Bmc.sweep ts ~max_depth)) in
-        let prl, t_par =
-          timed (fun () -> conv (Mc.Bmc.sweep ~pool ts ~max_depth))
-        in
-        let agree =
-          match (seq, prl) with
-          | None, None -> true
-          | Some (d1, _), Some (d2, tr2) ->
-            d1 = d2 && List.length tr2 = d2 && trace_reaches_bad ts tr2
-          | _ -> false
-        in
-        Format.printf "%-18s seq %7.3fs | par %7.3fs | %6.2fx | agree=%b@."
-          name t_seq t_par
-          (t_seq /. max 1e-9 t_par)
-          agree;
-        (name, t_seq, t_par, agree))
-      [
-        (* overhead canaries: far too small for parallelism to pay;
-           kept to show the claim queue does not tax tiny instances *)
-        ( "safe-mod11-d24",
-          Mc.Systems.mod_counter ~junk:10 ~bits:4 ~modulus:11 ~bad_value:15 (),
-          24 );
-        ( "unsafe-mod8-d24",
-          Mc.Systems.mod_counter ~junk:4 ~bits:3 ~modulus:8 ~bad_value:5 (),
-          24 );
-        (* the real workloads (>= 100ms sequential): long
-           propagation-bound sweeps where one ranged claim replaces
-           dozens of per-depth queries and their per-iteration harness
-           cost *)
-        ("safe-shift400-d450", Mc.Systems.shift_register ~len:400, 450);
-        ("safe-shift600-d700", Mc.Systems.shift_register ~len:600, 700);
-      ]
-  in
-  let bmc_suite = suite "bmc_sweep" bmc_rows in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("jobs", Obs.Json.Int jobs);
-        ("suites", Obs.Json.List [ bmc_suite ]);
-      ]
-  in
-  par_doc := Some doc;
-  let oc = open_out "BENCH_par.json" in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "wrote BENCH_par.json@.";
-  (* speedups are machine-dependent and only reported; verdict agreement
-     is the contract, so divergence fails the run *)
-  if not (List.for_all (fun (_, _, _, ok) -> ok) bmc_rows) then begin
-    Format.printf "!! parallel verdicts diverged from sequential@.";
-    exit 1
-  end
-
-(* `bench/main.exe par --check-baseline BENCH_par.json` gates the
-   cooperative-parallelism figure: the BMC sweep must actually beat the
-   sequential loop (speedup >= 1.0 at the requested job count); the
-   baseline's speedup is reported beside it. Verdict divergence already
-   fails inside [par] before this gate runs. Writes BENCH_par_gate.json;
-   exits 2 on an unreadable baseline, 1 on a failed gate. *)
-let check_par_baseline path =
-  let suite_speedup name doc =
-    match Obs.Json.member "suites" doc with
-    | Some (Obs.Json.List suites) ->
-      List.find_map
-        (fun s ->
-          match Obs.Json.member "name" s with
-          | Some (Obs.Json.String n) when n = name ->
-            Option.bind (Obs.Json.member "speedup" s) Obs.Json.to_float
-          | _ -> None)
-        suites
-    | _ -> None
-  in
-  section (Printf.sprintf "Parallel gate: current par suite vs %s" path);
-  let baseline =
-    match !par_baseline with
-    | Some snapshot -> snapshot
-    | None -> read_json_file path
-  in
-  if !par_doc = None then par ();
-  let doc = Option.get !par_doc in
-  match baseline with
-  | Error msg ->
-    Format.printf "cannot read baseline %s: %s@." path msg;
-    exit 2
-  | Ok base -> (
-    match (suite_speedup "bmc_sweep" doc, suite_speedup "bmc_sweep" base) with
-    | Some bmc, Some base_bmc ->
-      let ok = bmc >= 1.0 in
-      Format.printf
-        "bmc_sweep speedup %.2fx (gate: >= 1.00x; baseline %.2fx): %s@." bmc
-        base_bmc
-        (if ok then "PASS" else "FAIL");
-      let gate =
-        Obs.Json.Obj
-          [
-            ("baseline", Obs.Json.String path);
-            ("bmc_speedup", Obs.Json.Float bmc);
-            ("baseline_bmc_speedup", Obs.Json.Float base_bmc);
-            ("verdict", Obs.Json.String (if ok then "PASS" else "FAIL"));
-          ]
-      in
-      let oc = open_out "BENCH_par_gate.json" in
-      output_string oc (Obs.Json.to_string gate);
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "verdict: %s (BENCH_par_gate.json)@."
-        (if ok then "PASS" else "FAIL");
-      if not ok then exit 1
-    | _ ->
-      Format.printf "baseline %s lacks the par suite figures@." path;
-      exit 2)
-
-(* ================================================================== *)
 (* Bechamel micro-benchmarks                                           *)
 (* ================================================================== *)
 
@@ -1683,7 +1500,6 @@ let experiments =
     ("table1", table1);
     ("ablate", ablate);
     ("perf", perf);
-    ("par", par);
     ("micro", micro);
     ("budget", budget_overhead);
     ("live", live_overhead);
@@ -1703,17 +1519,6 @@ let () =
       Format.printf "--check-baseline expects a file@.";
       exit 2
     | "--check-baseline" :: file :: rest -> (List.rev acc @ rest, Some file)
-    | [ "--jobs" ] ->
-      Format.printf "--jobs expects a positive integer@.";
-      exit 2
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        par_jobs := n;
-        split_baseline acc rest
-      | _ ->
-        Format.printf "--jobs expects a positive integer, got %s@." n;
-        exit 2)
     | name :: rest -> split_baseline (name :: acc) rest
   in
   let names, baseline =
@@ -1725,10 +1530,6 @@ let () =
     | [], None -> List.map fst default_experiments
     | names, _ -> names
   in
-  (match baseline with
-  | Some path when List.mem "par" requested ->
-    par_baseline := Some (read_json_file path)
-  | _ -> ());
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
@@ -1738,10 +1539,4 @@ let () =
           (String.concat " " (List.map fst experiments));
         exit 1)
     requested;
-  (* with `par` among the experiments the baseline gates the parallel
-     suite; otherwise it gates the solver-perf suite as before *)
-  Option.iter
-    (fun path ->
-      if List.mem "par" requested then check_par_baseline path
-      else check_baseline path)
-    baseline
+  Option.iter check_baseline baseline

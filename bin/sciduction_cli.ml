@@ -13,11 +13,10 @@
 
    Every application subcommand accepts --trace FILE (JSON-lines
    telemetry), --stats (console summary on exit), --quiet (suppress
-   diagnostics, keep the final verdict), --jobs N (worker domains
-   for the parallel fan-outs; defaults to SCIDUCTION_JOBS or 1) and
-   --stats-socket PATH (serve live metrics, rates and heartbeat/stall
-   status over a Unix-domain socket while the run is in flight; scrape
-   it with `sciduction_cli stats --socket PATH` from another shell).
+   diagnostics, keep the final verdict) and --stats-socket PATH (serve
+   live metrics, rates and heartbeat/stall status over a Unix-domain
+   socket while the run is in flight; scrape it with
+   `sciduction_cli stats --socket PATH` from another shell).
 
    Loop subcommands additionally accept resource governance flags:
    --timeout SECONDS and --max-conflicts N budget the run (an exhausted
@@ -50,18 +49,6 @@ let obs_term =
       value & flag
       & info [ "quiet" ] ~doc:"Suppress diagnostics; keep final verdicts.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for parallel fan-out: the BMC depth sweep \
-                (ranged depth claims, one solver per worker), the \
-                invariant implication-candidate scan, OGIS candidate \
-                re-checking and GameTime's basis-path measurements. Each \
-                SAT query still runs on one solver. Default: \
-                $(b,SCIDUCTION_JOBS) or 1; 1 keeps everything sequential.")
-  in
   let stats_socket =
     Arg.(
       value
@@ -93,8 +80,8 @@ let obs_term =
                 with $(b,sciduction_cli check-proof --proof) $(docv).")
   in
   Term.(
-    const (fun t s q j sock stall proof -> (t, s, q, j, sock, stall, proof))
-    $ trace $ stats $ quiet $ jobs $ stats_socket $ stall_after $ proof)
+    const (fun t s q sock stall proof -> (t, s, q, sock, stall, proof))
+    $ trace $ stats $ quiet $ stats_socket $ stall_after $ proof)
 
 (* ---- resource governance shared by the loop subcommands ---- *)
 
@@ -179,9 +166,7 @@ let budget_term =
         Budget.limited ?conflicts ?seconds:timeout ())
     $ timeout $ max_conflicts $ fault_arg $ fault_sites_arg)
 
-(* [f] receives the pool ([None] when --jobs resolves to 1): verdicts do
-   not depend on it, only wall-clock time does *)
-let with_obs (trace, stats, quiet, jobs, stats_socket, stall_after, proof) f =
+let with_obs (trace, stats, quiet, stats_socket, stall_after, proof) f =
   Obs.set_quiet quiet;
   if trace <> None || stats || stats_socket <> None then begin
     Obs.enable ();
@@ -228,26 +213,8 @@ let with_obs (trace, stats, quiet, jobs, stats_socket, stall_after, proof) f =
         Obs.shutdown ())
       (fun () ->
         (* typed failures become a one-line diagnostic and a distinct
-           exit code, never a backtrace; jobs validation lives inside so
-           --jobs 0 or a mistyped SCIDUCTION_JOBS gets the same
-           treatment as any other bad input *)
-        try
-          let jobs =
-            match jobs with
-            | Some j ->
-              if j < 1 then
-                failwith
-                  (Printf.sprintf "--jobs: jobs must be >= 1 (got %d)" j);
-              j
-            | None -> Par.env_jobs_exn ~default:1 ()
-          in
-          let pool =
-            if jobs > 1 then Some (Par.Pool.create ~jobs ()) else None
-          in
-          Fun.protect
-            ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
-            (fun () -> f pool)
-        with
+           exit code, never a backtrace *)
+        try f () with
         | Failure msg ->
           Format.eprintf "sciduction_cli: %s@." msg;
           3
@@ -323,13 +290,13 @@ let submit_and_print socket ?attempts ?id ?priority ?timeout ?max_conflicts
     Format.eprintf "sciduction_cli: %s@." msg;
     3
 
-let run_spec server pool (budget : Budget.t) spec =
+let run_spec server (budget : Budget.t) spec =
   match server with
   | Some (socket, attempts) ->
     submit_and_print socket ?attempts ?timeout:budget.Budget.seconds
       ?max_conflicts:budget.Budget.conflicts spec
   | None ->
-    let r = Server.Jobs.run ?pool ~budget spec in
+    let r = Server.Jobs.run ~budget spec in
     print_verdict r.Server.Jobs.verdict;
     r.Server.Jobs.code
 
@@ -349,8 +316,8 @@ let deobfuscate_cmd =
     (Cmd.info "deobfuscate" ~doc:"Re-synthesize an obfuscated program (Fig. 8)")
     Term.(
       const (fun obs budget server program width ->
-          with_obs obs (fun pool ->
-              run_spec server pool budget
+          with_obs obs (fun () ->
+              run_spec server budget
                 (Server.Jobs.Deobfuscate { program; width })))
       $ obs_term $ budget_term $ server_term $ program $ width)
 
@@ -386,9 +353,9 @@ let timing_cmd =
     (Cmd.info "timing" ~doc:"GameTime analysis of a program (Sec. 3)")
     Term.(
       const (fun obs budget server file bits tau ->
-          with_obs obs (fun pool ->
+          with_obs obs (fun () ->
               let source = Option.map read_file file in
-              run_spec server pool budget
+              run_spec server budget
                 (Server.Jobs.Timing { source; bits; tau })))
       $ obs_term $ budget_term $ server_term $ file $ bits $ tau)
 
@@ -422,7 +389,7 @@ let transmission_cmd =
        ~doc:"Synthesize transmission switching guards (Sec. 5)")
     Term.(
       const (fun obs dwell grid ->
-          with_obs obs (fun _pool -> transmission_run dwell grid))
+          with_obs obs (fun () -> transmission_run dwell grid))
       $ obs_term $ dwell $ grid)
 
 (* ---- cegar ---- *)
@@ -440,8 +407,8 @@ let cegar_cmd =
     (Cmd.info "cegar" ~doc:"CEGAR on a counter with irrelevant latches")
     Term.(
       const (fun obs budget server junk bits modulus bad_value ->
-          with_obs obs (fun pool ->
-              run_spec server pool budget
+          with_obs obs (fun () ->
+              run_spec server budget
                 (Server.Jobs.Cegar { junk; bits; modulus; bad_value })))
       $ obs_term $ budget_term $ server_term $ junk $ bits $ modulus
       $ bad_value)
@@ -474,8 +441,8 @@ let bmc_cmd =
     (Cmd.info "bmc" ~doc:"Bounded model checking sweep over growing depths")
     Term.(
       const (fun obs budget server shift junk bits modulus bad_value max_depth ->
-          with_obs obs (fun pool ->
-              run_spec server pool budget
+          with_obs obs (fun () ->
+              run_spec server budget
                 (Server.Jobs.Bmc
                    {
                      system = { shift; junk; bits; modulus; bad_value };
@@ -508,8 +475,8 @@ let invgen_cmd =
        ~doc:"Invariant generation by simulation + mutual induction (Sec. 2.4)")
     Term.(
       const (fun obs budget server circuit n ->
-          with_obs obs (fun pool ->
-              run_spec server pool budget (Server.Jobs.Invgen { circuit; n })))
+          with_obs obs (fun () ->
+              run_spec server budget (Server.Jobs.Invgen { circuit; n })))
       $ obs_term $ budget_term $ server_term $ circuit $ n)
 
 (* ---- lstar ---- *)
@@ -526,8 +493,8 @@ let lstar_cmd =
     (Cmd.info "lstar" ~doc:"Learn a DFA with Angluin's L* algorithm")
     Term.(
       const (fun obs budget server states ->
-          with_obs obs (fun pool ->
-              run_spec server pool budget (Server.Jobs.Lstar { states })))
+          with_obs obs (fun () ->
+              run_spec server budget (Server.Jobs.Lstar { states })))
       $ obs_term $ budget_term $ server_term $ states)
 
 (* ---- export-chrome ---- *)
@@ -717,7 +684,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Parse and execute a program file")
     Term.(
       const (fun obs file bindings machine ->
-          with_obs obs (fun _pool -> run_run file bindings machine))
+          with_obs obs (fun () -> run_run file bindings machine))
       $ obs_term $ file $ bindings $ machine)
 
 (* ---- stats (scrape a live run's endpoint) ---- *)
@@ -1004,6 +971,17 @@ let serve_cmd =
           ~doc:"Jobs executed concurrently. Default: the --jobs pool \
                 width, else 1.")
   in
+  let jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:"Units of the domain pool the dispatchers run jobs on: each \
+                dispatcher runs a whole job as one pool task, and the loop \
+                inside the job stays sequential. Default: \
+                $(b,SCIDUCTION_JOBS) or 1; 1 runs jobs on the dispatcher \
+                threads.")
+  in
   let journal =
     Arg.(
       value
@@ -1046,10 +1024,26 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the persistent verification server on a Unix socket")
     Term.(
-      const (fun obs fault sites socket cache_capacity aging_s dispatchers
-                journal queue_limit restart_budget warm_capacity ->
+      const (fun obs fault sites socket cache_capacity aging_s jobs
+                dispatchers journal queue_limit restart_budget warm_capacity ->
           arm_fault ?sites fault;
-          with_obs obs (fun pool ->
+          with_obs obs (fun () ->
+              (* an invalid --jobs or SCIDUCTION_JOBS is a typed failure:
+                 with_obs turns it into a diagnostic and exit 3 *)
+              let jobs =
+                match jobs with
+                | Some j when j < 1 ->
+                  failwith
+                    (Printf.sprintf "--jobs: jobs must be >= 1 (got %d)" j)
+                | Some j -> j
+                | None -> Par.env_jobs_exn ~default:1 ()
+              in
+              let pool =
+                if jobs > 1 then Some (Par.Pool.create ~jobs ()) else None
+              in
+              Fun.protect
+                ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
+              @@ fun () ->
               match
                 Server.Daemon.start ?pool ?dispatchers ~cache_capacity
                   ~aging_s ?journal ~queue_limit ~restart_budget
@@ -1076,7 +1070,7 @@ let serve_cmd =
                 Sys.set_signal Sys.sigterm prev_term;
                 0))
       $ obs_term $ fault_arg $ fault_sites_arg $ serve_socket_arg
-      $ cache_size $ aging $ dispatchers $ journal $ queue_limit
+      $ cache_size $ aging $ jobs $ dispatchers $ journal $ queue_limit
       $ restart_budget $ warm_max)
 
 let submit_cmd =

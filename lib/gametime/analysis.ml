@@ -25,7 +25,7 @@ type partial = {
   reason : Budget.reason;
 }
 
-let analyze ?(bound = 8) ?trials ?seed ?(pin = []) ?pool
+let analyze ?(bound = 8) ?trials ?seed ?(pin = [])
     ?(budget = Budget.unlimited) ~platform program =
   Obs.with_span "gametime.analyze" ~attrs:[ ("bound", Obs.Int bound) ]
   @@ fun () ->
@@ -34,7 +34,7 @@ let analyze ?(bound = 8) ?trials ?seed ?(pin = []) ?pool
   let mk basis =
     let model =
       Obs.with_span "gametime.learn" (fun () ->
-          Learner.learn ?trials ?seed ?pool ~platform basis)
+          Learner.learn ?trials ?seed ~platform basis)
     in
     { program; unrolled; cfg; basis; model; pin }
   in
@@ -80,9 +80,9 @@ let predictions t =
       Option.map (fun cy -> (path, test, cy)) (predict_path t path))
     (feasible_paths t)
 
-let refine_with_spanner ?trials ?seed ?c ?pool ~platform t =
+let refine_with_spanner ?trials ?seed ?c ~platform t =
   let basis = Spanner.barycentric ?c t.basis ~candidates:(feasible_paths t) t.cfg in
-  let model = Learner.learn ?trials ?seed ?pool ~platform basis in
+  let model = Learner.learn ?trials ?seed ~platform basis in
   { t with basis; model }
 
 type wcet = {

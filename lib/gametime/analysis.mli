@@ -30,7 +30,6 @@ val analyze :
   ?trials:int ->
   ?seed:int ->
   ?pin:(string * int) list ->
-  ?pool:Par.Pool.t ->
   ?budget:Budget.t ->
   platform:((string * int) list -> int) ->
   Prog.Lang.t ->
@@ -39,8 +38,7 @@ val analyze :
     inputs to constants in every generated test case: problem <TA> is
     posed for a fixed starting environment state, and pinning the
     non-path-relevant inputs (e.g. the modexp base) fixes the data state
-    the same way the paper's Fig. 6 experiment does. [pool] is
-    forwarded to {!Learner.learn} for the measurement fan-out.
+    the same way the paper's Fig. 6 experiment does.
 
     [?budget] (default unlimited) meters basis extraction (see
     {!Basis.extract}); platform measurement of whatever basis was found
@@ -57,7 +55,6 @@ val refine_with_spanner :
   ?trials:int ->
   ?seed:int ->
   ?c:float ->
-  ?pool:Par.Pool.t ->
   platform:((string * int) list -> int) ->
   t ->
   t

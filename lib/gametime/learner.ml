@@ -5,33 +5,21 @@ type model = {
   factored : Linalg.factored;
 }
 
-let learn ?trials ?(seed = 0x5EED) ?pool ~platform basis =
+let learn ?trials ?(seed = 0x5EED) ~platform basis =
   let k = List.length basis in
   (* an empty basis (no feasible path) measures nothing and predicts
      nothing *)
   let trials = if k = 0 then 0 else Option.value trials ~default:(10 * k) in
   let rng = Random.State.make [| seed |] in
   let basis_arr = Array.of_list basis in
-  (* draw the whole random path schedule up front so it depends only on
-     [seed], then measure; a pool fans the measurements out and the fold
-     below recovers the exact sequential sums *)
-  let schedule = Array.make trials 0 in
-  for j = 0 to trials - 1 do
-    schedule.(j) <- Random.State.int rng k
-  done;
   let measure i = platform basis_arr.(i).Basis.test in
-  let times =
-    match pool with
-    | Some pool when Par.Pool.jobs pool > 1 -> Par.map pool measure schedule
-    | _ -> Array.map measure schedule
-  in
   let sums = Array.make k 0.0 in
   let samples = Array.make k 0 in
-  Array.iteri
-    (fun j i ->
-      sums.(i) <- sums.(i) +. float_of_int times.(j);
-      samples.(i) <- samples.(i) + 1)
-    schedule;
+  for _ = 1 to trials do
+    let i = Random.State.int rng k in
+    sums.(i) <- sums.(i) +. float_of_int (measure i);
+    samples.(i) <- samples.(i) + 1
+  done;
   (* uniform random choice can starve a path on small trial counts; take
      one deterministic measurement for any path never sampled *)
   Array.iteri

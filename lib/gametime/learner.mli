@@ -17,19 +17,14 @@ type model = {
 val learn :
   ?trials:int ->
   ?seed:int ->
-  ?pool:Par.Pool.t ->
   platform:((string * int) list -> int) ->
   Basis.basis_path list ->
   model
 (** [learn ~platform basis] runs [trials] end-to-end measurements
     (default: 10 per basis path), choosing which basis path to execute
-    uniformly at random each trial. The random schedule is drawn up
-    front from [seed], so with [?pool] the measurements fan out across
-    domains and — provided [platform] is a pure function of the test
-    case, as the simulated platforms here are — the learned model is
-    identical to a sequential run. An empty basis (a program with no
-    feasible path) takes no measurement and gives a model that
-    predicts no path. *)
+    uniformly at random from [seed] each trial. An empty basis (a
+    program with no feasible path) takes no measurement and gives a
+    model that predicts no path. *)
 
 val predict : model -> int array -> float option
 (** Predicted execution time of a path given by its edge vector: express

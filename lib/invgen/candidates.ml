@@ -21,7 +21,7 @@ let all_zero w = Array.for_all (fun x -> x = 0) w
 let implies_sig a b =
   Array.for_all2 (fun wa wb -> wa land lnot wb land lanes_mask = 0) a b
 
-let from_simulation ?(frames = 16) ?(seed = 99) ?implication_focus ?pool aig =
+let from_simulation ?(frames = 16) ?(seed = 99) ?implication_focus aig =
   Aig.validate aig;
   let sig_ = Aig.simulate_words aig ~frames ~seed in
   let n = Aig.num_nodes aig in
@@ -51,9 +51,7 @@ let from_simulation ?(frames = 16) ?(seed = 99) ?implication_focus ?pool aig =
       end
     end
   done;
-  (* implications: an O(|focus|^2) scan over pure signature reads, so
-     the rows fan out one pool task per antecedent literal; row order is
-     preserved, giving the same candidate list as the sequential scan *)
+  (* implications: an O(|focus|^2) scan over pure signature reads *)
   let focus =
     Option.value implication_focus ~default:(Aig.latches aig)
   in
@@ -72,13 +70,7 @@ let from_simulation ?(frames = 16) ?(seed = 99) ?implication_focus ?pool aig =
         else None)
       lits
   in
-  let impls =
-    match pool with
-    | Some pool when Par.Pool.jobs pool > 1 ->
-      List.concat (Par.map_list pool row lits)
-    | _ -> List.concat_map row lits
-  in
-  List.rev !cands @ impls
+  List.rev !cands @ List.concat_map row lits
 
 let pp fmt = function
   | Equiv (a, b) -> Format.fprintf fmt "l%d == l%d" a b

@@ -18,13 +18,10 @@ val from_simulation :
   ?frames:int ->
   ?seed:int ->
   ?implication_focus:Aig.lit list ->
-  ?pool:Par.Pool.t ->
   Aig.t ->
   t list
 (** Constants and equivalences over all non-input nodes, plus
     implications among [implication_focus] literals and their negations
-    (default: the latch literals). With [?pool] the quadratic
-    implication scan fans out one task per antecedent literal; the
-    result is identical to the sequential scan. *)
+    (default: the latch literals). *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,7 +20,7 @@ let string_of_verdict = function
   | Induction.Unknown -> "unknown"
   | Induction.Aborted _ -> "aborted"
 
-let run ?frames ?seed ?pool ?(budget = Budget.unlimited) aig ~bad =
+let run ?frames ?seed ?(budget = Budget.unlimited) aig ~bad =
   Loop.run "invgen" ~budget
     ~attrs:[ ("latches", Obs.Int (Aig.num_latches aig)) ]
     ~finished:(fun r ->
@@ -38,7 +38,7 @@ let run ?frames ?seed ?pool ?(budget = Budget.unlimited) aig ~bad =
   @@ fun lp ->
   let cands =
     Obs.with_span "invgen.simulate" (fun () ->
-        Candidates.from_simulation ?frames ?seed ?pool aig)
+        Candidates.from_simulation ?frames ?seed aig)
   in
   let p_candidates = List.length cands in
   (* the simulation-pruned candidate set is this loop's hypothesis *)
@@ -47,31 +47,15 @@ let run ?frames ?seed ?pool ?(budget = Budget.unlimited) aig ~bad =
   | Budget.Exhausted (survivors, reason) ->
     Budget.Exhausted { p_candidates; survivors; filtered = false; reason }
   | Budget.Converged proven -> (
-    (* the strengthened and unaided property checks are independent SAT
-       problems over separate solvers, so with a pool they race on two
-       domains; loop events are still emitted in the sequential order.
-       The meter's counters are atomic, so the racing checks share the
-       conflict pool safely. *)
-    let emit_verdict v =
-      Loop.verdict lp (string_of_verdict v)
-        ~attrs:[ ("proven", Obs.Int (List.length proven)) ]
-    in
-    let prove invariants () =
+    (* the property check strengthened by the proven invariants, then
+       the unaided one for comparison *)
+    let prove invariants =
       Induction.prove_property ~loop:lp aig ~bad ~invariants
     in
-    let verdict, verdict_unaided =
-      match pool with
-      | Some pool when Par.Pool.jobs pool > 1 ->
-        let aided = Par.submit pool (prove proven)
-        and unaided = Par.submit pool (prove []) in
-        let v = Par.await pool aided in
-        emit_verdict v;
-        (v, Par.await pool unaided)
-      | _ ->
-        let v = prove proven () in
-        emit_verdict v;
-        (v, prove [] ())
-    in
+    let verdict = prove proven in
+    Loop.verdict lp (string_of_verdict verdict)
+      ~attrs:[ ("proven", Obs.Int (List.length proven)) ];
+    let verdict_unaided = prove [] in
     match verdict with
     | Induction.Aborted reason ->
       (* the fixpoint did finish: [survivors] are genuinely inductive

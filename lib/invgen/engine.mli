@@ -24,19 +24,13 @@ type partial = {
 val run :
   ?frames:int ->
   ?seed:int ->
-  ?pool:Par.Pool.t ->
   ?budget:Budget.t ->
   Aig.t ->
   bad:Aig.lit ->
   (report, partial) Budget.outcome
-(** With [?pool], the candidate implication scan fans out across domains
-    and the strengthened/unaided property checks run concurrently; the
-    report is identical to a sequential run.
-
-    [?budget] (default unlimited) meters the pipeline: iterations count
+(** [?budget] (default unlimited) meters the pipeline: iterations count
     fixpoint filtering passes, and every SAT query drains the shared
-    conflict pool (the racing property checks overdraw by at most one
-    in-flight query each). A [Converged] report is exact; the unaided
+    conflict pool. A [Converged] report is exact; the unaided
     verdict may read [Aborted] when the pool ran dry after the main
     verdict was already decided. *)
 

@@ -150,9 +150,8 @@ let check_between ?limits sess ~span ~lo ~hi =
   let target =
     if lo = 0 then List.hd (drop (sess.frames - hi) sess.anys_rev)
     else
-      (* step [lo]'s bad wire when [lo = hi]; otherwise a parallel
-         claim's own disjunction — claims are disjoint, so their gates
-         total O(d) over a sweep *)
+      (* step [lo]'s bad wire when [lo = hi]; otherwise the ranged
+         query's own disjunction *)
       Tseitin.or_list ctx
         (List.rev (take (hi - lo + 1) (drop (sess.frames - hi) sess.bads_rev)))
   in
@@ -204,215 +203,6 @@ let () =
            depth start)
     | _ -> None)
 
-(* both sweeps end the same way: a minimal counterexample, a clean
-   bound, or the proved prefix of an exhausted sweep *)
-let run_loop ~budget attrs body =
-  Loop.run "bmc" ~budget ~attrs
-    ~finished:(fun cex ->
-      [
-        ( "outcome",
-          Obs.String (if cex = None then "safe_within_bound" else "unsafe") );
-      ])
-    ~exhausted:(fun p ->
-      (p.reason, [ ("proved_depth", Obs.Int p.proved_depth) ], []))
-    body
-
-(* Parallel sweep over a shared work-stealing depth queue.
-
-   A single atomic ([next]) is the queue head: a worker claims the next
-   unproved contiguous depth range with a CAS, so no depth is ever
-   solved twice and an idle worker steals the frontier instead of
-   idling behind a static stripe. Claims use guided self-scheduling —
-   about [remaining / (2*jobs)] depths per claim, shrinking to single
-   depths near the end — big enough that one ranged query amortizes a
-   claim, small enough that workers stay balanced.
-
-   Each worker keeps one persistent incremental session and extends its
-   unrolling monotonically across claims. A claim [lo..hi] is decided
-   by {e one} ranged query ("bad at some step in [lo..hi]") instead of
-   [hi-lo+1] cumulative ones: an unsat answer proves the whole range
-   clean in one solver call, which is where the parallel sweep's
-   algorithmic advantage over the depth-at-a-time sequential loop comes
-   from. A sat answer yields a genuine trace of some length [d]; the
-   worker then refines downward ("bad in [lo..d-1]") until the range's
-   minimal counterexample depth is found, marking the depths it proves
-   clean along the way.
-
-   Minimality of the reported depth: claims are handed out in ascending
-   order, so when [lo..hi] is claimed every depth below [lo] is already
-   claimed by someone, and a completed claim below the final best depth
-   either proved its depths clean or would have recorded a shallower
-   counterexample (impossible below the minimum — traces are replayed
-   on the concrete system, so every recorded depth is genuine). Hence,
-   absent an exhaustion, all depths below the shared best are proved
-   clean and the reported depth equals the sequential sweep's; only the
-   concrete trace can differ. On exhaustion the cex is reported only if
-   everything below it is proved; otherwise the sweep returns the
-   contiguous proved prefix, like the sequential loop.
-
-   Worker count: cooperation gains nothing from more workers than
-   hardware threads. BMC workers all
-   allocate heavily (each extends its own unrolling) and OCaml's minor
-   collections synchronize every running domain, so oversubscribing
-   cores turns each collection into a scheduling convoy — the old
-   striped sweep's 0.18x "speedup" on a single-core host was exactly
-   this. The claim width is therefore capped at
-   [Domain.recommended_domain_count]: on a machine with fewer cores
-   than [jobs] the sweep runs fewer workers over the same claim queue —
-   same claims, same verdict, no convoy. *)
-let sweep_par ~start ~budget ?workers pool (ts : Ts.t) ~max_depth =
-  let width =
-    match workers with
-    | Some w ->
-      if w < 1 then invalid_arg "Bmc.sweep: workers must be >= 1";
-      w
-    | None ->
-      max 1 (min (Par.Pool.jobs pool) (Domain.recommended_domain_count ()))
-  in
-  run_loop ~budget
-    [
-      ("start", Obs.Int start);
-      ("max_depth", Obs.Int max_depth);
-      ("latches", Obs.Int ts.Ts.num_latches);
-      ("inputs", Obs.Int ts.Ts.num_inputs);
-      ("jobs", Obs.Int (Par.Pool.jobs pool));
-      ("workers", Obs.Int width);
-    ]
-  @@ fun lp ->
-  let best = Atomic.make max_int in
-  let iter_ix = Atomic.make 0 in
-  let rec record depth =
-    let cur = Atomic.get best in
-    if depth < cur && not (Atomic.compare_and_set best cur depth) then
-      record depth
-  in
-  (* per-depth clean flags (each depth has exactly one prover: no
-     races) for the proved-prefix computation, plus the first
-     exhaustion reason *)
-  let nstatus = max 0 (max_depth - start + 1) in
-  let status = Array.make (max 1 nstatus) false in
-  let stopped = Atomic.make None in
-  let record_stop reason =
-    ignore (Atomic.compare_and_set stopped None (Some reason) : bool)
-  in
-  (* the work queue: next depth nobody has claimed yet. Claim sizing is
-     seeded from the shared best-depth atomic: once any worker has
-     recorded a counterexample at depth [b], the only work that still
-     matters is proving [..b-1] clean, so late claims are sized against
-     that frontier instead of the cold [max_depth] — near a suspected
-     counterexample region the claims shrink and the remaining workers
-     refine close to the frontier rather than grabbing ranges the best
-     depth already made moot. *)
-  let next = Atomic.make start in
-  let rec claim () =
-    let lo = Atomic.get next in
-    let frontier = min max_depth (Atomic.get best - 1) in
-    if lo > frontier then None
-    else begin
-      let chunk = max 1 ((frontier - lo + 1) / (2 * width)) in
-      let hi = min frontier (lo + chunk - 1) in
-      if Atomic.compare_and_set next lo (hi + 1) then Some (lo, hi)
-      else claim ()
-    end
-  in
-  let worker _w () =
-    let sess = new_session ts in
-    let found = ref None in
-    let note depth trace =
-      record depth;
-      match !found with
-      | Some (d, _) when d <= depth -> ()
-      | _ -> found := Some (depth, trace)
-    in
-    let running = ref true in
-    while !running do
-      match claim () with
-      | None -> running := false
-      | Some (lo, hi) -> (
-        (* depths at or past the best known counterexample are moot *)
-        let hi = min hi (Atomic.get best - 1) in
-        if lo > hi then running := false
-        else
-          match Loop.tick lp with
-          | Some reason ->
-            record_stop reason;
-            running := false
-          | None -> (
-            Loop.iteration lp
-              (Atomic.fetch_and_add iter_ix 1)
-              ~attrs:[ ("depth", Obs.Int lo); ("hi", Obs.Int hi) ];
-            let solve_range lo hi =
-              Loop.solve lp
-                ~conflicts:(fun () -> session_conflicts sess)
-                (fun limits -> check_range ~limits sess ~lo ~hi)
-            in
-            match solve_range lo hi with
-            | `No_cex ->
-              for d = lo to hi do
-                status.(d - start) <- true
-              done;
-              Loop.verdict lp "no_cex"
-                ~attrs:[ ("depth", Obs.Int lo); ("hi", Obs.Int hi) ]
-            | `Unknown r ->
-              record_stop (Loop.reason_of_sat r);
-              running := false
-            | `Cex trace ->
-              (* refine to this claim's minimal counterexample depth;
-                 the trace can land below [lo], where minimality is the
-                 earlier claims' responsibility *)
-              let rec refine trace =
-                let d = List.length trace in
-                note d trace;
-                if d > lo then
-                  match solve_range lo (d - 1) with
-                  | `No_cex ->
-                    for i = lo to d - 1 do
-                      status.(i - start) <- true
-                    done
-                  | `Cex trace' -> refine trace'
-                  | `Unknown r -> record_stop (Loop.reason_of_sat r)
-              in
-              refine trace))
-    done;
-    !found
-  in
-  let futures = List.init width (fun w -> Par.submit pool (worker w)) in
-  let results = Par.await_all pool futures in
-  let first =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | Some (da, _), Some (db, _) -> if db < da then r else acc
-        | None, r -> r
-        | acc, None -> acc)
-      None results
-  in
-  let prefix_proved depth =
-    let ok = ref true in
-    for i = 0 to depth - start - 1 do
-      if not status.(i) then ok := false
-    done;
-    !ok
-  in
-  match first with
-  | Some (depth, trace)
-    when Atomic.get stopped = None || prefix_proved depth ->
-    Loop.counterexample lp ~attrs:[ ("length", Obs.Int (List.length trace)) ];
-    Loop.verdict lp "unsafe" ~attrs:[ ("depth", Obs.Int depth) ];
-    Budget.Converged (Some (depth, trace))
-  | _ -> (
-    match Atomic.get stopped with
-    | None -> Budget.Converged None
-    | Some reason ->
-      (* deepest depth below which every depth was proved clean *)
-      let proved = ref (start - 1) in
-      (try
-         for i = 0 to nstatus - 1 do
-           if status.(i) then proved := start + i else raise Exit
-         done
-       with Exit -> ());
-      Budget.Exhausted { proved_depth = !proved; reason })
-
 (* The classic BMC loop: one persistent session, depths start..max_depth
    in turn. Each depth is one loop iteration, so a trace of a sweep
    shows where the solving time concentrates as the unrolling grows.
@@ -429,14 +219,22 @@ let sweep_par ~start ~budget ?workers pool (ts : Ts.t) ~max_depth =
    reported as a minimal counterexample. *)
 let sweep_over ~start ~budget sess ~max_depth =
   let ts = sess.ts in
-  run_loop ~budget
-    [
-      ("start", Obs.Int start);
-      ("max_depth", Obs.Int max_depth);
-      ("latches", Obs.Int ts.Ts.num_latches);
-      ("inputs", Obs.Int ts.Ts.num_inputs);
-      ("warm_frames", Obs.Int sess.frames);
-    ]
+  Loop.run "bmc" ~budget
+    ~attrs:
+      [
+        ("start", Obs.Int start);
+        ("max_depth", Obs.Int max_depth);
+        ("latches", Obs.Int ts.Ts.num_latches);
+        ("inputs", Obs.Int ts.Ts.num_inputs);
+        ("warm_frames", Obs.Int sess.frames);
+      ]
+    ~finished:(fun cex ->
+      [
+        ( "outcome",
+          Obs.String (if cex = None then "safe_within_bound" else "unsafe") );
+      ])
+    ~exhausted:(fun p ->
+      (p.reason, [ ("proved_depth", Obs.Int p.proved_depth) ], []))
   @@ fun lp ->
   let rec go depth i =
     if depth > max_depth then Budget.Converged None
@@ -467,12 +265,8 @@ let sweep_over ~start ~budget sess ~max_depth =
   in
   go start 0
 
-let sweep ?(start = 0) ?pool ?workers ?(budget = Budget.unlimited)
-    (ts : Ts.t) ~max_depth =
-  match pool with
-  | Some pool when Par.Pool.jobs pool > 1 ->
-    sweep_par ~start ~budget ?workers pool ts ~max_depth
-  | _ -> sweep_over ~start ~budget (new_session ts) ~max_depth
+let sweep ?(start = 0) ?(budget = Budget.unlimited) (ts : Ts.t) ~max_depth =
+  sweep_over ~start ~budget (new_session ts) ~max_depth
 
 let sweep_session ?(start = 0) ?(budget = Budget.unlimited) sess ~max_depth =
   if start < 0 then invalid_arg "Bmc.sweep_session: start must be >= 0";

@@ -82,15 +82,13 @@ type partial = {
 }
 
 exception False_start of { start : int; depth : int }
-(** A sequential sweep found a bad state at [depth], below its [start]:
+(** A sweep found a bad state at [depth], below its [start]:
     the caller's claim that the depths below [start] are clean was
     false. Raised by {!sweep} and {!sweep_session} instead of reporting
     a counterexample that would not be the minimal one. *)
 
 val sweep :
   ?start:int ->
-  ?pool:Par.Pool.t ->
-  ?workers:int ->
   ?budget:Budget.t ->
   Ts.t ->
   max_depth:int ->
@@ -111,37 +109,9 @@ val sweep :
     count queried depths, the conflict pool is drained by every solver
     call, and the deadline cuts the run short mid-query. On exhaustion
     the sweep returns [Exhausted] with the deepest fully-proved depth
-    and emits a [budget_exhausted] loop event. A budgeted sequential
-    sweep's verdicts agree with the unbudgeted run on the proved
-    prefix (the limit checks never alter the search itself).
-
-    With [?pool] (of more than one job), workers claim contiguous depth
-    ranges from a shared atomic queue (work stealing: no depth is ever
-    solved twice, nobody idles behind a static stripe), each keeping
-    one persistent session it extends monotonically. A claimed range is
-    decided by one {!check_range} query and, when satisfiable, refined
-    downward to its minimal counterexample depth; a worker that finds a
-    counterexample publishes the depth through a shared atomic and the
-    others stop claiming past it. The minimal reachable depth — and
-    hence the verdict — is identical to the sequential sweep, though
-    the concrete trace may differ. Under a budget the workers share one
-    conflict pool (overdraw bounded by one in-flight query per worker),
-    iterations meter {e claims} rather than depths, and the proved
-    prefix on exhaustion counts only contiguously proved depths.
-
-    [?workers] overrides how many claim-loop workers are submitted to
-    the pool. By default the width is [min (Pool.jobs pool)
-    (Domain.recommended_domain_count ())]: cooperating workers all
-    allocate, and OCaml's minor GC synchronizes every domain, so
-    running more workers than hardware threads only adds convoy stalls
-    — the claim queue and verdict are the same at any width. Raises
-    [Invalid_argument] when [workers < 1].
-
-    Once a worker records a counterexample through the shared
-    best-depth atomic, subsequent claims are seeded from that frontier:
-    sized against [best - 1] rather than [max_depth], so late workers
-    take progressively finer ranges near the suspected counterexample
-    region instead of cold ranges the best depth made moot. *)
+    and emits a [budget_exhausted] loop event. A budgeted sweep's
+    verdicts agree with the unbudgeted run on the proved
+    prefix (the limit checks never alter the search itself). *)
 
 val sweep_session :
   ?start:int ->
@@ -149,7 +119,7 @@ val sweep_session :
   session ->
   max_depth:int ->
   ((int * bool array list) option, partial) Budget.outcome
-(** The sequential sweep over a caller-owned (possibly warm) session:
+(** The sweep over a caller-owned (possibly warm) session:
     query depths [start..max_depth] in turn, reusing every frame and
     learnt clause already in the session. The caller owns the claim
     that depths below [start] are clean — the verification server

@@ -702,37 +702,6 @@ let check ?(require = []) lines =
 
 (* ----- metrics snapshot helpers (parsed from JSON, not the registry) ----- *)
 
-let buckets_of_json j =
-  match j with
-  | Json.List items ->
-    List.filter_map
-      (fun pair ->
-        match pair with
-        | Json.List [ le; n ] -> (
-          match (Json.to_int le, Json.to_int n) with
-          | Some le, Some n -> Some (le, n)
-          | _ -> None)
-        | _ -> None)
-      items
-  | _ -> []
-
-(* count/sum/min/max/buckets objects written by the trace's final
-   snapshot; returns (count, sum, max, buckets) *)
-let histogram_of_json j =
-  match
-    ( Option.bind (Json.member "count" j) Json.to_int,
-      Option.bind (Json.member "sum" j) Json.to_int,
-      Option.bind (Json.member "max" j) Json.to_int )
-  with
-  | Some count, Some sum, Some max ->
-    Some
-      ( count,
-        sum,
-        max,
-        buckets_of_json (Option.value ~default:Json.Null (Json.member "buckets" j))
-      )
-  | _ -> None
-
 (* ----- report rendering ----- *)
 
 let pp_path ppf path =
@@ -838,38 +807,10 @@ let pp_audit ppf a =
       a.a_loops
 
 let pp_metrics ppf metrics =
-  let line fmt = Format.fprintf ppf fmt in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Json.Int c -> line "  %-28s %d@." name c
-      | Json.Float g -> line "  %-28s %g@." name g
-      | Json.Obj _ -> (
-        match histogram_of_json v with
-        | Some (count, sum, max, buckets) ->
-          let pct p =
-            Metrics.percentile_of_buckets ~buckets ~count ~max p
-          in
-          line "  %-28s count=%d mean=%.1f p50=%d p90=%d p99=%d max=%d@." name
-            count
-            (if count = 0 then 0.0 else float_of_int sum /. float_of_int count)
-            (pct 50.0) (pct 90.0) (pct 99.0) max
-        | None -> ())
-      | _ -> ())
-    metrics;
-  (* derived lines, mirroring the live registry's pp_summary *)
-  let cval name =
-    match List.assoc_opt name metrics with Some (Json.Int c) -> c | _ -> 0
-  in
-  let shared_hits = cval "bitblast.shared_hits" in
-  let shared_misses = cval "bitblast.shared_misses" in
-  if shared_hits + shared_misses > 0 then
-    line "  shared recipe hit rate       %.1f%% (%d/%d)@."
-      (100.0
-      *. float_of_int shared_hits
-      /. float_of_int (shared_hits + shared_misses))
-      shared_hits
-      (shared_hits + shared_misses)
+  Metrics.pp_snapshot ppf
+    (List.filter_map
+       (fun (name, j) -> Option.map (fun v -> (name, v)) (Metrics.of_json j))
+       metrics)
 
 let pp_report ?(top = 12) ppf a =
   let line fmt = Format.fprintf ppf fmt in
@@ -958,8 +899,8 @@ let json_of_run lr =
       ])
 
 let json_of_metric v =
-  match histogram_of_json v with
-  | Some (count, sum, max, buckets) ->
+  match Metrics.of_json v with
+  | Some (Metrics.Histogram { count; sum; max; buckets; _ }) ->
     let pct p = Metrics.percentile_of_buckets ~buckets ~count ~max p in
     Json.Obj
       [
@@ -970,7 +911,7 @@ let json_of_metric v =
         ("p99", Json.Int (pct 99.0));
         ("max", Json.Int max);
       ]
-  | None -> v
+  | _ -> v
 
 let summary_json a =
   Json.Obj

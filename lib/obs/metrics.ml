@@ -196,6 +196,78 @@ let to_json = function
                buckets) );
       ]
 
+let of_json j =
+  let int k = Option.bind (Json.member k j) Json.to_int in
+  match j with
+  | Json.Int c -> Some (Counter c)
+  | Json.Float g -> Some (Gauge g)
+  | Json.Obj _ -> (
+    match (int "count", int "sum", int "max") with
+    | Some count, Some sum, Some max ->
+      let buckets =
+        match Json.member "buckets" j with
+        | Some (Json.List items) ->
+          List.filter_map
+            (function
+              | Json.List [ le; n ] -> (
+                match (Json.to_int le, Json.to_int n) with
+                | Some le, Some n -> Some (le, n)
+                | _ -> None)
+              | _ -> None)
+            items
+        | _ -> []
+      in
+      let min = Option.value (int "min") ~default:0 in
+      Some (Histogram { count; sum; min; max; buckets })
+    | _ -> None)
+  | _ -> None
+
+let pp_snapshot ppf metrics =
+  let line fmt = Format.fprintf ppf fmt in
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Counter c -> line "  %-28s %d@." name c
+      | Gauge g -> line "  %-28s %g@." name g
+      | Histogram { count; sum; min = _; max; buckets } ->
+        let pct p = percentile_of_buckets ~buckets ~count ~max p in
+        line "  %-28s count=%d mean=%.1f p50=%d p90=%d p99=%d max=%d@." name
+          count
+          (if count = 0 then 0.0 else float_of_int sum /. float_of_int count)
+          (pct 50.0) (pct 90.0) (pct 99.0) max)
+    metrics;
+  let cval name =
+    match List.assoc_opt name metrics with Some (Counter c) -> c | _ -> 0
+  in
+  let rate label hits total =
+    if total > 0 then
+      line "  %-28s %.1f%% (%d/%d)@." label
+        (100.0 *. float_of_int hits /. float_of_int total)
+        hits total
+  in
+  (* derived: bit-blast cache and cross-context recipe-cache hit rates *)
+  let hits =
+    cval "bitblast.term_cache_hits" + cval "bitblast.formula_cache_hits"
+  in
+  let misses =
+    cval "bitblast.term_cache_misses" + cval "bitblast.formula_cache_misses"
+  in
+  if hits + misses > 0 then line "@.";
+  rate "bitblast cache hit rate" hits (hits + misses);
+  let shared_hits = cval "bitblast.shared_hits" in
+  rate "shared recipe hit rate" shared_hits
+    (shared_hits + cval "bitblast.shared_misses");
+  (* derived: proof & certificate plane *)
+  let proof_bytes = cval "proof.bytes" in
+  let certs = cval "proof.certificates" in
+  if proof_bytes > 0 || certs > 0 then
+    line "  proof plane                  %d bytes logged, %d certificate%s@."
+      proof_bytes certs
+      (if certs = 1 then "" else "s");
+  let checked = cval "cert.clauses_checked" in
+  if checked > 0 then
+    line "  certificates audited         %d clauses RUP-checked@." checked
+
 let reset () =
   Mutex.lock registry_lock;
   let entries = Hashtbl.fold (fun _ e acc -> e :: acc) registry [] in

@@ -75,6 +75,18 @@ val to_json : snapshot_value -> Json.t
 (** The trace/stats-endpoint rendering: counters as ints, gauges as
     floats, histograms as [{count, sum, min, max, buckets}]. *)
 
+val of_json : Json.t -> snapshot_value option
+(** The inverse of {!to_json}, for snapshots read back from a trace:
+    [None] for a value of no instrument's shape. An absent histogram
+    [min] reads 0. *)
+
+val pp_snapshot : Format.formatter -> (string * snapshot_value) list -> unit
+(** One line per instrument (histograms as count, mean, p50/p90/p99 and
+    max), then the derived lines: the bit-blast and shared-recipe cache
+    hit rates, the proof plane's volume and the certificates audited,
+    each only when its counters moved. Both the [--stats] summary and
+    the trace report print a snapshot through this. *)
+
 val reset : unit -> unit
 (** Zero all values; registrations (and the refs instrumented code
     holds) stay valid. *)

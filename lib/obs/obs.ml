@@ -347,17 +347,6 @@ module Loop = struct
 
   let name l = l.ln
 
-  (* the calling domain's stack is restored on every exit, whatever
-     loops [f] started or finished on it *)
-  let within l f =
-    if not l.alive then f ()
-    else begin
-      let stack = loop_stack () in
-      let saved = !stack in
-      stack := l.ln :: saved;
-      Fun.protect ~finally:(fun () -> stack := saved) f
-    end
-
   let iteration ?(attrs = []) l index =
     if l.alive then emit (Iteration { loop = l.ln; index; attrs })
 
@@ -446,52 +435,7 @@ let pp_summary ppf () =
   let metrics = Metrics.snapshot () in
   if metrics <> [] then begin
     line "@.metrics:@.";
-    List.iter
-      (fun (name, v) ->
-        match v with
-        | Metrics.Counter c -> line "  %-28s %d@." name c
-        | Metrics.Gauge g -> line "  %-28s %g@." name g
-        | Metrics.Histogram { count; sum; min = _; max; buckets } ->
-          let pct p = Metrics.percentile_of_buckets ~buckets ~count ~max p in
-          line "  %-28s count=%d mean=%.1f p50=%d p90=%d p99=%d max=%d@." name
-            count
-            (if count = 0 then 0.0 else float_of_int sum /. float_of_int count)
-            (pct 50.0) (pct 90.0) (pct 99.0) max)
-      metrics;
-    (* derived: bit-blast cache hit rate *)
-    let cval name =
-      match List.assoc_opt name metrics with
-      | Some (Metrics.Counter c) -> c
-      | _ -> 0
-    in
-    let hits = cval "bitblast.term_cache_hits" + cval "bitblast.formula_cache_hits" in
-    let misses =
-      cval "bitblast.term_cache_misses" + cval "bitblast.formula_cache_misses"
-    in
-    if hits + misses > 0 then
-      line "@.  bitblast cache hit rate      %.1f%% (%d/%d)@."
-        (100.0 *. float_of_int hits /. float_of_int (hits + misses))
-        hits (hits + misses);
-    (* derived: cross-context recipe-cache hit rate *)
-    let shared_hits = cval "bitblast.shared_hits" in
-    let shared_misses = cval "bitblast.shared_misses" in
-    if shared_hits + shared_misses > 0 then
-      line "  shared recipe hit rate       %.1f%% (%d/%d)@."
-        (100.0
-        *. float_of_int shared_hits
-        /. float_of_int (shared_hits + shared_misses))
-        shared_hits
-        (shared_hits + shared_misses);
-    (* derived: proof & certificate plane *)
-    let proof_bytes = cval "proof.bytes" in
-    let certs = cval "proof.certificates" in
-    if proof_bytes > 0 || certs > 0 then
-      line "  proof plane                  %d bytes logged, %d certificate%s@."
-        proof_bytes certs
-        (if certs = 1 then "" else "s");
-    let checked = cval "cert.clauses_checked" in
-    if checked > 0 then
-      line "  certificates audited         %d clauses RUP-checked@." checked
+    Metrics.pp_snapshot ppf metrics
   end
 
 (* ----- Chrome trace_event export ----- *)

@@ -135,12 +135,6 @@ module Loop : sig
   val start : ?attrs:attrs -> string -> t
   val name : t -> string
 
-  val within : t -> (unit -> 'a) -> 'a
-  (** [within l f] runs [f] with [l] as the calling domain's current
-      loop, so the solver calls [f] makes are attributed to [l] on
-      whichever domain runs it. The domain's loop stack is restored
-      when [f] returns or raises. Once [l] has finished, it is [f ()]. *)
-
   val iteration : ?attrs:attrs -> t -> int -> unit
   val candidate : ?attrs:attrs -> t -> unit
   val verdict : ?attrs:attrs -> t -> string -> unit

@@ -15,7 +15,7 @@ type failure =
   | Unrealizable of Synth.stats
   | Exhausted of Synth.partial
 
-let run ?max_iterations ?initial_inputs ?pool ?budget ~library
+let run ?max_iterations ?initial_inputs ?budget ~library
     (p : Lang.t) =
   let spec =
     {
@@ -27,7 +27,7 @@ let run ?max_iterations ?initial_inputs ?pool ?budget ~library
   in
   let t0 = Unix.gettimeofday () in
   match
-    Synth.synthesize ?max_iterations ?initial_inputs ?pool ?budget spec
+    Synth.synthesize ?max_iterations ?initial_inputs ?budget spec
       (oracle_of_program p)
   with
   | Budget.Converged (Synth.Synthesized (clean, stats)) ->

@@ -26,11 +26,10 @@ type failure =
 val run :
   ?max_iterations:int ->
   ?initial_inputs:int list list ->
-  ?pool:Par.Pool.t ->
   ?budget:Budget.t ->
   library:Component.t list ->
   Prog.Lang.t ->
   (result, failure) Stdlib.result
 (** Deobfuscate a program against a component library. [Error] carries
-    the non-success outcome. [initial_inputs], [pool] and [budget] are
+    the non-success outcome. [initial_inputs] and [budget] are
     forwarded to {!Synth.synthesize}. *)

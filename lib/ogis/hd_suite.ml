@@ -124,13 +124,13 @@ type outcome = {
   seconds : float;
 }
 
-let run ?(width = 8) ?pool ?budget b =
+let run ?(width = 8) ?budget b =
   let spec_record =
     { Encode.width; ninputs = b.arity; noutputs = 1; library = b.library ~width }
   in
   let t0 = Unix.gettimeofday () in
   let result =
-    match Synth.synthesize ?pool ?budget spec_record (b.reference ~width) with
+    match Synth.synthesize ?budget spec_record (b.reference ~width) with
     | Budget.Converged (Synth.Synthesized (p, stats)) -> Ok (p, stats)
     | other -> Error other
   in
@@ -142,13 +142,3 @@ let run ?(width = 8) ?pool ?budget b =
       Synth.verify_against spec_record p ~spec_fn:(b.spec ~width) = Ok ()
   in
   { benchmark = b; result; verified; seconds }
-
-(* Whole-suite fan-out: benchmarks are independent (each [run] builds
-   its own solvers), so one pool task per benchmark; tasks must not
-   nest, so the per-benchmark runs themselves stay sequential inside.
-   Results come back in suite order. *)
-let run_all ?(width = 8) ?pool () =
-  match pool with
-  | Some pool when Par.Pool.jobs pool > 1 ->
-    Par.map_list pool (fun b -> run ~width b) all
-  | _ -> List.map (fun b -> run ~width b) all

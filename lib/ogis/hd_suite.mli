@@ -32,17 +32,8 @@ type outcome = {
   seconds : float;
 }
 
-val run :
-  ?width:int -> ?pool:Par.Pool.t -> ?budget:Budget.t -> benchmark -> outcome
+val run : ?width:int -> ?budget:Budget.t -> benchmark -> outcome
 (** Synthesize at the given width (default 8) and verify the result
-    against [spec] with an SMT equivalence query. [?pool] (the candidate
-    re-check fan-out) and [?budget] (default unlimited) are forwarded to
-    [Synth.synthesize]; an exhausted run is an [Error (Exhausted _)]
-    result and is not verified. *)
-
-val run_all : ?width:int -> ?pool:Par.Pool.t -> unit -> outcome list
-(** Run the whole suite, in [all]'s order. With [?pool], one pool task
-    per benchmark (the benchmarks share no state); each benchmark's
-    outcome — synthesized program, verification, statistics — is the
-    same as a sequential run, only the wall-clock order of execution
-    differs. *)
+    against [spec] with an SMT equivalence query. [?budget] (default
+    unlimited) is forwarded to [Synth.synthesize]; an exhausted run is
+    an [Error (Exhausted _)] result and is not verified. *)

@@ -20,20 +20,7 @@ type partial = {
   reason : Budget.reason;
 }
 
-(* Candidate-vs-counterexample re-checking. Sequentially only the new
-   example needs evaluating (the synthesis solver guarantees consistency
-   with every older one); with a pool the whole example set is re-checked
-   concurrently — [Straightline.eval] is pure, so the chunked fan-out is
-   safe and the verdict identical. *)
-let candidate_holds ?pool cand ex examples =
-  let agrees (ins, outs) = Straightline.eval cand ins = outs in
-  match pool with
-  | Some pool when Par.Pool.jobs pool > 1 ->
-    Array.for_all Fun.id
-      (Par.map pool agrees (Array.of_list (ex :: examples)))
-  | _ -> agrees ex
-
-let synthesize ?(max_iterations = 64) ?initial_inputs ?pool
+let synthesize ?(max_iterations = 64) ?initial_inputs
     ?(budget = Budget.unlimited) (spec : Encode.spec) oracle =
   let totals st =
     [
@@ -128,8 +115,10 @@ let synthesize ?(max_iterations = 64) ?initial_inputs ?pool
              the candidate, only the alternative dies: skip the
              synthesis re-solve and keep the verifier's differs
              constraint in place, so the next distinguishing query is
-             a pure strengthening of this one. *)
-          let keep = candidate_holds ?pool cand ex examples in
+             a pure strengthening of this one. Only the new example
+             needs checking: the synthesis solver already made the
+             candidate consistent with every older one. *)
+          let keep = Straightline.eval cand (fst ex) = snd ex in
           loop (iterations + 1)
             (if keep then Some cand else None)
             (ex :: examples)))

@@ -35,7 +35,6 @@ type partial = {
 val synthesize :
   ?max_iterations:int ->
   ?initial_inputs:int list list ->
-  ?pool:Par.Pool.t ->
   ?budget:Budget.t ->
   Encode.spec ->
   oracle ->
@@ -45,10 +44,6 @@ val synthesize :
     input, query the oracle on it, repeat. Starts from four fixed
     probe inputs unless [initial_inputs] is given. One pair of incremental
     solvers persists across iterations via {!Encode.session}.
-
-    [?pool] parallelizes the candidate-vs-counterexample re-check of the
-    retention step across the whole example set; the loop's verdicts and
-    iteration structure are unchanged.
 
     [?budget] (default unlimited) meters the loop: iterations count
     distinguishing rounds (also capped by [max_iterations], which now

@@ -6,8 +6,8 @@ module Cancel = struct
   let is_set t = Atomic.get t
 end
 
-(* Scheduler telemetry. Pool tasks are coarse — a whole solver run, a
-   map chunk — so a gauge store on each queue transition and two clock
+(* Scheduler telemetry. Pool tasks are coarse — a whole served job —
+   so a gauge store on each queue transition and two clock
    reads per task are noise next to the task body; nothing here touches
    a solver's inner loop. *)
 let m_tasks_submitted = Obs.Metrics.counter "par.tasks_submitted"
@@ -127,8 +127,7 @@ module Pool = struct
     | exception _ ->
       (* a spawn failed mid-creation: tear down the workers that did
          start instead of leaking domains, then degrade to a sequential
-         pool (jobs=1), which every ?pool fan-out treats as "run
-         sequentially" *)
+         pool (jobs=1), which runs every task on the submitter *)
       Mutex.lock p.lock;
       p.closing <- true;
       Condition.broadcast p.nonempty;
@@ -159,11 +158,6 @@ let parse_jobs s =
     Error (Printf.sprintf "invalid jobs count %S (expected an integer)" s)
   | Some n when n < 1 -> Error (Printf.sprintf "jobs must be >= 1 (got %d)" n)
   | Some n -> Ok n
-
-let env_jobs ?(default = 1) () =
-  match Sys.getenv_opt "SCIDUCTION_JOBS" with
-  | None -> default
-  | Some s -> ( match parse_jobs s with Ok n -> n | Error _ -> default)
 
 let env_jobs_exn ?(default = 1) () =
   match Sys.getenv_opt "SCIDUCTION_JOBS" with
@@ -257,62 +251,3 @@ let await p fut =
   match loop () with
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
-let await_all p futs =
-  (* settle everything before raising, so a failure in one task never
-     leaves siblings running behind the caller's back *)
-  let settled =
-    List.map
-      (fun fut ->
-        match await p fut with
-        | v -> Ok v
-        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-      futs
-  in
-  List.map
-    (function
-      | Ok v -> v
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-    settled
-
-let default_chunk p n = max 1 (n / (Pool.jobs p * 4))
-
-let map ?chunk p f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let chunk =
-      match chunk with
-      | Some c ->
-        if c < 1 then invalid_arg "Par.map: chunk must be >= 1";
-        c
-      | None -> default_chunk p n
-    in
-    let out = Array.make n None in
-    let rec spawn lo acc =
-      if lo >= n then acc
-      else begin
-        let hi = min n (lo + chunk) in
-        let fut =
-          submit p (fun () ->
-              for i = lo to hi - 1 do
-                out.(i) <- Some (f xs.(i))
-              done)
-        in
-        spawn hi (fut :: acc)
-      end
-    in
-    let futs = List.rev (spawn 0 []) in
-    ignore (await_all p futs : unit list);
-    Array.map
-      (function
-        | Some v -> v
-        | None -> assert false)
-      out
-  end
-
-let iter ?chunk p f xs = ignore (map ?chunk p f xs : unit array)
-
-let map_list p f xs =
-  let futs = List.map (fun x -> submit p (fun () -> f x)) xs in
-  await_all p futs

@@ -1,12 +1,10 @@
-(** Domain-based parallel execution for the counterexample-guided loops.
+(** Domain-based parallel execution for the verification server.
 
     A fixed-size pool of OCaml 5 domains behind a work queue, with
-    chunked {!map}/{!iter}, structured {!await_all}, cooperative
-    {!Cancel} tokens and exception funneling back to the submitter. The
-    pool is the only place the repository spawns domains; everything
-    else takes an optional [?pool] argument and stays sequential (and
-    bit-for-bit identical to the pre-parallel behaviour) when it is
-    omitted.
+    futures, cooperative {!Cancel} tokens and exception funneling back
+    to the submitter. The pool is the only place the repository spawns
+    domains. Its one user is the daemon: each dispatcher runs a whole
+    job as one pool task, and the loop inside the job stays sequential.
 
     Tasks must be self-contained: they may use the {!Obs} registry
     (domain-safe) and build their own solvers, but must not share
@@ -57,18 +55,12 @@ val parse_jobs : string -> (int, string) result
     non-integer, or below 1 — without any prefix, so callers can
     attribute it to their own flag or variable name. *)
 
-val env_jobs : ?default:int -> unit -> int
-(** Concurrency requested by the [SCIDUCTION_JOBS] environment variable,
-    or [default] (itself defaulting to 1) when unset or unparsable.
-    Lets CI exercise the whole test suite under a pool without every
-    test site growing a flag. *)
-
 val env_jobs_exn : ?default:int -> unit -> int
-(** Like {!env_jobs} but strict: a set-but-invalid [SCIDUCTION_JOBS]
-    raises [Failure] (with the {!parse_jobs} reason) instead of being
-    silently replaced by the default. Front-ends that own the user
-    interaction (the CLI) use this to turn a typo into a diagnostic
-    rather than a surprising sequential run. *)
+(** Concurrency requested by the [SCIDUCTION_JOBS] environment variable,
+    or [default] (itself defaulting to 1) when unset. A set-but-invalid
+    value raises [Failure] (with the {!parse_jobs} reason) instead of
+    being silently replaced by the default, so [serve] turns a typo into
+    a diagnostic rather than a surprising single-domain server. *)
 
 (** {1 Futures} *)
 
@@ -81,21 +73,3 @@ val submit : Pool.t -> (unit -> 'a) -> 'a future
 val await : Pool.t -> 'a future -> 'a
 (** Block until the task settles, executing other queued tasks of the
     pool while waiting. Re-raises the task's exception. *)
-
-val await_all : Pool.t -> 'a future list -> 'a list
-(** Await every future (so no task is left running), then return the
-    results in order — or re-raise the {e first} failure after all have
-    settled. *)
-
-(** {1 Fan-out combinators} *)
-
-val map : ?chunk:int -> Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map], in [chunk]-sized blocks (default: enough
-    blocks for 4 per concurrency unit). Results land in input order;
-    exceptions funnel to the submitter. *)
-
-val iter : ?chunk:int -> Pool.t -> ('a -> unit) -> 'a array -> unit
-
-val map_list : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel [List.map], one task per element (use for coarse-grained
-    elements like whole solver runs). *)

@@ -2,36 +2,26 @@ type t = {
   lp : Obs.Loop.t;
   meter : Budget.meter;
   cap : int option;
-  ticks : int Atomic.t;
+  mutable ticks : int;
   traced : bool;
-  (* D's time is the union of its calls' intervals: calls from a pool
-     overlap, and a sum could exceed the loop's own wall time *)
-  d_lock : Mutex.t;
-  mutable d_inflight : int;
-  mutable d_since : float;
   mutable d_total : float;
 }
 
 let tick l =
   match l.cap with
-  | Some cap when Atomic.get l.ticks >= cap -> Some Budget.Iterations
+  | Some cap when l.ticks >= cap -> Some Budget.Iterations
   | _ ->
-    Atomic.incr l.ticks;
+    l.ticks <- l.ticks + 1;
     Budget.tick l.meter
 
 let deduce l d q =
   if not l.traced then d q
   else begin
-    Mutex.protect l.d_lock (fun () ->
-        if l.d_inflight = 0 then l.d_since <- Unix.gettimeofday ();
-        l.d_inflight <- l.d_inflight + 1);
+    let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
-        Mutex.protect l.d_lock (fun () ->
-            l.d_inflight <- l.d_inflight - 1;
-            if l.d_inflight = 0 then
-              l.d_total <- l.d_total +. (Unix.gettimeofday () -. l.d_since)))
-      (fun () -> Obs.Loop.within l.lp (fun () -> d q))
+        l.d_total <- l.d_total +. (Unix.gettimeofday () -. t0))
+      (fun () -> d q)
   end
 
 let solve l ~conflicts d =
@@ -87,11 +77,8 @@ let run ?attrs ?max_iterations ~budget ~finished ~exhausted name body =
       lp;
       meter;
       cap = max_iterations;
-      ticks = Atomic.make 0;
+      ticks = 0;
       traced = Obs.enabled ();
-      d_lock = Mutex.create ();
-      d_inflight = 0;
-      d_since = 0.0;
       d_total = 0.0;
     }
   in

@@ -22,8 +22,7 @@
     attributes of its ending. *)
 
 type t
-(** A running loop. The handle may be shared across the domains of a
-    [Par] pool: ticks, charges and D timing are domain-safe. *)
+(** A running loop. Its D calls run on the domain that started it. *)
 
 val run :
   ?attrs:Obs.attrs ->
@@ -51,10 +50,8 @@ val tick : t -> Budget.reason option
 
 val deduce : t -> ('a -> 'b) -> 'a -> 'b
 (** [deduce l d q] asks D the query [q]. While the loop is traced, the
-    call runs as the loop [l] on whichever domain runs it (its solver
-    calls and certificates name [l]), and the wall time D spends is
-    summed into [deduce_ms]; overlapping calls from a pool count once.
-    Untraced, it is [d q]. *)
+    wall time D spends is summed into [deduce_ms]. Untraced, it is
+    [d q]. *)
 
 val solve : t -> conflicts:(unit -> int) -> (Smt.Sat.limits -> 'a) -> 'a
 (** The metered D call: [solve l ~conflicts d] runs [d limits] through

@@ -253,9 +253,9 @@ let execute t (p : pending) =
         ~cancel:(fun () -> Par.Cancel.is_set p.token)
         ()
     in
-    (* the loop inside the job stays sequential (?pool is not passed
-       down): parallelism comes from running whole jobs on distinct
-       pool units, and verdicts stay identical to a --jobs 1 CLI run *)
+    (* the loop inside the job is sequential: parallelism comes from
+       running whole jobs on distinct pool units, and verdicts stay
+       identical to a one-shot CLI run *)
     let run () = Jobs.run ~warm:t.warm ~budget p.spec in
     match
       match t.pool with

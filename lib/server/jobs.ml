@@ -5,10 +5,9 @@
    SAME [run] below, so a served verdict is bit-identical to the
    one-shot CLI verdict by construction, not by testing alone: there is
    exactly one place that turns a loop outcome into a verdict string.
-   [run] keeps the loops sequential unless handed a pool; the daemon
-   passes [?pool:None] into the loops and gets its parallelism by
-   running whole jobs concurrently instead, which also keeps bmc traces
-   (and hence verdict texts) independent of the server's width.
+   Every loop runs sequentially; the daemon gets its parallelism by
+   running whole jobs concurrently, which keeps verdict texts
+   independent of the server's width.
 
    Specs also carry their content address: [key] digests the canonical
    problem content plus the query bounds (the cache key), [family]
@@ -284,10 +283,10 @@ let key spec = Digest.to_hex (Digest.string (content spec ^ bounds spec))
 let exhausted reason =
   Printf.sprintf "EXHAUSTED (%s)" (Budget.reason_to_string reason)
 
-let run_deobfuscate ?pool ~budget program width =
+let run_deobfuscate ~budget program width =
   let obf, library, _libname = deobfuscate_problem program width in
   Obs.info "obfuscated source:@.%a@.@." Prog.Lang.pp obf;
-  match Ogis.Deobfuscate.run ?pool ~budget ~library obf with
+  match Ogis.Deobfuscate.run ~budget ~library obf with
   | Error (Ogis.Deobfuscate.Unrealizable _) ->
     {
       verdict = "synthesis failed: no library program fits the oracle";
@@ -344,7 +343,7 @@ let run_deobfuscate ?pool ~budget program width =
         cacheable = true;
       })
 
-let run_timing ?pool ~budget source bits tau =
+let run_timing ~budget source bits tau =
   let program, pin = timing_problem source bits in
   let pf = Microarch.Platform.create program in
   let platform = Microarch.Platform.time pf in
@@ -387,7 +386,7 @@ let run_timing ?pool ~budget source bits tau =
   let cacheable = ref true in
   let code =
     match
-      Gametime.Analysis.analyze ~bound:bits ~seed:2012 ~pin ?pool ~budget
+      Gametime.Analysis.analyze ~bound:bits ~seed:2012 ~pin ~budget
         ~platform program
     with
     | Budget.Converged t -> converged t
@@ -462,7 +461,7 @@ let bmc_exhausted reason proved max_depth =
     cacheable = false;
   }
 
-let run_bmc ?pool ?warm ~budget ~family system max_depth =
+let run_bmc ?warm ~budget ~family system max_depth =
   let mk () =
     let t = bmc_ts system in
     Obs.info "system %s: %d latches@." t.Mc.Ts.name t.Mc.Ts.num_latches;
@@ -471,7 +470,7 @@ let run_bmc ?pool ?warm ~budget ~family system max_depth =
   match warm with
   | None -> (
     let t = mk () in
-    match Mc.Bmc.sweep ?pool ~budget t ~max_depth with
+    match Mc.Bmc.sweep ~budget t ~max_depth with
     | Budget.Converged (Some (depth, trace)) -> bmc_unsafe depth trace
     | Budget.Converged None -> bmc_safe max_depth
     | Budget.Exhausted p ->
@@ -504,7 +503,7 @@ let run_bmc ?pool ?warm ~budget ~family system max_depth =
               entry.Warm.proved <- max entry.Warm.proved p.Mc.Bmc.proved_depth;
               bmc_exhausted p.Mc.Bmc.reason p.Mc.Bmc.proved_depth max_depth))
 
-let run_invgen ?pool ~budget circuit n =
+let run_invgen ~budget circuit n =
   let aig, bad =
     match circuit with
     | `Ring -> Invgen.Engine.ring_counter ~n
@@ -518,7 +517,7 @@ let run_invgen ?pool ~budget circuit n =
     | Invgen.Induction.Unknown -> "unknown"
     | Invgen.Induction.Aborted _ -> "aborted"
   in
-  match Invgen.Engine.run ?pool ~budget aig ~bad with
+  match Invgen.Engine.run ~budget aig ~bad with
   | Budget.Converged r ->
     Obs.info "%d candidates from simulation, %d proven inductive@."
       r.Invgen.Engine.candidates
@@ -577,13 +576,13 @@ let run_lstar ~budget states =
       cacheable = false;
     }
 
-let run ?pool ?warm ?(budget = Budget.unlimited) spec =
+let run ?warm ?(budget = Budget.unlimited) spec =
   match spec with
-  | Deobfuscate { program; width } -> run_deobfuscate ?pool ~budget program width
-  | Timing { source; bits; tau } -> run_timing ?pool ~budget source bits tau
+  | Deobfuscate { program; width } -> run_deobfuscate ~budget program width
+  | Timing { source; bits; tau } -> run_timing ~budget source bits tau
   | Cegar { junk; bits; modulus; bad_value } ->
     run_cegar ~budget junk bits modulus bad_value
   | Bmc { system; max_depth } ->
-    run_bmc ?pool ?warm ~budget ~family:(family spec) system max_depth
-  | Invgen { circuit; n } -> run_invgen ?pool ~budget circuit n
+    run_bmc ?warm ~budget ~family:(family spec) system max_depth
+  | Invgen { circuit; n } -> run_invgen ~budget circuit n
   | Lstar { states } -> run_lstar ~budget states

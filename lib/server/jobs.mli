@@ -52,11 +52,9 @@ val key : spec -> string
 val family : spec -> string
 (** Content digest excluding bounds: the warm-session key. *)
 
-val run :
-  ?pool:Par.Pool.t -> ?warm:Warm.t -> ?budget:Budget.t -> spec -> outcome
-(** Execute the job. [?pool] fans the loop itself out (the CLI's
-    [--jobs] path); the daemon instead leaves the loop sequential and
-    runs whole jobs concurrently, which keeps every verdict text
+val run : ?warm:Warm.t -> ?budget:Budget.t -> spec -> outcome
+(** Execute the job, sequentially: the daemon runs whole jobs
+    concurrently instead, which keeps every verdict text
     width-independent. [?warm] (daemon only) resumes BMC sweeps from
     the family's warm session at the proved-prefix frontier. Raises
     [Failure] on an unrunnable spec (e.g. a timing source that does not

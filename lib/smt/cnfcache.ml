@@ -57,7 +57,7 @@ let replay r ctx inputs =
 (* ---- global sharded table ---- *)
 
 (* Mutex-striped: a key's shard is its hash modulo [shards]. Lookups and
-   installs from concurrent domains (parallel BMC workers' encoders)
+   installs from concurrent domains (the encoders of served jobs)
    only contend when they hash to the same stripe, and the critical
    sections are a hashtable probe — recording itself happens outside
    any lock. *)

@@ -8,8 +8,8 @@
     it into any other context by substituting the actual input wires
     and a fresh block of auxiliary variables. The global table is
     shared across every solver, session and domain in the process, so
-    parallel BMC workers pay the encoding cost of an operator once per
-    process instead of once per context.
+    the jobs a server runs pay the encoding cost of an operator once
+    per process instead of once per context.
 
     Soundness: a recipe's clauses are the (pre-normalization) output of
     the real encoder over unconstrained fresh inputs — the fully

@@ -555,9 +555,10 @@ let codec_fixpoint =
       | Ok r' -> line r' = l
       | Error msg -> QCheck.Test.fail_reportf "%s does not decode: %s" l msg)
 
-(* on pool workers, a loop's D calls still name it: every solver call
-   and certificate of a parallel BMC sweep is the sweep's, and the
-   analysis counts all of them *)
+(* a loop run as one pool task, as the daemon runs a served job, names
+   its D calls on whichever domain runs it: every solver call and
+   certificate of the BMC sweep is the sweep's, and the analysis counts
+   all of them *)
 let test_pool_calls_name_their_loop () =
   Obs.reset ();
   let sink, records = Obs.memory_sink () in
@@ -577,7 +578,8 @@ let test_pool_calls_name_their_loop () =
   let ts = Mc.Systems.mod_counter ~bits:3 ~modulus:6 ~bad_value:7 () in
   (match
      Par.Pool.with_pool ~jobs:2 (fun pool ->
-         Mc.Bmc.sweep ~pool ~workers:2 ts ~max_depth:24)
+         Par.await pool
+           (Par.submit pool (fun () -> Mc.Bmc.sweep ts ~max_depth:24)))
    with
   | Budget.Converged None -> ()
   | _ -> Alcotest.fail "the counter never reaches 7");
@@ -857,6 +859,55 @@ let test_traced_gametime_analysis () =
     (contains audit "gametime run 1: rank_bound");
   Obs.reset ()
 
+(* [--stats] and [trace_report] print the registry snapshot through one
+   printer: on one traced, proof-logged deobfuscation their metric and
+   derived lines are the same text *)
+let test_stats_and_report_agree () =
+  Obs.reset ();
+  let sink, records = Obs.memory_sink () in
+  Obs.add_sink sink;
+  Obs.enable ();
+  let prefix =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "test_analyze_stats_%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () ->
+      Smt.Proof.disable ();
+      Certs.cleanup_spools prefix;
+      Obs.reset ())
+  @@ fun () ->
+  Smt.Proof.enable ~prefix;
+  let o =
+    Server.Jobs.run (Server.Jobs.Deobfuscate { program = `P1; width = 8 })
+  in
+  Alcotest.(check int) "p1 deobfuscates" 0 o.Server.Jobs.code;
+  Smt.Proof.disable ();
+  Obs.shutdown ();
+  let metrics_section pp =
+    let text = Format.asprintf "%a" pp () in
+    let marker = "\nmetrics:\n" in
+    let rec find i =
+      if i + String.length marker > String.length text then
+        Alcotest.fail "no metrics section"
+      else if String.sub text i (String.length marker) = marker then
+        String.sub text i (String.length text - i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  let stats = metrics_section Obs.pp_summary in
+  let report =
+    metrics_section (fun ppf () ->
+        Analyze.pp_report ppf (Analyze.analyze (parse_all (records ()))))
+  in
+  List.iter
+    (fun derived ->
+      Alcotest.(check bool) (derived ^ " printed") true
+        (contains stats derived))
+    [ "bitblast cache hit rate"; "proof plane" ];
+  Alcotest.(check string) "same metric and derived lines" stats report
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -901,5 +952,7 @@ let () =
             test_pool_calls_name_their_loop;
           Alcotest.test_case "traced gametime stops at the live bound" `Quick
             test_traced_gametime_analysis;
+          Alcotest.test_case "stats and report print one snapshot"
+            `Quick test_stats_and_report_agree;
         ] );
     ]

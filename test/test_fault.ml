@@ -179,7 +179,7 @@ let test_submit_orphans_recovered () =
           Alcotest.(check (list int))
             "orphaned jobs recovered at await"
             (List.init 8 (fun i -> i * i))
-            (Par.await_all pool futs);
+            (List.map (Par.await pool) futs);
           if Fault.injected Fault.Pool_submit = 0 then
             Alcotest.fail "no submit faults fired at probability 1"))
 
@@ -202,11 +202,13 @@ let test_spawn_failure_falls_back () =
           if jobs <> 1 && jobs <> 4 then
             Alcotest.failf "seed %d: pool neither degraded nor whole (%d jobs)"
               seed jobs;
-          let got = Par.map pool (fun x -> x * 2) (Array.init 32 Fun.id) in
-          Alcotest.(check (array int))
+          let futs =
+            List.init 32 (fun i -> Par.submit pool (fun () -> i * 2))
+          in
+          Alcotest.(check (list int))
             "results survive injected submit faults"
-            (Array.init 32 (fun i -> i * 2))
-            got;
+            (List.init 32 (fun i -> i * 2))
+            (List.map (Par.await pool) futs);
           Par.Pool.shutdown pool))
     [ 1; 2; 3; 4; 5 ]
 

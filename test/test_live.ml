@@ -344,7 +344,7 @@ let test_par_metrics () =
   let results =
     Par.Pool.with_pool ~jobs:2 (fun p ->
         let futs = List.init 8 (fun i -> Par.submit p (fun () -> i * i)) in
-        Par.await_all p futs)
+        List.map (Par.await p) futs)
   in
   Alcotest.(check (list int)) "pool still computes"
     (List.init 8 (fun i -> i * i))

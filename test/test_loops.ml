@@ -3,9 +3,7 @@
    the event name, plus the verdict string of an [oracle_verdict], the
    [reason] of a [budget_exhausted] and the [outcome] attribute of a
    [loop_finished] ("-" when the loop reports none). Every loop has one
-   converging and one budget-exhausted run. The parallel BMC sweep's
-   workers interleave nondeterministically, so only its terminal events
-   are pinned. *)
+   converging and one budget-exhausted run. *)
 
 module Json = Obs.Json
 
@@ -56,12 +54,6 @@ let events ~loop f =
 let pin ~loop f expected () =
   Alcotest.(check string) "event stream" expected (compress (events ~loop f))
 
-let pin_tail ~loop ~last f expected () =
-  let evs = events ~loop f in
-  let n = List.length evs in
-  Alcotest.(check string) "terminal events" expected
-    (compress (List.filteri (fun i _ -> i >= n - last) evs))
-
 (* ----- the runs ----- *)
 
 let ogis_spec =
@@ -83,10 +75,6 @@ let ogis ?budget () =
 let cegar ?budget ts () = Mc.Cegar.verify ?budget ts
 
 let bmc ?budget ts ~max_depth () = Mc.Bmc.sweep ?budget ts ~max_depth
-
-let bmc_par ?budget ts ~max_depth () =
-  Par.Pool.with_pool ~jobs:2 (fun pool ->
-      Mc.Bmc.sweep ~pool ~workers:2 ?budget ts ~max_depth)
 
 let invgen ?budget () =
   let aig, bad = Invgen.Engine.ring_counter ~n:4 in
@@ -151,17 +139,6 @@ let () =
                 iteration solver_call oracle_verdict:no_cex iteration \
                 solver_call oracle_verdict:no_cex \
                 budget_exhausted:iterations loop_finished:exhausted");
-        ] );
-      ( "bmc parallel",
-        [
-          Alcotest.test_case "converges" `Quick
-            (pin_tail ~loop:"bmc" ~last:3
-               (bmc_par (counter ~bad:5) ~max_depth:8)
-               "counterexample oracle_verdict:unsafe loop_finished:unsafe");
-          Alcotest.test_case "exhausted" `Quick
-            (pin_tail ~loop:"bmc" ~last:2
-               (bmc_par ~budget:(iterations 1) (counter ~bad:7) ~max_depth:8)
-               "budget_exhausted:iterations loop_finished:exhausted");
         ] );
       ( "invgen",
         [

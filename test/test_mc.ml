@@ -229,6 +229,25 @@ let test_bmc_sweep_gates_linear () =
   if g400 * 10 > g200 * 22 then
     Alcotest.failf "depth 200: %d gates, depth 400: %d gates" g200 g400
 
+(* The sweep's search also grows linearly: each exact-depth query is
+   about as hard as the last, so doubling the depth about doubles the
+   propagations (181,090 against 89,517 here). A decision order that
+   revisits old frames' variables before the newest frame's would make
+   the deep sweep's search grow much faster. *)
+let test_bmc_sweep_search_linear () =
+  let t = Systems.mod_counter ~junk:40 ~bits:3 ~modulus:6 ~bad_value:7 () in
+  let propagations max_depth =
+    let p0 = (Smt.Sat.global_stats ()).Smt.Sat.g_propagations in
+    (match Bmc.sweep t ~max_depth with
+    | Budget.Converged None -> ()
+    | _ -> Alcotest.failf "the system is clean to depth %d" max_depth);
+    (Smt.Sat.global_stats ()).Smt.Sat.g_propagations - p0
+  in
+  let p400 = propagations 400 in
+  let p200 = propagations 200 in
+  if p400 * 10 > p200 * 25 then
+    Alcotest.failf "depth 200: %d propagations, depth 400: %d" p200 p400
+
 (* A false start claim is a typed error, not a reported counterexample:
    this system is bad from step 2 on, so the exact-depth query at the
    claimed start replays into the shallower bad state. *)
@@ -661,6 +680,8 @@ let () =
             test_bmc_sweeps_amortised;
           Alcotest.test_case "sweep gates grow linearly" `Quick
             test_bmc_sweep_gates_linear;
+          Alcotest.test_case "sweep search grows linearly" `Quick
+            test_bmc_sweep_search_linear;
           Alcotest.test_case "false start raises" `Quick
             test_bmc_false_start_raises;
           Alcotest.test_case "a raising sweep finishes its loop" `Quick

@@ -41,12 +41,21 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* CI's SCIDUCTION_JOBS leg runs the served jobs as tasks of a domain
+   pool of that width, as [serve --jobs N] does; unset, the dispatcher
+   threads run them *)
 let with_daemon ?dispatchers ?journal ?queue_limit ?retry_after_s
     ?degrade_after_s ?restart_budget ?warm_capacity f =
   let socket = fresh_socket () in
+  let jobs = Par.env_jobs_exn ~default:1 () in
+  let pool = if jobs > 1 then Some (Par.Pool.create ~jobs ()) else None in
+  Fun.protect ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
+  @@ fun () ->
   match
-    Daemon.start ?dispatchers ?journal ?queue_limit ?retry_after_s
-      ?degrade_after_s ?restart_budget ?warm_capacity ~socket ()
+    Daemon.start ?pool
+      ~dispatchers:(Option.value dispatchers ~default:1)
+      ?journal ?queue_limit ?retry_after_s ?degrade_after_s ?restart_budget
+      ?warm_capacity ~socket ()
   with
   | Error e -> Alcotest.failf "daemon start: %s" e
   | Ok d -> Fun.protect ~finally:(fun () -> Daemon.stop d) (fun () -> f socket)
