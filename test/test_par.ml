@@ -15,13 +15,33 @@ exception Boom
 let run_tasks pool tasks =
   List.map (Par.await pool) (List.map (Par.submit pool) tasks)
 
-let test_futures_settle_in_order () =
+let test_map_matches_sequential () =
+  (* one task per element: each future holds its own task's result *)
   Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let got = run_tasks pool (List.init 1000 (fun i () -> (i * i) + 1)) in
+      let xs = List.init 1000 (fun i -> i) in
+      let got = run_tasks pool (List.map (fun x () -> (x * x) + 1) xs) in
       Alcotest.(check (list int))
-        "each future holds its own task's result"
-        (List.init 1000 (fun i -> (i * i) + 1))
+        "pooled tasks = List.map"
+        (List.map (fun x -> (x * x) + 1) xs)
         got)
+
+let test_map_list_order () =
+  Par.Pool.with_pool ~jobs:3 (fun pool ->
+      let got =
+        run_tasks pool (List.map (fun x () -> 2 * x) [ 5; 1; 4; 1; 3 ])
+      in
+      Alcotest.(check (list int)) "order preserved" [ 10; 2; 8; 2; 6 ] got)
+
+let test_iter_covers_all () =
+  Par.Pool.with_pool ~jobs:4 (fun pool ->
+      let sum = Atomic.make 0 in
+      let ran =
+        run_tasks pool
+          (List.init 100 (fun i () ->
+               ignore (Atomic.fetch_and_add sum (i + 1) : int)))
+      in
+      Alcotest.(check int) "every task awaited" 100 (List.length ran);
+      Alcotest.(check int) "every element visited once" 5050 (Atomic.get sum))
 
 let test_sequential_degeneration () =
   (* jobs = 1 spawns no domains; everything runs on the submitter *)
@@ -227,8 +247,12 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "futures hold their own results" `Quick
-            test_futures_settle_in_order;
+          Alcotest.test_case "map matches sequential" `Quick
+            test_map_matches_sequential;
+          Alcotest.test_case "map_list preserves order" `Quick
+            test_map_list_order;
+          Alcotest.test_case "iter covers every element" `Quick
+            test_iter_covers_all;
           Alcotest.test_case "jobs=1 runs on the submitter" `Quick
             test_sequential_degeneration;
           Alcotest.test_case "exceptions funnel without wedging" `Quick
