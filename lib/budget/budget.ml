@@ -51,16 +51,16 @@ type ('a, 'p) outcome =
 
 type meter = {
   b : t;
-  iters : int Atomic.t;
-  confl : int Atomic.t;
+  mutable iters : int;
+  mutable confl : int;
   dl : float option; (* absolute, fixed at [start] *)
 }
 
 let start b =
   {
     b;
-    iters = Atomic.make 0;
-    confl = Atomic.make 0;
+    iters = 0;
+    confl = 0;
     dl = Option.map (fun s -> Unix.gettimeofday () +. s) b.seconds;
   }
 
@@ -71,25 +71,25 @@ let check m =
   | Some cancelled when cancelled () -> Some Cancelled
   | _ -> (
     match m.b.iterations with
-    | Some cap when Atomic.get m.iters >= cap -> Some Iterations
+    | Some cap when m.iters >= cap -> Some Iterations
     | _ -> (
       match m.b.conflicts with
-      | Some cap when Atomic.get m.confl >= cap -> Some Conflicts
+      | Some cap when m.confl >= cap -> Some Conflicts
       | _ -> (
         match m.dl with
         | Some d when Unix.gettimeofday () > d -> Some Deadline
         | _ -> None)))
 
 let tick m =
-  ignore (Atomic.fetch_and_add m.iters 1);
+  m.iters <- m.iters + 1;
   check m
 
-let charge_conflicts m n = if n > 0 then ignore (Atomic.fetch_and_add m.confl n)
-let used_iterations m = Atomic.get m.iters
-let used_conflicts m = Atomic.get m.confl
+let charge_conflicts m n = if n > 0 then m.confl <- m.confl + n
+let used_iterations m = m.iters
+let used_conflicts m = m.confl
 
 let remaining_conflicts m =
-  Option.map (fun cap -> max 0 (cap - Atomic.get m.confl)) m.b.conflicts
+  Option.map (fun cap -> max 0 (cap - m.confl)) m.b.conflicts
 
 let deadline m = m.dl
 let cancel_hook m = m.b.cancel

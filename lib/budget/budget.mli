@@ -69,8 +69,10 @@ type ('a, 'p) outcome =
 (** {2 Metering a run} *)
 
 type meter
-(** Mutable per-run accounting against one {!t}. Safe to share across
-    domains (counters are atomic); the deadline is fixed at
+(** Mutable per-run accounting against one {!t}, owned by the domain
+    that runs the loop: its counters are plain mutable fields, not safe
+    to update from several domains at once. Only the budget's [cancel]
+    hook is meant to be read across domains. The deadline is fixed at
     {!start}. *)
 
 val start : t -> meter

@@ -81,8 +81,7 @@ let check ?(limits = Sat.no_limits) (ts : Ts.t) ~depth =
    no level-0 sweep can remove. So a query asserts a wire that already
    exists — step d's bad state for an exact-depth query, the frame's
    prefix disjunction "bad at some step in 0..d" (one gate per frame,
-   built with the frame) for a cumulative one — and only a ranged query
-   with [0 < lo < hi] builds a disjunction of its own. *)
+   built with the frame) for a cumulative one. *)
 type session = {
   ts : Ts.t;
   ctx : Tseitin.t;
@@ -128,38 +127,22 @@ let extend sess depth =
 
 let rec drop n l = if n <= 0 then l else drop (n - 1) (List.tl l)
 
-let rec take n l =
-  if n <= 0 then []
-  else match l with [] -> [] | x :: rest -> x :: take (n - 1) rest
-
 let session_conflicts sess = Sat.num_conflicts (Tseitin.solver sess.ctx)
 
-(* One scoped query: "bad at some step in [lo..hi]". The unrolling is
-   extended to [hi]; a model yields a genuine input trace (replayed on
-   the concrete system and truncated at its first bad state), whose
-   length can be {e below} [lo] — the model constrains nothing about the
-   earlier steps, so it is free to stumble into a shallower bad state.
-   [lo = 0] is the classic cumulative query, [lo = hi] the exact-depth
-   one. *)
-let check_between ?limits sess ~span ~lo ~hi =
-  Obs.with_span span ~attrs:[ ("depth", Obs.Int hi); ("lo", Obs.Int lo) ]
-  @@ fun () ->
-  extend sess hi;
+(* One scoped query asserting frame [depth]'s wire in a scope called
+   [name]. The unrolling is extended to [depth] first, then [wires]
+   reads the session's newest-first list of the wire ([bads_rev] or
+   [anys_rev]). A model yields a genuine input trace, replayed on the
+   concrete system and truncated at its first bad state. *)
+let query ?limits sess ~span ~name ~depth wires =
+  Obs.with_span span ~attrs:[ ("depth", Obs.Int depth) ] @@ fun () ->
+  extend sess depth;
   let ctx = sess.ctx in
   Option.iter (Sat.set_limits (Tseitin.solver ctx)) limits;
-  let target =
-    if lo = 0 then List.hd (drop (sess.frames - hi) sess.anys_rev)
-    else
-      (* step [lo]'s bad wire when [lo = hi]; otherwise the ranged
-         query's own disjunction *)
-      Tseitin.or_list ctx
-        (List.rev (take (hi - lo + 1) (drop (sess.frames - hi) sess.bads_rev)))
-  in
+  let target = List.hd (drop (sess.frames - depth) (wires sess)) in
   (* the scope's activation literal is the assumption an unsat core
      blames, so name it after the property it guards *)
-  Tseitin.push_named ctx
-    (if lo = hi then Printf.sprintf "bad[%d]" lo
-     else Printf.sprintf "bad[%d..%d]" lo hi);
+  Tseitin.push_named ctx name;
   Tseitin.assert_lit ctx target;
   let result =
     match Sat.solve_with_assumptions (Tseitin.solver ctx) [] with
@@ -170,7 +153,7 @@ let check_between ?limits sess ~span ~lo ~hi =
       let all_inputs =
         List.map
           (fun inp -> Array.map value inp)
-          (take hi (List.rev sess.inputs_rev))
+          (List.rev (drop (sess.frames - depth) sess.inputs_rev))
       in
       match trace_of_inputs sess.ts all_inputs with
       | Some trace -> `Cex trace
@@ -180,11 +163,18 @@ let check_between ?limits sess ~span ~lo ~hi =
   result
 
 let check_depth ?limits sess ~depth =
-  check_between ?limits sess ~span:"bmc.check_depth" ~lo:0 ~hi:depth
+  query ?limits sess ~span:"bmc.check_depth"
+    ~name:
+      (if depth = 0 then "bad[0]" else Printf.sprintf "bad[0..%d]" depth)
+    ~depth
+    (fun sess -> sess.anys_rev)
 
-let check_range ?limits sess ~lo ~hi =
-  if lo < 0 || hi < lo then invalid_arg "Bmc.check_range";
-  check_between ?limits sess ~span:"bmc.check_range" ~lo ~hi
+let check_exact ?limits sess ~depth =
+  if depth < 0 then invalid_arg "Bmc.check_exact";
+  query ?limits sess ~span:"bmc.check_exact"
+    ~name:(Printf.sprintf "bad[%d]" depth)
+    ~depth
+    (fun sess -> sess.bads_rev)
 
 type partial = {
   proved_depth : int;
@@ -249,7 +239,7 @@ let sweep_over ~start ~budget sess ~max_depth =
         match
           Loop.solve lp
             ~conflicts:(fun () -> session_conflicts sess)
-            (fun limits -> check_range ~limits sess ~lo:depth ~hi:depth)
+            (fun limits -> check_exact ~limits sess ~depth)
         with
         | `Cex trace when List.length trace <> depth ->
           raise (False_start { start; depth = List.length trace })

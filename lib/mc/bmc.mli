@@ -35,14 +35,12 @@ val check : ?limits:Smt.Sat.limits -> Ts.t -> depth:int -> query
     so learned clauses about the transition relation carry across
     depths. Each frame carries its step's bad wire and the prefix
     disjunction "bad at some step in [0..d]" (one gate per frame), so
-    an exact-depth or cumulative query asserts one existing literal and
-    leaves no gates behind; only a ranged query with [0 < lo < hi]
-    encodes a disjunction of its own.
+    every query asserts one existing literal and leaves no gates behind.
 
     Each query's scope is named after the property it asserts —
     [bad[d]] for an exact-depth query (the sweeps'), [bad[0..d]] for a
-    cumulative one, [bad[lo..hi]] for a ranged one — and that name is
-    what a [--proof] certificate's unsat core blames. *)
+    cumulative one ([bad[0]] at depth 0) — and that name is what a
+    [--proof] certificate's unsat core blames. *)
 
 type session
 
@@ -53,16 +51,14 @@ val check_depth : ?limits:Smt.Sat.limits -> session -> depth:int -> query
     [?limits], when given, is installed on the session's solver (and
     persists for later queries until replaced). *)
 
-val check_range : ?limits:Smt.Sat.limits -> session -> lo:int -> hi:int -> query
-(** One scoped query for "a bad state is reachable at some step in
-    [lo..hi]": [`No_cex] proves the {e whole} range clean in a single
-    solver call. A [`Cex] trace is genuine but its length — the step
-    reaching the bad state — may be anywhere in [0..hi], including
-    below [lo]: the query does not constrain the earlier steps, so the
-    model may stumble into a shallower bad state. [check_range ~lo:0
-    ~hi:d] is exactly {!check_depth}[ ~depth:d]; [check_range ~lo:d
-    ~hi:d] asks for step [d] alone. Raises [Invalid_argument] when
-    [lo < 0] or [hi < lo]. *)
+val check_exact : ?limits:Smt.Sat.limits -> session -> depth:int -> query
+(** One scoped query for "a bad state is reachable at step [depth]":
+    [`No_cex] proves that step clean, and says nothing about the steps
+    below it. A [`Cex] trace is genuine but its length — the step
+    reaching the bad state — may be anywhere in [0..depth]: the query
+    does not constrain the earlier steps, so the model may stumble into
+    a shallower bad state. [?limits] is installed as by {!check_depth}.
+    Raises [Invalid_argument] when [depth < 0]. *)
 
 val session_conflicts : session -> int
 (** Cumulative conflicts of the session's solver; callers metering a
@@ -98,8 +94,8 @@ val sweep :
     the first reachable bad state, [Converged None] when the whole range
     is clean. Emits one telemetry loop iteration per depth.
 
-    Each iteration asks for step [depth]'s bad state alone (an
-    exact-depth {!check_range}), as incremental BMC does: every depth
+    Each iteration asks for step [depth]'s bad state alone (a
+    {!check_exact} query), as incremental BMC does: every depth
     below it is clean — below [start] by the caller's claim, the rest
     by the sweep's own earlier iterations — so a satisfiable query's
     trace has exactly [depth] steps. A shorter one means the [start]

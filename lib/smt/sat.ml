@@ -1,4 +1,54 @@
-module Ivec = Vec.Ivec
+(* Growable [int] arrays for the trail, the heap, the watch lists and
+   the analysis buffers. They live here, beside their only user, so
+   that every operation on a per-literal path is compiled in this module
+   and inlined at its call site: the dev profile builds with [-opaque],
+   which would keep calls into another module out of line. Slots
+   [0 .. sz-1] are live; [data] is replaced when a push grows it. *)
+module Ivec = struct
+  type t = { mutable data : int array; mutable sz : int }
+
+  let create () = { data = [||]; sz = 0 }
+  let[@inline] size v = v.sz
+
+  let[@inline] get v i =
+    assert (i >= 0 && i < v.sz);
+    Array.unsafe_get v.data i
+
+  let[@inline] set v i x =
+    assert (i >= 0 && i < v.sz);
+    Array.unsafe_set v.data i x
+
+  (* out of line: runs once per doubling *)
+  let[@inline never] grow v =
+    let cap = Array.length v.data in
+    let data = Array.make (max 4 (2 * cap)) 0 in
+    Array.blit v.data 0 data 0 v.sz;
+    v.data <- data
+
+  let[@inline] push v x =
+    if v.sz = Array.length v.data then grow v;
+    Array.unsafe_set v.data v.sz x;
+    v.sz <- v.sz + 1
+
+  let[@inline] pop v =
+    assert (v.sz > 0);
+    v.sz <- v.sz - 1;
+    v.data.(v.sz)
+
+  let[@inline] last v =
+    assert (v.sz > 0);
+    v.data.(v.sz - 1)
+
+  let[@inline] clear v = v.sz <- 0
+
+  let[@inline] shrink v n =
+    assert (n >= 0 && n <= v.sz);
+    v.sz <- n
+
+  let to_list v =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
+    go (v.sz - 1) []
+end
 
 type reason =
   | Budget_exhausted
@@ -221,53 +271,73 @@ let stats s =
 
 (* ----- variable order heap (max-heap on activity) ----- *)
 
-let heap_lt s a b = s.activity.(a) > s.activity.(b)
-
-let rec heap_up s i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    let vi = Ivec.get s.heap i and vp = Ivec.get s.heap p in
-    if heap_lt s vi vp then begin
-      Ivec.set s.heap i vp;
-      Ivec.set s.heap p vi;
-      s.heap_pos.(vp) <- i;
-      s.heap_pos.(vi) <- p;
-      heap_up s p
+(* The sift loops move a hole instead of swapping: the sifted variable
+   is held aside, each displaced variable moves one step along the same
+   path a chain of swaps would take it, and the held variable is written
+   once where the path ends. Comparisons and tie-breaks (strictly
+   greater activity moves; the left child wins a tie) are the swaps',
+   so the heap's layout — and with it every decision — is unchanged. *)
+let heap_up s i =
+  let hd = s.heap.Ivec.data and pos = s.heap_pos and act = s.activity in
+  assert (i >= 0 && i < s.heap.Ivec.sz);
+  let v = Array.unsafe_get hd i in
+  let a = act.(v) in
+  let i = ref i and continue = ref true in
+  while !continue && !i > 0 do
+    let pi = (!i - 1) / 2 in
+    let p = Array.unsafe_get hd pi in
+    if a > act.(p) then begin
+      Array.unsafe_set hd !i p;
+      pos.(p) <- !i;
+      i := pi
     end
-  end
+    else continue := false
+  done;
+  Array.unsafe_set hd !i v;
+  pos.(v) <- !i
 
-let rec heap_down s i =
-  let n = Ivec.size s.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  if l < n then begin
-    let c =
-      if r < n && heap_lt s (Ivec.get s.heap r) (Ivec.get s.heap l) then r
-      else l
-    in
-    let vi = Ivec.get s.heap i and vc = Ivec.get s.heap c in
-    if heap_lt s vc vi then begin
-      Ivec.set s.heap i vc;
-      Ivec.set s.heap c vi;
-      s.heap_pos.(vc) <- i;
-      s.heap_pos.(vi) <- c;
-      heap_down s c
+let heap_down s i =
+  let hd = s.heap.Ivec.data and n = s.heap.Ivec.sz in
+  let pos = s.heap_pos and act = s.activity in
+  assert (i >= 0 && i < n);
+  let v = Array.unsafe_get hd i in
+  let a = act.(v) in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n && act.(Array.unsafe_get hd r) > act.(Array.unsafe_get hd l)
+        then r
+        else l
+      in
+      let vc = Array.unsafe_get hd c in
+      if act.(vc) > a then begin
+        Array.unsafe_set hd !i vc;
+        pos.(vc) <- !i;
+        i := c
+      end
+      else continue := false
     end
-  end
+  done;
+  Array.unsafe_set hd !i v;
+  pos.(v) <- !i
 
-let heap_insert s v =
+let[@inline] heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
     Ivec.push s.heap v;
-    s.heap_pos.(v) <- Ivec.size s.heap - 1;
     heap_up s (Ivec.size s.heap - 1)
   end
 
 let heap_pop_max s =
-  let top = Ivec.get s.heap 0 in
-  let lst = Ivec.pop s.heap in
+  let h = s.heap in
+  let top = Ivec.get h 0 in
+  let lst = Ivec.pop h in
   s.heap_pos.(top) <- -1;
-  if Ivec.size s.heap > 0 then begin
-    Ivec.set s.heap 0 lst;
-    s.heap_pos.(lst) <- 0;
+  if Ivec.size h > 0 then begin
+    Array.unsafe_set h.Ivec.data 0 lst;
     heap_down s 0
   end;
   top
@@ -322,9 +392,9 @@ let[@inline] lit_true assign l =
 
 let[@inline] lit_false assign l = Array.unsafe_get assign (var l) = l land 1
 
-let decision_level s = Ivec.size s.trail_lim
+let[@inline] decision_level s = Ivec.size s.trail_lim
 
-let enqueue s p reason =
+let[@inline] enqueue s p reason =
   let v = var p in
   assert (s.assign.(v) < 0);
   s.assign.(v) <- (p land 1) lxor 1;
@@ -332,7 +402,7 @@ let enqueue s p reason =
   s.reason.(v) <- reason;
   Ivec.push s.trail p
 
-let new_decision_level s = Ivec.push s.trail_lim (Ivec.size s.trail)
+let[@inline] new_decision_level s = Ivec.push s.trail_lim (Ivec.size s.trail)
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
@@ -358,7 +428,7 @@ let var_rescale s =
   done;
   s.var_inc <- s.var_inc *. 1e-100
 
-let var_bump s v =
+let[@inline] var_bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
   if s.activity.(v) > 1e100 then var_rescale s;
   if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
@@ -796,7 +866,8 @@ let redundant s q r =
    nothing is allocated on this path. *)
 let analyze s confl =
   let out = s.out_learnt in
-  let seen = s.seen in
+  let seen = s.seen and level = s.level in
+  let dl = decision_level s in
   Ivec.clear out;
   Ivec.push out 0 (* slot 0: asserting literal, patched below *);
   let path_c = ref 0 in
@@ -810,11 +881,11 @@ let analyze s confl =
     for j = b + hdr + start to b + hdr + pg.(b) - 1 do
       let q = pg.(j) in
       let v = var q in
-      if (not (Bytes.unsafe_get seen v = '\001')) && s.level.(v) > 0 then begin
+      let lv = level.(v) in
+      if (not (Bytes.unsafe_get seen v = '\001')) && lv > 0 then begin
         Bytes.unsafe_set seen v '\001';
         var_bump s v;
-        if s.level.(v) >= decision_level s then incr path_c
-        else Ivec.push out q
+        if lv >= dl then incr path_c else Ivec.push out q
       end
     done;
     (* find the next marked literal on the trail *)
@@ -827,7 +898,7 @@ let analyze s confl =
     decr path_c;
     if !path_c > 0 then confl := s.reason.(var !p) else continue := false
   done;
-  Ivec.set out 0 (Lit.neg !p);
+  Ivec.set out 0 (!p lxor 1);
   (* local clause minimization (Sörensson–Biere): a literal is redundant
      when every antecedent in its reason clause is already in the learnt
      clause (still marked seen) or assigned at level 0 *)
@@ -1052,23 +1123,24 @@ let rec assume s assumptions =
       else assume s assumptions
   end
 
-(* Pop the most active unassigned variable; -1 once the heap runs dry. *)
-let rec pick_branch s =
-  if Ivec.size s.heap = 0 then -1
-  else
-    let v = heap_pop_max s in
-    if s.assign.(v) < 0 then v else pick_branch s
-
+(* Branch on the most active unassigned variable, popped from the heap
+   (assigned ones are dropped on the way), in its saved phase; a dry
+   heap means every variable is assigned: the model is complete. *)
 let decide s =
-  let v = pick_branch s in
-  if v < 0 then begin
+  let v = ref (-1) in
+  while !v < 0 && Ivec.size s.heap > 0 do
+    let x = heap_pop_max s in
+    if s.assign.(x) < 0 then v := x
+  done;
+  if !v < 0 then begin
     save_model s;
     raise (Found Sat)
   end
   else begin
+    let v = !v in
     s.decisions <- s.decisions + 1;
     new_decision_level s;
-    enqueue s (Lit.make v s.phase.(v)) (-1)
+    enqueue s ((2 * v) + if s.phase.(v) then 0 else 1) (-1)
   end
 
 let search s assumptions budget =

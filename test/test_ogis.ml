@@ -426,16 +426,21 @@ let test_hd_budget_exhausts () =
    fixed counts. Canonical wirings more than halve them; a change that
    loses that symmetry breaking, or any other change to the encoding
    (asserted formulas' clauses included), the loop or the solver's
-   search, moves them. *)
+   search, moves them. The propagations of each job pin the search more
+   finely still: a change to the solver's kernel that keeps every
+   decision keeps them too. *)
 let test_search_counts () =
-  let conflicts () = (Smt.Sat.global_stats ()).Smt.Sat.g_conflicts in
   let counted name run =
-    let c0 = conflicts () in
+    let g0 = Smt.Sat.global_stats () in
     if not (run ()) then Alcotest.failf "%s failed" name;
-    (name, conflicts () - c0)
+    let g1 = Smt.Sat.global_stats () in
+    ( (name, g1.Smt.Sat.g_conflicts - g0.Smt.Sat.g_conflicts),
+      (name, g1.Smt.Sat.g_propagations - g0.Smt.Sat.g_propagations) )
   in
   let width = 5 in
-  let per_job =
+  let per_job, props_per_job =
+    List.split
+    @@
     List.map
       (fun b ->
         counted b.Ogis.Hd_suite.name (fun () ->
@@ -462,6 +467,17 @@ let test_search_counts () =
       ("fig8-p1", 689); ("fig8-p2", 575);
     ]
     per_job;
+  Alcotest.(check (list (pair string int)))
+    "propagations per job"
+    [
+      ("hd01-turn-off-rightmost-1", 2224); ("hd02-test-power-of-2-mask", 2569);
+      ("hd03-isolate-rightmost-1", 2853); ("hd04-mask-trailing-0s", 8854);
+      ("hd05-propagate-rightmost-1", 2598); ("hd06-turn-on-rightmost-0", 2448);
+      ("hd07-isolate-rightmost-0", 8199); ("hd08-average-no-overflow", 167485);
+      ("hd09-xor-difference", 43037); ("hd10-not-equal-01", 35889);
+      ("fig8-p1", 58052); ("fig8-p2", 89591);
+    ]
+    props_per_job;
   (* 13086 with the unordered encoding, 5422 when every assertion was
      the unit clause of one Tseitin literal, 3721 when the level-0 sweep
      ran before every solve *)

@@ -327,6 +327,47 @@ let test_solver_push_pop () =
   | Solver.Unknown _ -> Alcotest.fail "unexpected unknown"
 
 (* ------------------------------------------------------------------ *)
+(* growth                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The solver's vectors start empty and double as they fill. 10,000
+   variables grow the variable heap, and the trail once the model
+   assigns all of them; a hub [x0] implying every other variable grows
+   the watch list of [-x0] to 9,999 watches. The implication chain
+   [x(i) -> x(i+1)] and one clause over every variable make the search
+   propagate along the whole chain. The model is checked by evaluating
+   every clause; a unit at the chain's end then forces every variable
+   false, which leaves the wide clause unsatisfiable. *)
+let test_growth_through_doublings () =
+  let n = 10_000 in
+  let s = Sat.create () in
+  for _ = 1 to n do
+    ignore (Sat.new_var s)
+  done;
+  let x = Lit.pos and nx = Lit.neg_of in
+  let clauses =
+    List.init (n - 1) (fun i -> [ nx i; x (i + 1) ])
+    @ List.init (n - 1) (fun i -> [ nx 0; x (i + 1) ])
+    @ [ List.init n x ]
+  in
+  List.iter (Sat.add_clause s) clauses;
+  (match Sat.solve s with
+  | Sat.Sat ->
+    let m = Sat.model s in
+    Alcotest.(check int) "model covers every variable" n (Array.length m);
+    Alcotest.(check bool) "model satisfies every clause" true
+      (Dpll.eval m clauses)
+  | Sat.Unsat -> Alcotest.fail "chain + wide clause should be sat"
+  | Sat.Unknown _ -> Alcotest.fail "unexpected unknown");
+  Alcotest.(check bool) "the search assigned every variable" true
+    ((Sat.stats s).Sat.propagations >= n);
+  Sat.add_clause s [ nx (n - 1) ];
+  match Sat.solve s with
+  | Sat.Unsat -> ()
+  | Sat.Sat -> Alcotest.fail "a false chain end leaves the wide clause unsat"
+  | Sat.Unknown _ -> Alcotest.fail "unexpected unknown"
+
+(* ------------------------------------------------------------------ *)
 (* search identity                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -604,6 +645,11 @@ let () =
         [
           Alcotest.test_case "push/pop and retractables over QF_BV" `Quick
             test_solver_push_pop;
+        ] );
+      ( "growth",
+        [
+          Alcotest.test_case "10,000 variables through doublings" `Quick
+            test_growth_through_doublings;
         ] );
       ( "search",
         [

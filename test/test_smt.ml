@@ -28,27 +28,6 @@ let test_lit_roundtrip () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Vectors                                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Vec = Smt.Vec
-
-let test_ivec_basics () =
-  let v = Vec.Ivec.create () in
-  for i = 0 to 9 do
-    Vec.Ivec.push v i
-  done;
-  Alcotest.(check int) "size" 10 (Vec.Ivec.size v);
-  Vec.Ivec.set v 0 42;
-  Alcotest.(check int) "set/get" 42 (Vec.Ivec.get v 0);
-  Alcotest.(check int) "last" 9 (Vec.Ivec.last v);
-  Alcotest.(check int) "pop" 9 (Vec.Ivec.pop v);
-  Vec.Ivec.shrink v 3;
-  Alcotest.(check (list int)) "to_list" [ 42; 1; 2 ] (Vec.Ivec.to_list v);
-  Vec.Ivec.clear v;
-  Alcotest.(check int) "clear" 0 (Vec.Ivec.size v)
-
-(* ------------------------------------------------------------------ *)
 (* SAT solver                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -795,10 +774,6 @@ let () =
     [
       ( "lit",
         [ Alcotest.test_case "roundtrip and involution" `Quick test_lit_roundtrip ] );
-      ( "vec",
-        [
-          Alcotest.test_case "int vectors" `Quick test_ivec_basics;
-        ] );
       ( "sat",
         [
           Alcotest.test_case "trivial units" `Quick test_sat_trivial;
