@@ -674,9 +674,9 @@ let ablate () =
 (* Solver sessions: one run per loop (writes BENCH_solver.json)        *)
 (* ================================================================== *)
 
-(* The solver-perf document from the last [perf] run, kept in memory so
-   [--check-baseline] can diff it without re-reading the file. *)
-let perf_doc = ref None
+(* The rows of the last [perf] run, in run order, kept in memory so
+   [--check-baseline] can gate them without re-reading the file. *)
+let perf_rows = ref []
 
 (* Each workload runs its counterexample-guided loop once on its
    persistent session and must reach its known verdict; a wrong verdict
@@ -771,21 +771,19 @@ let perf () =
     Obs.Json.Obj
       (List.filter_map
          (fun (name, v) ->
-           match v with
-           | Obs.Metrics.Counter 0 -> None
-           | Obs.Metrics.Counter c -> Some (name, Obs.Json.Int c)
-           | Obs.Metrics.Gauge 0.0 -> None
-           | Obs.Metrics.Gauge g -> Some (name, Obs.Json.Float g)
-           | Obs.Metrics.Histogram { count = 0; _ } -> None
-           | Obs.Metrics.Histogram { count; sum; max; _ } ->
-             Some
-               ( name,
-                 Obs.Json.Obj
-                   [
-                     ("count", Obs.Json.Int count);
-                     ("sum", Obs.Json.Int sum);
-                     ("max", Obs.Json.Int max);
-                   ] ))
+           if not (Obs.Metrics.moved v) then None
+           else
+             match v with
+             | Obs.Metrics.Histogram { count; sum; max; _ } ->
+               Some
+                 ( name,
+                   Obs.Json.Obj
+                     [
+                       ("count", Obs.Json.Int count);
+                       ("sum", Obs.Json.Int sum);
+                       ("max", Obs.Json.Int max);
+                     ] )
+             | v -> Some (name, Obs.Metrics.to_json v))
          snap)
   in
   let doc =
@@ -811,7 +809,7 @@ let perf () =
   output_string oc (Obs.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  perf_doc := Some doc;
+  perf_rows := List.rev !rows;
   Format.printf "wrote BENCH_solver.json@.";
   if !wrong <> [] then begin
     Format.printf "wrong verdict: %s@." (String.concat ", " (List.rev !wrong));
@@ -832,48 +830,81 @@ let read_json_file path =
     Obs.Json.parse s
 
 (* `bench/main.exe --check-baseline BENCH_baseline.json` reruns the
-   solver-perf suite and diffs its figures against the committed
-   baseline with Obs.Analyze's thresholds, so CI catches solver
-   regressions the same way trace_report catches loop regressions.
-   Writes BENCH_gate.json next to BENCH_solver.json and exits non-zero
-   when any figure regresses past its threshold, or (exit 2) when a
-   gated baseline figure has no counterpart in this run. *)
+   solver-perf rows and holds each baseline row, by name, to its
+   counterpart in this run. Solves, conflicts and propagations are
+   deterministic, so they must be equal; seconds may reach 1.5x the
+   baseline's, and are not compared when both sides are under 0.05 s
+   (timer noise). Exits 1 when a figure fails its rule and 2 when a
+   baseline row, or one of its figures, has no counterpart. Re-record
+   the baseline by copying BENCH_solver.json from `bench/main.exe perf`. *)
 let check_baseline path =
   section (Printf.sprintf "Baseline gate: current perf vs %s" path);
-  if !perf_doc = None then perf ();
-  let doc = Option.get !perf_doc in
-  match read_json_file path with
-  | Error msg ->
-    Format.printf "cannot read baseline %s: %s@." path msg;
-    exit 2
-  | Ok baseline ->
-    let base = Obs.Analyze.key_figures baseline in
-    let cur = Obs.Analyze.key_figures doc in
-    let missing = Obs.Analyze.missing_keys ~base cur in
-    let findings = Obs.Analyze.diff ~base cur in
-    List.iter
-      (Format.printf "  MISSING    %s (no counterpart in this run)@.")
-      missing;
-    Format.printf "%a@." Obs.Analyze.pp_findings findings;
-    let regressed = Obs.Analyze.regressed findings in
-    let verdict = if missing = [] && not regressed then "PASS" else "FAIL" in
-    let gate =
-      Obs.Json.Obj
-        [
-          ("baseline", Obs.Json.String path);
-          ( "missing",
-            Obs.Json.List (List.map (fun k -> Obs.Json.String k) missing) );
-          ("findings", Obs.Analyze.findings_json findings);
-          ("verdict", Obs.Json.String verdict);
-        ]
-    in
-    let oc = open_out "BENCH_gate.json" in
-    output_string oc (Obs.Json.to_string gate);
-    output_char oc '\n';
-    close_out oc;
-    Format.printf "verdict: %s (BENCH_gate.json)@." verdict;
-    if missing <> [] then exit 2;
-    if regressed then exit 1
+  if !perf_rows = [] then perf ();
+  let base =
+    match read_json_file path with
+    | Error msg ->
+      Format.printf "cannot read baseline %s: %s@." path msg;
+      exit 2
+    | Ok doc -> (
+      match Obs.Json.member "benchmarks" doc with
+      | Some (Obs.Json.List (_ :: _ as rows)) -> rows
+      | _ ->
+        Format.printf "baseline %s has no benchmarks rows@." path;
+        exit 2)
+  in
+  let missing = ref false and failed = ref false in
+  let judge name figure ok fmt =
+    if not ok then failed := true;
+    Format.printf
+      ("  %-4s %-30s %-12s " ^^ fmt ^^ "@.")
+      (if ok then "ok" else "FAIL")
+      name figure
+  in
+  List.iter
+    (fun row ->
+      let field conv k = Option.bind (Obs.Json.member k row) conv in
+      let name = field Obs.Json.to_str "name" in
+      let current =
+        List.find_opt (fun (n, _, _, _) -> Some n = name) !perf_rows
+      in
+      match
+        ( name,
+          current,
+          field Obs.Json.to_float "seconds",
+          field Obs.Json.to_int "solves",
+          field Obs.Json.to_int "conflicts",
+          field Obs.Json.to_int "propagations" )
+      with
+      | ( Some name,
+          Some (_, seconds, (g : Smt.Sat.global_stats), _),
+          Some base_seconds,
+          Some solves,
+          Some conflicts,
+          Some propagations ) ->
+        let count figure base cur =
+          judge name figure (cur = base) "%d -> %d (must be equal)" base cur
+        in
+        count "solves" solves g.Smt.Sat.g_solves;
+        count "conflicts" conflicts g.Smt.Sat.g_conflicts;
+        count "propagations" propagations g.Smt.Sat.g_propagations;
+        if seconds < 0.05 && base_seconds < 0.05 then
+          judge name "seconds" true "%.3f -> %.3f (both under 0.05 s)"
+            base_seconds seconds
+        else
+          judge name "seconds"
+            (seconds <= 1.5 *. base_seconds)
+            "%.3f -> %.3f (%.2fx, limit 1.50x)" base_seconds seconds
+            (seconds /. base_seconds)
+      | _ ->
+        missing := true;
+        Format.printf "  MISSING %s (no such row in this run, or a figure \
+                       absent from the baseline)@."
+          (Option.value name ~default:"(unnamed row)"))
+    base;
+  let verdict = if !missing || !failed then "FAIL" else "PASS" in
+  Format.printf "verdict: %s@." verdict;
+  if !missing then exit 2;
+  if !failed then exit 1
 
 (* ================================================================== *)
 (* Bechamel micro-benchmarks                                           *)

@@ -7,9 +7,7 @@
      sciduction_cli bmc --junk 10 --max-depth 12
      sciduction_cli invgen --circuit mod5
      sciduction_cli lstar --states 5
-     sciduction_cli table
      sciduction_cli export-chrome trace.jsonl -o trace.json
-     sciduction_cli report trace.jsonl --baseline summary.json
 
    Every application subcommand accepts --trace FILE (JSON-lines
    telemetry), --stats (console summary on exit), --quiet (suppress
@@ -532,94 +530,6 @@ let export_chrome_cmd =
        ~doc:"Convert a JSONL trace to Chrome trace_event format")
     Term.(const export_chrome_run $ input $ output)
 
-(* ---- report ---- *)
-
-let report_run input json top against baseline seconds conflicts propagations
-    iterations solves min_seconds =
-  let d = Obs.Analyze.default_thresholds in
-  let pick v dflt = Option.value v ~default:dflt in
-  let thresholds =
-    {
-      Obs.Analyze.seconds = pick seconds d.Obs.Analyze.seconds;
-      conflicts = pick conflicts d.Obs.Analyze.conflicts;
-      propagations = pick propagations d.Obs.Analyze.propagations;
-      iterations = pick iterations d.Obs.Analyze.iterations;
-      solves = pick solves d.Obs.Analyze.solves;
-      min_seconds = pick min_seconds d.Obs.Analyze.min_seconds;
-    }
-  in
-  match
-    Obs.Analyze.run_report ~top ~json ?against ?baseline ~thresholds input
-  with
-  | Ok code -> code
-  | Error msg ->
-    Format.eprintf "report failed: %s@." msg;
-    2
-
-let report_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"TRACE" ~doc:"JSON-lines trace produced by --trace.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable summary instead of \
-                              the human report.")
-  in
-  let top =
-    Arg.(
-      value & opt int 12
-      & info [ "top" ] ~docv:"N" ~doc:"Flame-profile paths to show.")
-  in
-  let against =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "against" ] ~docv:"TRACE2"
-          ~doc:"Diff this trace against $(docv) and report regressions.")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Diff against a saved JSON baseline (a --json summary or a \
-                BENCH-style document).")
-  in
-  let ratio names doc =
-    Arg.(value & opt (some float) None & info names ~docv:"RATIO" ~doc)
-  in
-  let seconds =
-    ratio [ "max-seconds-ratio" ] "Allowed current/baseline timing ratio."
-  in
-  let conflicts =
-    ratio [ "max-conflicts-ratio" ] "Allowed solver-conflicts ratio."
-  in
-  let propagations =
-    ratio [ "max-propagations-ratio" ] "Allowed solver-propagations ratio."
-  in
-  let iterations =
-    ratio [ "max-iterations-ratio" ] "Allowed loop-iterations ratio."
-  in
-  let solves = ratio [ "max-solves-ratio" ] "Allowed solver-calls ratio." in
-  let min_seconds =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-seconds" ] ~docv:"S"
-          ~doc:"Ignore timing pairs where both sides are under $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:"Analyze a JSONL trace: convergence diagnostics, flame profile, \
-             regression diff")
-    Term.(
-      const report_run $ input $ json $ top $ against $ baseline $ seconds
-      $ conflicts $ propagations $ iterations $ solves $ min_seconds)
-
 (* ---- run ---- *)
 
 let parse_binding s =
@@ -914,19 +824,6 @@ let explain_cmd =
              cores blame")
     Term.(const explain_run $ input)
 
-(* ---- table ---- *)
-
-let table_run () =
-  Format.printf "%a@." Sciduction.Instances.pp_table Sciduction.Instances.table1;
-  Format.printf "@.%a@." Sciduction.Instances.pp_table
-    Sciduction.Instances.section24;
-  0
-
-let table_cmd =
-  Cmd.v
-    (Cmd.info "table" ~doc:"Print the sciduction instance tables")
-    Term.(const table_run $ const ())
-
 (* ---- serve / submit / cancel / shutdown ---- *)
 
 let serve_socket_arg =
@@ -1175,7 +1072,7 @@ let () =
           (Cmd.info "sciduction_cli" ~doc)
           [
             deobfuscate_cmd; timing_cmd; transmission_cmd; cegar_cmd;
-            bmc_cmd; invgen_cmd; lstar_cmd; table_cmd; run_cmd;
-            export_chrome_cmd; report_cmd; stats_cmd; check_proof_cmd;
-            explain_cmd; serve_cmd; submit_cmd; cancel_cmd; shutdown_cmd;
+            bmc_cmd; invgen_cmd; lstar_cmd; run_cmd; export_chrome_cmd;
+            stats_cmd; check_proof_cmd; explain_cmd; serve_cmd; submit_cmd;
+            cancel_cmd; shutdown_cmd;
           ]))

@@ -1,28 +1,22 @@
 (* Trace analytics over JSON-lines telemetry traces: per-loop
    convergence diagnostics, a span flame profile, and a regression diff
-   against a second trace or a saved baseline JSON.
+   against a second trace.
 
      trace_report TRACE.jsonl                          # human report
      trace_report TRACE.jsonl --json                   # machine summary
      trace_report TRACE.jsonl --against OLD.jsonl      # diff two traces
-     trace_report TRACE.jsonl --baseline summary.json  # diff vs baseline
 
-   Thresholds for the diff (current/baseline ratios) are configurable:
-   --max-seconds-ratio, --max-conflicts-ratio, --max-propagations-ratio,
-   --max-iterations-ratio, --max-solves-ratio, --min-seconds.
+   The diff's limits are fixed (see Obs.Analyze.run_report).
 
-   Exit codes: 0 pass, 1 regression beyond a threshold, 2 usage or
+   Exit codes: 0 pass, 1 regression beyond a limit, 2 usage or
    malformed input. *)
 
 module Analyze = Obs.Analyze
 
 let usage () =
   prerr_endline
-    "usage: trace_report TRACE.jsonl [--json] [--top N]\n\
-    \       [--against TRACE2.jsonl | --baseline SUMMARY.json]\n\
-    \       [--max-seconds-ratio R] [--max-conflicts-ratio R]\n\
-    \       [--max-propagations-ratio R] [--max-iterations-ratio R]\n\
-    \       [--max-solves-ratio R] [--min-seconds S]";
+    "usage: trace_report TRACE.jsonl [--json] [--top N] [--against \
+     TRACE2.jsonl]";
   exit 2
 
 let () =
@@ -30,18 +24,6 @@ let () =
   let json = ref false in
   let top = ref 12 in
   let against = ref None in
-  let baseline = ref None in
-  let th = ref Analyze.default_thresholds in
-  let float_arg name v k rest =
-    match float_of_string_opt v with
-    | Some f when f > 0.0 ->
-      k f;
-      rest
-    | _ ->
-      Printf.eprintf "trace_report: %s expects a positive number, got %S\n"
-        name v;
-      exit 2
-  in
   let rec parse = function
     | [] -> ()
     | "--json" :: rest ->
@@ -58,26 +40,7 @@ let () =
     | "--against" :: v :: rest ->
       against := Some v;
       parse rest
-    | "--baseline" :: v :: rest ->
-      baseline := Some v;
-      parse rest
-    | "--max-seconds-ratio" :: v :: rest ->
-      parse (float_arg "--max-seconds-ratio" v (fun f -> th := { !th with Analyze.seconds = f }) rest)
-    | "--max-conflicts-ratio" :: v :: rest ->
-      parse (float_arg "--max-conflicts-ratio" v (fun f -> th := { !th with Analyze.conflicts = f }) rest)
-    | "--max-propagations-ratio" :: v :: rest ->
-      parse (float_arg "--max-propagations-ratio" v (fun f -> th := { !th with Analyze.propagations = f }) rest)
-    | "--max-iterations-ratio" :: v :: rest ->
-      parse (float_arg "--max-iterations-ratio" v (fun f -> th := { !th with Analyze.iterations = f }) rest)
-    | "--max-solves-ratio" :: v :: rest ->
-      parse (float_arg "--max-solves-ratio" v (fun f -> th := { !th with Analyze.solves = f }) rest)
-    | "--min-seconds" :: v :: rest ->
-      parse (float_arg "--min-seconds" v (fun f -> th := { !th with Analyze.min_seconds = f }) rest)
-    | ("--top" | "--against" | "--baseline" | "--max-seconds-ratio"
-      | "--max-conflicts-ratio" | "--max-propagations-ratio"
-      | "--max-iterations-ratio" | "--max-solves-ratio" | "--min-seconds")
-      :: [] ->
-      usage ()
+    | ("--top" | "--against") :: [] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
       Printf.eprintf "trace_report: unknown option %s\n" arg;
       usage ()
@@ -91,10 +54,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let path = match !path with Some p -> p | None -> usage () in
-  match
-    Analyze.run_report ~top:!top ~json:!json ?against:!against
-      ?baseline:!baseline ~thresholds:!th path
-  with
+  match Analyze.run_report ~top:!top ~json:!json ?against:!against path with
   | Ok code -> exit code
   | Error msg ->
     Printf.eprintf "trace_report: %s\n" msg;

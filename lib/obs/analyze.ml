@@ -1,7 +1,7 @@
 (* Offline analysis over JSONL telemetry traces: ingestion through the
    Trace codec, per-loop convergence diagnostics, span flame profiles,
    the validator behind trace_check, and the cross-trace regression
-   diff behind the perf baseline gate. *)
+   diff behind trace_report --against. *)
 
 (* ----- ingestion ----- *)
 
@@ -700,8 +700,6 @@ let check ?(require = []) lines =
     require;
   List.rev !errors
 
-(* ----- metrics snapshot helpers (parsed from JSON, not the registry) ----- *)
-
 (* ----- report rendering ----- *)
 
 let pp_path ppf path =
@@ -943,24 +941,15 @@ let summary_json a =
 
 (* ----- cross-trace diff ----- *)
 
-type thresholds = {
-  seconds : float;
-  conflicts : float;
-  propagations : float;
-  iterations : float;
-  solves : float;
-  min_seconds : float;
-}
-
-let default_thresholds =
-  {
-    seconds = 1.5;
-    conflicts = 1.4;
-    propagations = 1.4;
-    iterations = 1.25;
-    solves = 1.25;
-    min_seconds = 0.05;
-  }
+(* The largest current/baseline ratio a figure may reach, by the class
+   its key names; a timing pair where both sides are under
+   [min_seconds] is scheduler noise and is skipped. *)
+let max_seconds_ratio = 1.5
+let max_conflicts_ratio = 1.4
+let max_propagations_ratio = 1.4
+let max_iterations_ratio = 1.25
+let max_solves_ratio = 1.25
+let min_seconds = 0.05
 
 type finding = {
   f_key : string;
@@ -968,7 +957,7 @@ type finding = {
   f_cur : float;
   f_ratio : float;
   f_limit : float;
-  f_regressed : bool;
+  f_regressed : bool;  (* false for an improvement past 1/limit *)
 }
 
 let contains hay needle =
@@ -976,23 +965,20 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* the numeric leaves of a summary as dotted keys; lists are descended
+   only through elements with a "name" (loop runs), since indexed or
+   per-iteration data is too positional to compare *)
 let rec flatten prefix j acc =
   let seg k = if prefix = "" then k else prefix ^ "." ^ k in
   match j with
   | Json.Int i -> (prefix, float_of_int i) :: acc
   | Json.Float f -> (prefix, f) :: acc
   | Json.Obj fields ->
-    List.fold_left
-      (fun acc (k, v) -> if k = "buckets" then acc else flatten (seg k) v acc)
-      acc fields
+    List.fold_left (fun acc (k, v) -> flatten (seg k) v acc) acc fields
   | Json.List items ->
-    (* only descend into named collections (benchmarks, loops); indexed
-       or per-iteration data is too positional to gate on *)
     List.fold_left
       (fun acc item ->
-        match
-          Option.bind (Json.member "name" item) Json.to_str
-        with
+        match Option.bind (Json.member "name" item) Json.to_str with
         | Some name ->
           let run =
             Option.value ~default:1
@@ -1004,42 +990,35 @@ let rec flatten prefix j acc =
       acc items
   | _ -> acc
 
-let key_figures j =
-  let j =
-    match Json.member "summary" j with Some inner -> inner | None -> j
-  in
-  List.rev (flatten "" j [])
+let key_figures a = List.rev (flatten "" (summary_json a) [])
 
-let class_of_key th key =
-  if contains key "seconds" || contains key "elapsed" then
-    Some (`Seconds th.seconds)
-  else if contains key "conflicts" then Some (`Plain th.conflicts)
-  else if contains key "propagations" then Some (`Plain th.propagations)
-  else if contains key "iterations" then Some (`Plain th.iterations)
-  else if contains key "solves" || contains key "solver_calls" then
-    Some (`Plain th.solves)
+(* a key's ratio limit, and whether it is a timing figure *)
+let limit_of_key key =
+  let has = contains key in
+  if has "seconds" || has "elapsed" then Some (max_seconds_ratio, true)
+  else if has "conflicts" then Some (max_conflicts_ratio, false)
+  else if has "propagations" then Some (max_propagations_ratio, false)
+  else if has "iterations" then Some (max_iterations_ratio, false)
+  else if has "solves" || has "solver_calls" then Some (max_solves_ratio, false)
   else None
 
-let diff ?(thresholds = default_thresholds) ~base cur =
+(* keys present on both sides and in a class, regressions then
+   improvements past 1/limit, worst ratio first *)
+let diff ~base cur =
   let findings =
     List.filter_map
       (fun (key, cv) ->
-        match (class_of_key thresholds key, List.assoc_opt key base) with
+        match (limit_of_key key, List.assoc_opt key base) with
         | None, _ | _, None -> None
-        | Some cls, Some bv ->
-          let limit =
-            match cls with `Seconds l -> l | `Plain l -> l
-          in
-          let timing = match cls with `Seconds _ -> true | `Plain _ -> false in
-          if timing && cv < thresholds.min_seconds && bv < thresholds.min_seconds
-          then None
+        | Some (limit, timing), Some bv ->
+          if timing && cv < min_seconds && bv < min_seconds then None
           else begin
             let ratio =
               if bv > 0.0 then cv /. bv
               else if cv > 0.0 then infinity
               else 1.0
             in
-            if ratio > limit then
+            let finding f_regressed =
               Some
                 {
                   f_key = key;
@@ -1047,18 +1026,11 @@ let diff ?(thresholds = default_thresholds) ~base cur =
                   f_cur = cv;
                   f_ratio = ratio;
                   f_limit = limit;
-                  f_regressed = true;
+                  f_regressed;
                 }
-            else if ratio < 1.0 /. limit then
-              Some
-                {
-                  f_key = key;
-                  f_base = bv;
-                  f_cur = cv;
-                  f_ratio = ratio;
-                  f_limit = limit;
-                  f_regressed = false;
-                }
+            in
+            if ratio > limit then finding true
+            else if ratio < 1.0 /. limit then finding false
             else None
           end)
       cur
@@ -1067,19 +1039,6 @@ let diff ?(thresholds = default_thresholds) ~base cur =
     (fun a b ->
       compare (b.f_regressed, b.f_ratio) (a.f_regressed, a.f_ratio))
     findings
-
-let regressed findings = List.exists (fun f -> f.f_regressed) findings
-
-let missing_keys ~base cur =
-  List.filter_map
-    (fun (key, _) ->
-      if
-        class_of_key default_thresholds key = None
-        || List.mem "metrics" (String.split_on_char '.' key)
-        || List.mem_assoc key cur
-      then None
-      else Some key)
-    base
 
 let pp_findings ppf findings =
   let line fmt = Format.fprintf ppf fmt in
@@ -1107,83 +1066,63 @@ let findings_json findings =
            ])
        findings)
 
-(* ----- report driver (shared by trace_report.exe and the CLI) ----- *)
+(* ----- report driver (behind trace_report.exe) ----- *)
 
-let read_json_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    (match Json.parse content with
-    | Ok j -> Ok j
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-
-let run_report ?(top = 12) ?(json = false) ?against ?baseline
-    ?(thresholds = default_thresholds) path =
-  match load path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Ok records -> (
-    let a = analyze records in
-    let base =
-      match (against, baseline) with
-      | Some _, Some _ -> Error "--against and --baseline are exclusive"
-      | Some other, None -> (
-        match load other with
-        | Error msg -> Error (Printf.sprintf "%s: %s" other msg)
-        | Ok records -> Ok (Some (other, key_figures (summary_json (analyze records)))))
-      | None, Some file -> (
-        match read_json_file file with
-        | Error msg -> Error msg
-        | Ok j -> Ok (Some (file, key_figures j)))
-      | None, None -> Ok None
+let run_report ?(top = 12) ?(json = false) ?against path =
+  let analyze_file file =
+    match load file with
+    | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
+    | Ok records -> Ok (analyze records)
+  in
+  let base =
+    match against with
+    | None -> Ok None
+    | Some other ->
+      Result.map (fun b -> Some (other, b)) (analyze_file other)
+  in
+  match (analyze_file path, base) with
+  | Error msg, _ | _, Error msg -> Error msg
+  | Ok a, Ok base ->
+    let findings =
+      Option.map
+        (fun (source, b) ->
+          (source, diff ~base:(key_figures b) (key_figures a)))
+        base
     in
-    match base with
-    | Error msg -> Error msg
-    | Ok base ->
-      let summary = summary_json a in
-      let findings =
-        Option.map
-          (fun (source, base) ->
-            (source, diff ~thresholds ~base (key_figures summary)))
-          base
+    let code =
+      match findings with
+      | Some (_, fs) when List.exists (fun f -> f.f_regressed) fs -> 1
+      | _ -> 0
+    in
+    if json then begin
+      let doc =
+        Json.Obj
+          (("summary", summary_json a)
+          ::
+          (match findings with
+          | None -> []
+          | Some (source, fs) ->
+            [
+              ( "baseline",
+                Json.Obj
+                  [
+                    ("source", Json.String source);
+                    ("findings", findings_json fs);
+                    ( "verdict",
+                      Json.String (if code = 0 then "pass" else "fail") );
+                  ] );
+            ]))
       in
-      let code =
-        match findings with
-        | Some (_, fs) when regressed fs -> 1
-        | _ -> 0
-      in
-      if json then begin
-        let doc =
-          Json.Obj
-            (("summary", summary)
-            ::
-            (match findings with
-            | None -> []
-            | Some (source, fs) ->
-              [
-                ( "baseline",
-                  Json.Obj
-                    [
-                      ("source", Json.String source);
-                      ("findings", findings_json fs);
-                      ( "verdict",
-                        Json.String (if code = 0 then "pass" else "fail") );
-                    ] );
-              ]))
-        in
-        print_endline (Json.to_string doc)
-      end
-      else begin
-        Format.printf "== trace report: %s ==@.%a" path (pp_report ~top) a;
-        (match findings with
-        | None -> ()
-        | Some (source, fs) ->
-          Format.printf "@.regression check against %s:@.%a" source
-            pp_findings fs;
-          Format.printf "verdict: %s@."
-            (if code = 0 then "PASS" else "FAIL"));
-        Format.print_flush ()
-      end;
-      Ok code)
+      print_endline (Json.to_string doc)
+    end
+    else begin
+      Format.printf "== trace report: %s ==@.%a" path (pp_report ~top) a;
+      (match findings with
+      | None -> ()
+      | Some (source, fs) ->
+        Format.printf "@.regression check against %s:@.%a" source pp_findings
+          fs;
+        Format.printf "verdict: %s@." (if code = 0 then "PASS" else "FAIL"));
+      Format.print_flush ()
+    end;
+    Ok code

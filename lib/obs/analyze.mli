@@ -4,7 +4,7 @@
     (iterations to fixpoint, counterexample yield, solver-time
     attribution), a span flame profile (self vs. total time over the
     reconstructed span tree), and a cross-trace regression diff with
-    configurable thresholds.
+    fixed limits.
 
     Everything here is offline: it reads traces that {!Obs} wrote, it
     never touches the live registry, and it has no dependencies beyond
@@ -130,80 +130,21 @@ val pp_audit : Format.formatter -> t -> unit
     constraints their unsat cores blamed. *)
 
 val summary_json : t -> Json.t
-(** Machine output; also the baseline format {!key_figures} reads back. *)
+(** Machine output, behind [trace_report --json]. *)
 
-(** {1 Cross-trace diff} *)
-
-(** Maximum allowed current/baseline ratio per metric class. Timing
-    comparisons additionally ignore sides that are both under
-    [min_seconds] (scheduler noise). *)
-type thresholds = {
-  seconds : float;
-  conflicts : float;
-  propagations : float;
-  iterations : float;
-  solves : float;
-  min_seconds : float;
-}
-
-val default_thresholds : thresholds
-
-type finding = {
-  f_key : string;
-  f_base : float;
-  f_cur : float;
-  f_ratio : float;  (** current / baseline *)
-  f_limit : float;
-  f_regressed : bool;  (** false for an improvement past 1/limit *)
-}
-
-val key_figures : Json.t -> (string * float) list
-(** Flatten the numeric leaves of a summary (or any comparable JSON
-    document, e.g. BENCH_solver.json) into dotted keys. Lists are only
-    descended when their elements carry a ["name"] field (which becomes
-    the path segment); histogram bucket arrays are skipped. A top-level
-    ["summary"] wrapper is unwrapped. *)
-
-val diff :
-  ?thresholds:thresholds ->
-  base:(string * float) list ->
-  (string * float) list ->
-  finding list
-(** [diff ~base cur] compares keys present on both sides whose name places them in a
-    threshold class ([seconds]/[elapsed], [conflicts], [propagations],
-    [iterations], [solves]/[solver_calls]); returns regressions and
-    symmetric improvements, worst ratio first. *)
-
-val regressed : finding list -> bool
-
-val missing_keys :
-  base:(string * float) list -> (string * float) list -> string list
-(** The keys of [base] that {!diff} would gate (their name places them
-    in a threshold class) but that have no counterpart in the current
-    figures, in baseline order. {!diff} skips such keys silently, so a
-    gate whose current run changed layout would compare nothing and
-    pass; callers fail on a non-empty answer instead. Keys under a
-    [metrics] path segment are left out: registry snapshots omit zero
-    counters, so those can legitimately vanish. *)
-
-val pp_findings : Format.formatter -> finding list -> unit
-val findings_json : finding list -> Json.t
-
-(** {1 Report driver}
-
-    Shared by [bin/trace_report.exe] and the CLI [report] subcommand. *)
+(** {1 Report driver} *)
 
 val run_report :
-  ?top:int ->
-  ?json:bool ->
-  ?against:string ->
-  ?baseline:string ->
-  ?thresholds:thresholds ->
-  string ->
-  (int, string) result
-(** Analyze the trace at the given path and print the report (or, with
-    [json], the machine summary) to stdout. With [against] (a second
-    trace) or [baseline] (a saved summary or BENCH-style JSON document)
-    also print the diff and a pass/fail verdict. Returns the suggested
-    exit code: [Ok 0] on pass, [Ok 1] on regression, [Error _] on I/O or
-    parse failure. *)
+  ?top:int -> ?json:bool -> ?against:string -> string -> (int, string) result
+(** The whole of [trace_report]: analyze the trace at the given path and
+    print the report (or, with [json], the machine summary) to stdout.
+    With [against], a second trace, also print its diff and a pass/fail
+    verdict. The diff compares the two summaries' figures present on
+    both sides, keyed by path through named loop runs
+    ([loops.ogis.seconds], [loops.ogis#2.conflicts],
+    [metrics.sat.propagations]), and flags a current/baseline ratio past
+    a fixed limit per class: 1.5 for seconds (skipped when both sides
+    are under 0.05 s), 1.4 for conflicts and propagations, 1.25 for
+    iterations and solver calls; a ratio under 1/limit is listed as an
+    improvement. Returns the suggested exit code: [Ok 0] on pass,
+    [Ok 1] on regression, [Error _] on I/O or parse failure. *)

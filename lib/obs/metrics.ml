@@ -222,19 +222,25 @@ let of_json j =
     | _ -> None)
   | _ -> None
 
+let moved = function
+  | Counter c -> c <> 0
+  | Gauge g -> g <> 0.0
+  | Histogram { count; _ } -> count > 0
+
 let pp_snapshot ppf metrics =
   let line fmt = Format.fprintf ppf fmt in
   List.iter
     (fun (name, v) ->
-      match v with
-      | Counter c -> line "  %-28s %d@." name c
-      | Gauge g -> line "  %-28s %g@." name g
-      | Histogram { count; sum; min = _; max; buckets } ->
-        let pct p = percentile_of_buckets ~buckets ~count ~max p in
-        line "  %-28s count=%d mean=%.1f p50=%d p90=%d p99=%d max=%d@." name
-          count
-          (if count = 0 then 0.0 else float_of_int sum /. float_of_int count)
-          (pct 50.0) (pct 90.0) (pct 99.0) max)
+      if moved v then
+        match v with
+        | Counter c -> line "  %-28s %d@." name c
+        | Gauge g -> line "  %-28s %g@." name g
+        | Histogram { count; sum; min = _; max; buckets } ->
+          let pct p = percentile_of_buckets ~buckets ~count ~max p in
+          line "  %-28s count=%d mean=%.1f p50=%d p90=%d p99=%d max=%d@."
+            name count
+            (float_of_int sum /. float_of_int count)
+            (pct 50.0) (pct 90.0) (pct 99.0) max)
     metrics;
   let cval name =
     match List.assoc_opt name metrics with Some (Counter c) -> c | _ -> 0

@@ -80,11 +80,15 @@ val of_json : Json.t -> snapshot_value option
     [None] for a value of no instrument's shape. An absent histogram
     [min] reads 0. *)
 
+val moved : snapshot_value -> bool
+(** A counter or gauge that is not zero, or a histogram with an
+    observation. *)
+
 val pp_snapshot : Format.formatter -> (string * snapshot_value) list -> unit
-(** One line per instrument (histograms as count, mean, p50/p90/p99 and
-    max), then the derived lines: the bit-blast and shared-recipe cache
-    hit rates, the proof plane's volume and the certificates audited,
-    each only when its counters moved. Both the [--stats] summary and
+(** One line per instrument that {!moved} (histograms as count, mean,
+    p50/p90/p99 and max), then the derived lines: the bit-blast and
+    shared-recipe cache hit rates, the proof plane's volume and the
+    certificates audited, each only when its counters moved. Both the [--stats] summary and
     the trace report print a snapshot through this. *)
 
 val reset : unit -> unit

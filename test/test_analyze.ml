@@ -612,127 +612,150 @@ let test_pool_calls_name_their_loop () =
 (* cross-trace diff                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_key_figures () =
-  let doc =
-    Json.Obj
-      [
-        ( "benchmarks",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("name", Json.String "ogis/x");
-                  ( "fresh",
-                    Json.Obj
-                      [
-                        ("seconds", Json.Float 1.5);
-                        ("conflicts", Json.Int 100);
-                        ("buckets", Json.List [ Json.Int 9 ]);
-                      ] );
-                ];
-            ] );
-      ]
+(* loops run one after another, each laid out as [loop_trace] lays it
+   out, then one final snapshot holding [metrics] *)
+let loops_trace ?(metrics = []) loops =
+  let shift dt = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "t", Json.Float t -> ("t", Json.Float (t +. dt))
+             | field -> field)
+           fields)
+    | j -> j
   in
-  let figs = Analyze.key_figures doc in
-  Alcotest.(check (option (float 1e-9))) "named list descended" (Some 1.5)
-    (List.assoc_opt "benchmarks.ogis/x.fresh.seconds" figs);
-  Alcotest.(check (option (float 1e-9))) "ints too" (Some 100.0)
-    (List.assoc_opt "benchmarks.ogis/x.fresh.conflicts" figs);
-  Alcotest.(check bool) "buckets skipped" true
-    (List.for_all (fun (k, _) -> not (contains k "buckets")) figs)
+  let rec go t0 = function
+    | [] ->
+      [
+        Json.Obj
+          [
+            ("t", Json.Float (t0 +. 0.001));
+            ("kind", Json.String "metrics");
+            ("metrics", Json.Obj metrics);
+          ];
+      ]
+    | (loop, durs) :: rest ->
+      let records = loop_trace ~loop durs in
+      let without_snap =
+        List.filteri (fun i _ -> i < List.length records - 1) records
+      in
+      List.map (shift t0) without_snap
+      @ go (t0 +. List.fold_left ( +. ) 0.0 durs) rest
+  in
+  go 0.0 loops
 
+(* [Analyze.run_report ~against:base cur] over the two traces written to
+   temp files: its exit code and what it printed *)
+let report_against ?(json = false) ~base cur =
+  let write records =
+    let path = Filename.temp_file "analyze_report" ".jsonl" in
+    let oc = open_out path in
+    List.iter (fun j -> output_string oc (Json.to_string j ^ "\n")) records;
+    close_out oc;
+    path
+  in
+  let base_path = write base and cur_path = write cur in
+  let out = Filename.temp_file "analyze_report" ".out" in
+  Fun.protect ~finally:(fun () ->
+      List.iter Sys.remove [ base_path; cur_path; out ])
+  @@ fun () ->
+  Format.print_flush ();
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let code =
+    Fun.protect
+      ~finally:(fun () ->
+        Format.print_flush ();
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      (fun () -> Analyze.run_report ~json ~against:base_path cur_path)
+  in
+  match code with
+  | Error msg -> Alcotest.fail msg
+  | Ok code -> (code, In_channel.with_open_bin out In_channel.input_all)
+
+(* the --json verdict's findings as (key, regression) pairs *)
+let findings text =
+  let member k j =
+    match Json.member k j with Some v -> v | None -> Alcotest.fail k
+  in
+  match Json.parse text with
+  | Error msg -> Alcotest.fail msg
+  | Ok doc -> (
+    match member "findings" (member "baseline" doc) with
+    | Json.List fs ->
+      List.map
+        (fun f ->
+          match (member "key" f, member "regression" f) with
+          | Json.String k, Json.Bool r -> (k, r)
+          | _ -> Alcotest.fail "malformed finding")
+        fs
+    | _ -> Alcotest.fail "findings is not a list")
+
+(* figures are keyed by their path through named loop runs; a second
+   run of one loop gets its run number *)
+let test_key_figures () =
+  let base = loops_trace [ ("ogis", [ 1.0 ]); ("ogis", [ 1.0 ]) ] in
+  let cur = loops_trace [ ("ogis", [ 1.0 ]); ("ogis", [ 2.0 ]) ] in
+  let code, text = report_against ~json:true ~base cur in
+  Alcotest.(check int) "regression" 1 code;
+  Alcotest.(check (list (pair string bool))) "second run keyed #2"
+    [ ("loops.ogis#2.seconds", true) ]
+    (findings text)
+
+(* the fixed limits: seconds past 1.5x regress unless both sides are
+   under 0.05 s, conflicts under 1/1.4 improve, iterations within 1.25x
+   and unclassified figures stay quiet; regressions sort first *)
 let test_diff_thresholds () =
   let base =
-    [
-      ("loop.seconds", 1.0);
-      ("loop.conflicts", 100.0);
-      ("loop.iterations", 10.0);
-      ("fast.seconds", 0.01);
-      ("loop.unclassified_quantity", 1.0);
-    ]
+    loops_trace
+      ~metrics:[ ("sat.conflicts", Json.Int 100); ("sat.restarts", Json.Int 1) ]
+      [ ("demo", List.init 10 (fun _ -> 0.1)); ("fast", [ 0.01 ]) ]
   in
   let cur =
+    loops_trace
+      ~metrics:[ ("sat.conflicts", Json.Int 50); ("sat.restarts", Json.Int 99) ]
+      [ ("demo", List.init 11 (fun _ -> 2.0 /. 11.0)); ("fast", [ 0.04 ]) ]
+  in
+  let code, text = report_against ~json:true ~base cur in
+  Alcotest.(check int) "regression" 1 code;
+  Alcotest.(check (list (pair string bool))) "findings"
     [
-      ("loop.seconds", 2.0) (* 2.0x > 1.5 -> regression *);
-      ("loop.conflicts", 50.0) (* 0.5x < 1/1.4 -> improvement *);
-      ("loop.iterations", 11.0) (* 1.1x, within 1.25 -> quiet *);
-      ("fast.seconds", 0.04) (* both under min_seconds -> skipped *);
-      ("loop.unclassified_quantity", 99.0) (* no class -> ignored *);
+      ("wall_seconds", true);
+      ("loops.demo.seconds", true);
+      ("metrics.sat.conflicts", false);
     ]
-  in
-  let findings = Analyze.diff ~base cur in
-  Alcotest.(check int) "two findings" 2 (List.length findings);
-  Alcotest.(check bool) "regression flagged" true
-    (Analyze.regressed findings);
-  (match findings with
-  | first :: _ ->
-    (* regressions sort before improvements *)
-    Alcotest.(check string) "regression first" "loop.seconds"
-      first.Analyze.f_key;
-    Alcotest.(check bool) "is regression" true first.Analyze.f_regressed
-  | [] -> Alcotest.fail "no findings");
-  let improvement =
-    List.find (fun f -> not f.Analyze.f_regressed) findings
-  in
-  Alcotest.(check string) "improvement key" "loop.conflicts"
-    improvement.Analyze.f_key
+    (findings text)
 
 let test_diff_self_is_quiet () =
-  (* a summary diffed against itself never regresses *)
-  let a = Analyze.analyze (parse_all (loop_trace [ 0.1; 0.2; 0.3 ])) in
-  let figs = Analyze.key_figures (Analyze.summary_json a) in
-  Alcotest.(check (list string)) "no findings" []
-    (List.map
-       (fun f -> f.Analyze.f_key)
-       (Analyze.diff ~base:figs figs))
+  let trace = loop_trace [ 0.1; 0.2; 0.3 ] in
+  let code, text = report_against ~json:true ~base:trace trace in
+  Alcotest.(check int) "pass" 0 code;
+  Alcotest.(check (list (pair string bool))) "no findings" [] (findings text)
 
-(* The solver-perf row layout before and after the fresh-solver
-   baseline was dropped: a new-layout run diffed against an old-layout
-   baseline shares no gated key, so [diff] alone reports nothing. *)
-let test_missing_keys () =
-  let figures seconds conflicts =
-    [
-      ("seconds", Json.Float seconds);
-      ("conflicts", Json.Int conflicts);
-      ("metrics", Json.Obj [ ("sat.conflicts", Json.Int conflicts) ]);
-    ]
-  in
-  let bench row = Json.Obj [ ("benchmarks", Json.List [ row ]) ] in
-  let old_layout =
-    bench
-      (Json.Obj
-         [
-           ("name", Json.String "cegar/x");
-           ("fresh", Json.Obj (figures 0.2 900));
-           ("incremental", Json.Obj (figures 0.1 500));
-           ("speedup", Json.Float 2.0);
-         ])
-  in
-  let new_layout conflicts_metric =
-    bench
-      (Json.Obj
-         (("name", Json.String "cegar/x")
-         :: List.filter
-              (fun (k, _) -> conflicts_metric || k <> "metrics")
-              (figures 0.1 500)))
-  in
-  let base = Analyze.key_figures old_layout in
-  let cur = Analyze.key_figures (new_layout true) in
-  Alcotest.(check (list string)) "diff compares nothing" []
-    (List.map (fun f -> f.Analyze.f_key) (Analyze.diff ~base cur));
-  Alcotest.(check (list string)) "gated old-layout keys reported"
-    [
-      "benchmarks.cegar/x.fresh.seconds";
-      "benchmarks.cegar/x.fresh.conflicts";
-      "benchmarks.cegar/x.incremental.seconds";
-      "benchmarks.cegar/x.incremental.conflicts";
-    ]
-    (Analyze.missing_keys ~base cur);
-  Alcotest.(check (list string)) "same layout: nothing missing" []
-    (Analyze.missing_keys ~base:cur cur);
-  Alcotest.(check (list string)) "vanished metrics.* keys tolerated" []
-    (Analyze.missing_keys ~base:cur
-       (Analyze.key_figures (new_layout false)))
+(* the text report, as trace_report prints it: a trace against itself
+   passes, and against one whose loop took half the time it fails *)
+let test_report_against_itself () =
+  let trace = loops_trace [ ("demo", [ 0.5; 0.5 ]) ] in
+  let code, text = report_against ~base:trace trace in
+  Alcotest.(check int) "Ok 0" 0 code;
+  Alcotest.(check bool) "quiet" true
+    (contains text "no deltas beyond thresholds");
+  Alcotest.(check bool) "PASS" true (contains text "verdict: PASS")
+
+let test_report_against_slower () =
+  let base = loops_trace [ ("demo", [ 0.5; 0.5 ]) ] in
+  let cur = loops_trace [ ("demo", [ 1.0; 1.0 ]) ] in
+  let code, text = report_against ~base cur in
+  Alcotest.(check int) "Ok 1" 1 code;
+  Alcotest.(check bool) "names the loop" true
+    (contains text "REGRESSION loops.demo.seconds");
+  Alcotest.(check bool) "FAIL" true (contains text "verdict: FAIL")
 
 (* ------------------------------------------------------------------ *)
 (* end to end: analyze a real traced OGIS run                          *)
@@ -908,6 +931,30 @@ let test_stats_and_report_agree () =
     [ "bitblast cache hit rate"; "proof plane" ];
   Alcotest.(check string) "same metric and derived lines" stats report
 
+(* both snapshot printers list only the metrics that moved: a counter
+   registered but never bumped is on neither *)
+let test_unmoved_metrics_hidden () =
+  Obs.reset ();
+  let sink, records = Obs.memory_sink () in
+  Obs.add_sink sink;
+  Obs.enable ();
+  Fun.protect ~finally:Obs.reset @@ fun () ->
+  let _idle = Obs.Metrics.counter "test.never_bumped" in
+  Obs.Metrics.incr (Obs.Metrics.counter "test.bumped");
+  Obs.shutdown ();
+  let stats = Format.asprintf "%a" Obs.pp_summary () in
+  let report =
+    Format.asprintf "%a" (Analyze.pp_report ?top:None)
+      (Analyze.analyze (parse_all (records ())))
+  in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check bool) (what ^ " prints the bumped counter") true
+        (contains text "test.bumped");
+      Alcotest.(check bool) (what ^ " hides the idle one") false
+        (contains text "test.never_bumped"))
+    [ ("--stats", stats); ("trace_report", report) ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -942,7 +989,10 @@ let () =
           Alcotest.test_case "key figures" `Quick test_key_figures;
           Alcotest.test_case "thresholds" `Quick test_diff_thresholds;
           Alcotest.test_case "self-diff quiet" `Quick test_diff_self_is_quiet;
-          Alcotest.test_case "missing baseline keys" `Quick test_missing_keys;
+          Alcotest.test_case "against itself passes" `Quick
+            test_report_against_itself;
+          Alcotest.test_case "against a 2x slower loop fails" `Quick
+            test_report_against_slower;
         ] );
       ( "end-to-end",
         [
@@ -954,5 +1004,7 @@ let () =
             test_traced_gametime_analysis;
           Alcotest.test_case "stats and report print one snapshot"
             `Quick test_stats_and_report_agree;
+          Alcotest.test_case "only metrics that moved are printed" `Quick
+            test_unmoved_metrics_hidden;
         ] );
     ]
