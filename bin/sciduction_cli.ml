@@ -10,11 +10,12 @@
      sciduction_cli export-chrome trace.jsonl -o trace.json
 
    Every application subcommand accepts --trace FILE (JSON-lines
-   telemetry), --stats (console summary on exit), --quiet (suppress
-   diagnostics, keep the final verdict) and --stats-socket PATH (serve
-   live metrics, rates and heartbeat/stall status over a Unix-domain
-   socket while the run is in flight; scrape it with
-   `sciduction_cli stats --socket PATH` from another shell).
+   telemetry), --stats (the run's trace report on stderr at exit; not
+   on serve), --quiet (suppress diagnostics, keep the final verdict)
+   and --stats-socket PATH (serve live metrics, rates and
+   heartbeat/stall status over a Unix-domain socket while the run is
+   in flight; scrape it with `sciduction_cli stats --socket PATH` from
+   another shell).
 
    Loop subcommands additionally accept resource governance flags:
    --timeout SECONDS and --max-conflicts N budget the run (an exhausted
@@ -26,7 +27,7 @@ open Cmdliner
 
 (* ---- telemetry plumbing shared by all subcommands ---- *)
 
-let obs_term =
+let obs_term_with stats =
   let trace =
     Arg.(
       value
@@ -34,13 +35,6 @@ let obs_term =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:"Write a JSON-lines telemetry trace (spans, loop events, \
                 final metrics snapshot) to $(docv).")
-  in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:"Print a telemetry summary (per-loop timings, hottest spans, \
-                solver metrics) on exit.")
   in
   let quiet =
     Arg.(
@@ -80,6 +74,23 @@ let obs_term =
   Term.(
     const (fun t s q sock stall proof -> (t, s, q, sock, stall, proof))
     $ trace $ stats $ quiet $ stats_socket $ stall_after $ proof)
+
+let obs_term =
+  obs_term_with
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:"On exit, print the run's trace report on stderr: per-loop \
+                convergence (iterations, sat/unsat, I/D% split, trend, \
+                outcome), the flame profile and the metrics that moved — \
+                the body $(b,trace_report) prints for a --trace of the \
+                same run.")
+
+(* serve takes no --stats: the report is read from records kept in
+   memory, and a daemon would keep every record of its lifetime. Its
+   live view is --stats-socket's /metrics; after a run, trace_report on
+   its --trace. *)
+let serve_obs_term = obs_term_with (Term.const false)
 
 (* ---- resource governance shared by the loop subcommands ---- *)
 
@@ -166,10 +177,16 @@ let budget_term =
 
 let with_obs (trace, stats, quiet, stats_socket, stall_after, proof) f =
   Obs.set_quiet quiet;
-  if trace <> None || stats || stats_socket <> None then begin
-    Obs.enable ();
-    Option.iter (fun path -> Obs.add_sink (Obs.jsonl_sink path)) trace
-  end;
+  if trace <> None || stats || stats_socket <> None then Obs.enable ();
+  Option.iter (fun path -> Obs.add_sink (Obs.jsonl_sink path)) trace;
+  let summary =
+    if stats then begin
+      let sink, records = Obs.memory_sink () in
+      Obs.add_sink sink;
+      Some records
+    end
+    else None
+  in
   Option.iter (fun prefix -> Smt.Proof.enable ~prefix) proof;
   (* the live plane exists only when asked for: without --stats-socket
      no ticker domain starts, no progress records appear, and the run
@@ -224,7 +241,9 @@ let with_obs (trace, stats, quiet, stats_socket, stall_after, proof) f =
           3)
   in
   (* stderr, so --stats composes with piping the verdict from stdout *)
-  if stats then Format.eprintf "%a@." Obs.pp_summary ();
+  Option.iter
+    (fun records -> Format.eprintf "%a%!" Obs.pp_summary (records ()))
+    summary;
   code
 
 (* ---- the six loop subcommands ----
@@ -795,7 +814,9 @@ let check_proof_cmd =
     Term.(
       const (fun prefix dump stats ->
           let code = check_proof_run prefix dump in
-          if stats then Format.eprintf "%a@." Obs.pp_summary ();
+          if stats then
+            Format.eprintf "@.metrics:@.%a%!" Obs.Metrics.pp_snapshot
+              (Obs.Metrics.snapshot ());
           code)
       $ prefix $ dump $ stats)
 
@@ -966,7 +987,7 @@ let serve_cmd =
                 Sys.set_signal Sys.sigint prev_int;
                 Sys.set_signal Sys.sigterm prev_term;
                 0))
-      $ obs_term $ fault_arg $ fault_sites_arg $ serve_socket_arg
+      $ serve_obs_term $ fault_arg $ fault_sites_arg $ serve_socket_arg
       $ cache_size $ aging $ jobs $ dispatchers $ journal $ queue_limit
       $ restart_budget $ warm_max)
 

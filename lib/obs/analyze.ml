@@ -500,7 +500,7 @@ type bracket = {
   mutable br_finished : int;
   mutable br_iterations : int;
   mutable br_exhausted : bool; (* in the current run *)
-  mutable br_last_progress : int; (* in the current run; -1 before any *)
+  mutable br_progress_max : int; (* in the current run; -1 before any *)
 }
 
 type pending_span = {
@@ -528,7 +528,7 @@ let check ?(require = []) lines =
           br_finished = 0;
           br_iterations = 0;
           br_exhausted = false;
-          br_last_progress = -1;
+          br_progress_max = -1;
         }
       in
       Hashtbl.add brackets loop b;
@@ -583,7 +583,7 @@ let check ?(require = []) lines =
     | Loop_started _ ->
       b.br_started <- b.br_started + 1;
       b.br_exhausted <- false;
-      b.br_last_progress <- -1
+      b.br_progress_max <- -1
     | _ when b.br_started = 0 -> bad "before loop_started"
     | Loop_finished _ -> ()
     | _ when b.br_finished >= b.br_started -> bad "after loop_finished"
@@ -596,9 +596,9 @@ let check ?(require = []) lines =
       if not (List.mem reason known_budget_reasons) then
         bad "with unknown reason %S" reason
     | Progress { iteration; _ } ->
-      if iteration < b.br_last_progress then
-        bad "went backwards (%d after %d)" iteration b.br_last_progress;
-      b.br_last_progress <- max b.br_last_progress iteration
+      if iteration < b.br_progress_max then
+        bad "went backwards (%d after %d)" iteration b.br_progress_max;
+      b.br_progress_max <- max b.br_progress_max iteration
     | Stall_detected { seconds_stalled; _ } ->
       if not (seconds_stalled > 0.0) then
         bad "with non-positive seconds_stalled"

@@ -15,6 +15,7 @@ type entry = {
   mutable e_stalled : bool;
   mutable e_stalled_since : float option;
   mutable e_attrs : (string * Json.t) list;
+  mutable e_progress_at : float; (* time of the last due progress record *)
 }
 
 let lock = Mutex.create ()
@@ -39,6 +40,7 @@ let fresh now =
     e_stalled = false;
     e_stalled_since = None;
     e_attrs = [];
+    e_progress_at = neg_infinity;
   }
 
 let started ~loop ~now =
@@ -46,7 +48,7 @@ let started ~loop ~now =
   Hashtbl.replace table loop (fresh now);
   Mutex.unlock lock
 
-let beat ~loop ~now ~iteration ~attrs =
+let beat ~loop ~now ~iteration ~attrs ~every =
   Mutex.lock lock;
   let e =
     match Hashtbl.find_opt table loop with
@@ -64,9 +66,11 @@ let beat ~loop ~now ~iteration ~attrs =
     e.e_stalled_since <- None;
     e.e_attrs <- attrs
   end;
+  let due = every > 0.0 && now -. e.e_progress_at >= every in
+  if due then e.e_progress_at <- now;
   let it = e.e_iteration in
   Mutex.unlock lock;
-  it
+  if due then Some it else None
 
 let finish ~loop =
   Mutex.lock lock;

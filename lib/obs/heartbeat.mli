@@ -5,8 +5,9 @@
     (under its emission lock), the [Live] ticker polls the table for
     loops whose last advance is older than the stall window, and the
     [Statsd] endpoint reads the table from its own domain to answer
-    scrapes. The table never influences execution — a stalled flag is
-    a diagnosis, not a termination ([Budget] owns termination).
+    scrapes. The same entry paces the [progress] records [Obs] derives
+    from the beats. The table never influences execution — a stalled
+    flag is a diagnosis, not a termination ([Budget] owns termination).
 
     A loop advances when a beat carries a strictly larger iteration
     index than any seen for the current run. Parallel sweeps hand out
@@ -33,11 +34,19 @@ val started : loop:string -> now:float -> unit
 (** A new run of [loop] began: (re)create its entry with iteration -1,
     so a loop that hangs before its first iteration still stalls. *)
 
-val beat : loop:string -> now:float -> iteration:int -> attrs:(string * Json.t) list -> int
+val beat :
+  loop:string ->
+  now:float ->
+  iteration:int ->
+  attrs:(string * Json.t) list ->
+  every:float ->
+  int option
 (** Record an iteration event. Advances the entry (and clears a stalled
     flag) when [iteration] exceeds the current maximum; creates the
-    entry if {!started} was never seen. Returns the per-run maximum
-    iteration index after the beat. *)
+    entry if {!started} was never seen. Returns [Some i], the per-run
+    maximum iteration index after the beat, when a [progress] record is
+    due: [every > 0.] and no due beat of this run lies within the last
+    [every] seconds. [None] otherwise. *)
 
 val finish : loop:string -> unit
 (** The run ended (finished or exhausted): drop the entry. The watchdog

@@ -10,14 +10,14 @@ include Trace.Schema
 (* ----- global state -----
 
    Shared across domains once a [Par] pool is in play. Three rules keep
-   it coherent: (1) one process-wide [obs_lock] guards the sinks, the
-   aggregate tables, and — crucially — the timestamp-and-emit step, so
-   records land in the trace in emission order even when several domains
-   finish spans at once; (2) span depth and the loop stack are
-   domain-local (a worker's spans nest among themselves, not inside
-   whatever the submitter happens to be doing); (3) every span/event
-   record carries the emitting domain's id, so [trace_check] and
-   [Analyze] reconstruct each domain's nesting separately. *)
+   it coherent: (1) one process-wide [obs_lock] guards the sinks and —
+   crucially — the timestamp-and-emit step, so records land in the
+   trace in emission order even when several domains finish spans at
+   once; (2) span depth and the loop stack are domain-local (a
+   worker's spans nest among themselves, not inside whatever the
+   submitter happens to be doing); (3) every span/event record carries
+   the emitting domain's id, so [trace_check] and [Analyze] reconstruct
+   each domain's nesting separately. *)
 
 let enabled_flag = ref false
 let quiet_flag = ref false
@@ -38,24 +38,6 @@ type sink = {
 
 let sinks : sink list ref = ref []
 
-type span_agg = {
-  mutable s_count : int;
-  mutable s_total : float;
-  mutable s_max : float;
-}
-
-let span_aggs : (string, span_agg) Hashtbl.t = Hashtbl.create 32
-
-type loop_agg = {
-  mutable l_runs : int;
-  mutable l_iterations : int;
-  mutable l_candidates : int;
-  mutable l_cexes : int;
-  mutable l_solver_calls : int;
-  mutable l_elapsed : float;
-}
-
-let loop_aggs : (string, loop_agg) Hashtbl.t = Hashtbl.create 8
 let now () = Unix.gettimeofday ()
 let enabled () = !enabled_flag
 
@@ -67,10 +49,13 @@ let enable () =
 
 (* ----- record plumbing ----- *)
 
-(* must be called with [obs_lock] held *)
+(* must be called with [obs_lock] held; a record no sink takes is
+   never encoded *)
 let emit_record r =
-  let j = Trace.to_json r in
-  List.iter (fun s -> s.emit j) !sinks
+  if !sinks <> [] then begin
+    let j = Trace.to_json r in
+    List.iter (fun s -> s.emit j) !sinks
+  end
 
 let emit_event ~t event =
   emit_record (Trace.Event { t; dom = dom_id (); event })
@@ -100,9 +85,6 @@ let close_sinks () =
 
 let progress_interval = ref 0.0
 let set_progress_interval s = progress_interval := s
-
-(* loop name -> t of last progress record; obs_lock guards it *)
-let last_progress : (string, float) Hashtbl.t = Hashtbl.create 8
 let m_stalls = Metrics.counter "obs.stalls_detected"
 
 let shutdown () =
@@ -110,7 +92,6 @@ let shutdown () =
   if !enabled_flag && !sinks <> [] then emit_record (metrics_record ());
   close_sinks ();
   enabled_flag := false;
-  Hashtbl.reset last_progress;
   Heartbeat.reset ();
   Mutex.unlock obs_lock;
   depth () := 0;
@@ -120,9 +101,6 @@ let reset () =
   Mutex.lock obs_lock;
   close_sinks ();
   enabled_flag := false;
-  Hashtbl.reset span_aggs;
-  Hashtbl.reset loop_aggs;
-  Hashtbl.reset last_progress;
   progress_interval := 0.0;
   Heartbeat.reset ();
   Mutex.unlock obs_lock;
@@ -185,14 +163,6 @@ let start_span ?(attrs = []) name =
     }
   end
 
-let span_agg_of name =
-  match Hashtbl.find_opt span_aggs name with
-  | Some a -> a
-  | None ->
-    let a = { s_count = 0; s_total = 0.0; s_max = 0.0 } in
-    Hashtbl.add span_aggs name a;
-    a
-
 let end_span ?(attrs = []) sp =
   if sp.sp_live && !enabled_flag then begin
     let depth = depth () in
@@ -203,10 +173,6 @@ let end_span ?(attrs = []) sp =
     Mutex.lock obs_lock;
     let dur = now () -. !t0 -. sp.sp_start in
     let dur = if dur < 0.0 then 0.0 else dur in
-    let a = span_agg_of sp.sp_name in
-    a.s_count <- a.s_count + 1;
-    a.s_total <- a.s_total +. dur;
-    if dur > a.s_max then a.s_max <- dur;
     emit_record
       (Trace.Span
          {
@@ -232,77 +198,32 @@ let with_span ?attrs name f =
 
 (* ----- typed loop events ----- *)
 
-let loop_agg_of name =
-  match Hashtbl.find_opt loop_aggs name with
-  | Some a -> a
-  | None ->
-    let a =
-      {
-        l_runs = 0;
-        l_iterations = 0;
-        l_candidates = 0;
-        l_cexes = 0;
-        l_solver_calls = 0;
-        l_elapsed = 0.0;
-      }
-    in
-    Hashtbl.add loop_aggs name a;
-    a
-
 let emit ev =
   if !enabled_flag then begin
     Mutex.lock obs_lock;
     let wall = now () in
     let t = wall -. !t0 in
     emit_event ~t ev;
-    (* the per-loop aggregates, heartbeat bookkeeping and the derived
-       progress channel, still under [obs_lock]: the watchdog can never
-       see a loop advance before the advancing record is in the trace,
-       and a progress record can never follow its loop's terminal
-       event *)
+    (* heartbeat bookkeeping and the derived progress channel, still
+       under [obs_lock]: the watchdog can never see a loop advance
+       before the advancing record is in the trace, and a progress
+       record can never follow its loop's terminal event *)
     (match ev with
-    | Loop_started { loop; _ } ->
-      let a = loop_agg_of loop in
-      a.l_runs <- a.l_runs + 1;
-      Heartbeat.started ~loop ~now:wall
-    | Iteration { loop; index; attrs } ->
-      let a = loop_agg_of loop in
-      a.l_iterations <- a.l_iterations + 1;
-      (* parallel sweeps hand out iteration indices before taking the
-         lock, so records may arrive out of order; the heartbeat keeps
-         the max, which is what progress reports *)
-      let reached =
+    | Loop_started { loop; _ } -> Heartbeat.started ~loop ~now:wall
+    | Iteration { loop; index; attrs } -> (
+      match
         Heartbeat.beat ~loop ~now:wall ~iteration:index
           ~attrs:(List.map (fun (k, v) -> (k, Trace.json_of_value v)) attrs)
-      in
-      let iv = !progress_interval in
-      if iv > 0.0 then begin
-        let due =
-          match Hashtbl.find_opt last_progress loop with
-          | Some last -> t -. last >= iv
-          | None -> true
-        in
-        if due then begin
-          Hashtbl.replace last_progress loop t;
-          emit_event ~t (Progress { loop; iteration = reached; attrs })
-        end
-      end
-    | Candidate { loop; _ } ->
-      let a = loop_agg_of loop in
-      a.l_candidates <- a.l_candidates + 1
-    | Counterexample { loop; _ } ->
-      let a = loop_agg_of loop in
-      a.l_cexes <- a.l_cexes + 1
-    | Solver_call { loop; _ } ->
-      if loop <> "" then begin
-        let a = loop_agg_of loop in
-        a.l_solver_calls <- a.l_solver_calls + 1
-      end
+          ~every:!progress_interval
+      with
+      | Some reached ->
+        emit_event ~t (Progress { loop; iteration = reached; attrs })
+      | None -> ())
     | Budget_exhausted { loop; _ } | Loop_finished { loop; _ } ->
-      Heartbeat.finish ~loop;
-      Hashtbl.remove last_progress loop
-    | Oracle_verdict _ | Certificate _ | Progress _ | Stall_detected _
-    | Job_requeued _ | Degraded_entered _ | Degraded_exited _ ->
+      Heartbeat.finish ~loop
+    | Candidate _ | Counterexample _ | Solver_call _ | Oracle_verdict _
+    | Certificate _ | Progress _ | Stall_detected _ | Job_requeued _
+    | Degraded_entered _ | Degraded_exited _ ->
       ());
     Mutex.unlock obs_lock
   end
@@ -366,9 +287,6 @@ module Loop = struct
     if l.alive then begin
       l.alive <- false;
       let elapsed = now () -. l.lt0 in
-      Mutex.lock obs_lock;
-      (loop_agg_of l.ln).l_elapsed <- (loop_agg_of l.ln).l_elapsed +. elapsed;
-      Mutex.unlock obs_lock;
       let stack = loop_stack () in
       (match !stack with
       | top :: rest when top = l.ln -> stack := rest
@@ -393,50 +311,18 @@ let info fmt =
   if !quiet_flag then Format.ifprintf Format.err_formatter fmt
   else Format.eprintf fmt
 
-let pp_summary ppf () =
-  let line fmt = Format.fprintf ppf fmt in
-  line "@.== telemetry summary ==@.";
-  (* per-loop timings *)
-  Mutex.lock obs_lock;
-  let loops =
-    Hashtbl.fold (fun n a acc -> (n, a) :: acc) loop_aggs []
-    |> List.sort compare
+let pp_summary ppf records =
+  Format.fprintf ppf "@.== telemetry summary ==@.";
+  let decoded =
+    List.fold_left
+      (fun acc j ->
+        Result.bind acc (fun rs ->
+            Result.map (fun r -> r :: rs) (Trace.of_json j)))
+      (Ok []) records
   in
-  if loops <> [] then begin
-    line "@.loops:@.";
-    line "  %-10s %5s %6s %6s %6s %7s %9s %9s@." "loop" "runs" "iters" "cands"
-      "cexes" "solves" "seconds" "ms/iter";
-    List.iter
-      (fun (n, a) ->
-        line "  %-10s %5d %6d %6d %6d %7d %9.3f %9.2f@." n a.l_runs
-          a.l_iterations a.l_candidates a.l_cexes a.l_solver_calls a.l_elapsed
-          (if a.l_iterations = 0 then 0.0
-           else 1000.0 *. a.l_elapsed /. float_of_int a.l_iterations))
-      loops
-  end;
-  (* span table, by total time *)
-  let spans =
-    Hashtbl.fold (fun n a acc -> (n, a) :: acc) span_aggs []
-    |> List.sort (fun (_, a) (_, b) -> compare b.s_total a.s_total)
-  in
-  Mutex.unlock obs_lock;
-  if spans <> [] then begin
-    line "@.spans:@.";
-    line "  %-24s %7s %9s %9s %9s@." "span" "count" "total(s)" "mean(ms)"
-      "max(ms)";
-    List.iter
-      (fun (n, a) ->
-        line "  %-24s %7d %9.3f %9.2f %9.2f@." n a.s_count a.s_total
-          (1000.0 *. a.s_total /. float_of_int (max 1 a.s_count))
-          (1000.0 *. a.s_max))
-      spans
-  end;
-  (* metrics registry *)
-  let metrics = Metrics.snapshot () in
-  if metrics <> [] then begin
-    line "@.metrics:@.";
-    Metrics.pp_snapshot ppf metrics
-  end
+  match decoded with
+  | Ok rs -> Analyze.pp_report ppf (Analyze.analyze (List.rev rs))
+  | Error msg -> Format.fprintf ppf "undecodable record: %s@." msg
 
 (* ----- Chrome trace_event export ----- *)
 

@@ -1,8 +1,11 @@
 (** Telemetry for the sciduction stack: hierarchical timed spans, a
     typed event log for the counterexample-guided loops, the process-wide
-    metrics registry, and pluggable sinks (JSON-lines trace files, an
-    in-memory collector for tests, a console summary, and a Chrome
-    [trace_event] exporter for flamegraph viewing).
+    metrics registry, and pluggable sinks (JSON-lines trace files and an
+    in-memory collector), plus a console summary that prints the
+    in-memory records as {!Analyze}'s trace report, and a Chrome
+    [trace_event] exporter for flamegraph viewing. The writer keeps no
+    aggregates of its own: every figure a summary shows is read back
+    from the records.
 
     Tracing is off by default and designed to cost ~nothing while off:
     {!start_span} reads no clock and allocates nothing observable, the
@@ -12,10 +15,10 @@
     timestamp in seconds since then.
 
     The library is domain-safe: the metrics registry uses atomics, sink
-    writes and aggregate updates are serialized under one lock (records
-    reach a JSONL trace whole, in emission order), and span depth and
-    the current-loop stack are domain-local, so tasks on a [Par] pool
-    trace independently. Each span/event record carries a [dom] field
+    writes are serialized under one lock (records reach a JSONL trace
+    whole, in emission order), and span depth and the current-loop
+    stack are domain-local, so tasks on a [Par] pool trace
+    independently. Each span/event record carries a [dom] field
     (the emitting domain's id); [trace_check] and {!Analyze} reconstruct
     nesting per domain. Spans must start and end on the same domain. *)
 
@@ -61,11 +64,12 @@ val enabled : unit -> bool
 
 val shutdown : unit -> unit
 (** Emit the final metrics-snapshot record, flush and close every sink,
-    and disable tracing. Aggregates survive for {!pp_summary}. *)
+    and disable tracing. A {!memory_sink}'s records stay readable, for
+    {!pp_summary}. *)
 
 val reset : unit -> unit
 (** Testing/bench hook: disable, drop sinks without emitting the final
-    record, clear span/loop aggregates and the metrics registry values. *)
+    record, clear the heartbeat table and the metrics registry values. *)
 
 (** {1 Sinks} *)
 
@@ -126,9 +130,8 @@ val check_stalls : window:float -> unit
     {!Live} ticker's [on_tick]; safe from any domain, and a no-op while
     disabled or when [window <= 0.]. *)
 
-(** Scoped helper over {!emit}: tracks the active loop (so solver calls
-    attribute themselves to it) and feeds the per-loop aggregates behind
-    {!pp_summary}. *)
+(** Scoped helper over {!emit}: tracks the active loop, so solver calls
+    attribute themselves to it. *)
 module Loop : sig
   type t
 
@@ -145,7 +148,8 @@ module Loop : sig
       before the final {!finish}. *)
 
   val finish : ?attrs:attrs -> t -> unit
-  (** Also records the loop's wall time. Idempotent. *)
+  (** Emits [loop_finished] with the loop's wall time as its [elapsed]
+      attribute. Idempotent. *)
 end
 
 val current_loop : unit -> string
@@ -166,11 +170,14 @@ val info : ('a, Format.formatter, unit) format -> 'a
     diagnostics compose with piping a verdict from stdout. Final
     verdicts should use plain [Format.printf]. *)
 
-val pp_summary : Format.formatter -> unit -> unit
-(** The console stats summary: per-loop iteration timings, hottest
-    spans, and the metrics registry (SAT counters, bitblast cache hit
-    rate, histogram percentiles, ...). Callers conventionally print it
-    to stderr for the same stdout-composability reason as {!info}. *)
+val pp_summary : Format.formatter -> Json.t list -> unit
+(** The console stats summary behind [--stats]: a
+    [== telemetry summary ==] line, then the given records (a
+    {!memory_sink}'s, after {!shutdown}) decoded through
+    {!Trace.of_json} and printed by {!Analyze.pp_report} — the body
+    [trace_report] prints for the same records. Callers conventionally
+    print it to stderr for the same stdout-composability reason as
+    {!info}. *)
 
 (** {1 Chrome trace_event export} *)
 

@@ -882,9 +882,10 @@ let test_traced_gametime_analysis () =
     (contains audit "gametime run 1: rank_bound");
   Obs.reset ()
 
-(* [--stats] and [trace_report] print the registry snapshot through one
-   printer: on one traced, proof-logged deobfuscation their metric and
-   derived lines are the same text *)
+(* [--stats] prints the run's own trace report: on one traced,
+   proof-logged deobfuscation its summary is [trace_report]'s body for
+   the same records, loop table (with the I/D split and the outcome)
+   and derived metric lines included *)
 let test_stats_and_report_agree () =
   Obs.reset ();
   let sink, records = Obs.memory_sink () in
@@ -907,32 +908,23 @@ let test_stats_and_report_agree () =
   Alcotest.(check int) "p1 deobfuscates" 0 o.Server.Jobs.code;
   Smt.Proof.disable ();
   Obs.shutdown ();
-  let metrics_section pp =
-    let text = Format.asprintf "%a" pp () in
-    let marker = "\nmetrics:\n" in
-    let rec find i =
-      if i + String.length marker > String.length text then
-        Alcotest.fail "no metrics section"
-      else if String.sub text i (String.length marker) = marker then
-        String.sub text i (String.length text - i)
-      else find (i + 1)
-    in
-    find 0
-  in
-  let stats = metrics_section Obs.pp_summary in
+  let stats = Format.asprintf "%a" Obs.pp_summary (records ()) in
   let report =
-    metrics_section (fun ppf () ->
-        Analyze.pp_report ppf (Analyze.analyze (parse_all (records ()))))
+    Format.asprintf "%a" (Analyze.pp_report ?top:None)
+      (Analyze.analyze (parse_all (records ())))
   in
   List.iter
-    (fun derived ->
-      Alcotest.(check bool) (derived ^ " printed") true
-        (contains stats derived))
-    [ "bitblast cache hit rate"; "proof plane" ];
-  Alcotest.(check string) "same metric and derived lines" stats report
+    (fun shown ->
+      Alcotest.(check bool) (shown ^ " printed") true (contains stats shown))
+    [
+      "I/D%"; "outcome"; "synthesized"; "bitblast cache hit rate"; "proof plane";
+    ];
+  Alcotest.(check string) "the report under the summary line"
+    ("\n== telemetry summary ==\n" ^ report)
+    stats
 
-(* both snapshot printers list only the metrics that moved: a counter
-   registered but never bumped is on neither *)
+(* both views list only the metrics that moved: a counter registered
+   but never bumped is on neither *)
 let test_unmoved_metrics_hidden () =
   Obs.reset ();
   let sink, records = Obs.memory_sink () in
@@ -942,7 +934,7 @@ let test_unmoved_metrics_hidden () =
   let _idle = Obs.Metrics.counter "test.never_bumped" in
   Obs.Metrics.incr (Obs.Metrics.counter "test.bumped");
   Obs.shutdown ();
-  let stats = Format.asprintf "%a" Obs.pp_summary () in
+  let stats = Format.asprintf "%a" Obs.pp_summary (records ()) in
   let report =
     Format.asprintf "%a" (Analyze.pp_report ?top:None)
       (Analyze.analyze (parse_all (records ())))

@@ -93,19 +93,40 @@ let stat socket name =
     | Some v -> v
     | None -> Alcotest.failf "stats reply lacks %s" name)
 
-(* poll the stats op until [pred] holds; the daemon's counters move in
-   background threads, so give them a bounded moment *)
-let eventually socket name pred =
+(* poll [probe] every 50 ms until it answers [Ok v]; the daemon moves
+   in background threads, so give it a bounded moment, and past that
+   fail with the probe's last word rather than carry on *)
+let poll probe =
   let rec go tries =
-    let v = stat socket name in
-    if pred v then v
-    else if tries = 0 then v
-    else begin
+    match probe () with
+    | Ok v -> v
+    | Error last when tries = 0 -> Alcotest.failf "gave up waiting: %s" last
+    | Error _ ->
       Thread.delay 0.05;
       go (tries - 1)
-    end
   in
   go 100
+
+(* poll the stats op until [pred] holds. The counters behind it are
+   process-wide, so a predicate like [done >= 1] may already hold from
+   an earlier test's daemon. *)
+let eventually socket name pred =
+  poll (fun () ->
+      let v = stat socket name in
+      if pred v then Ok v
+      else Error (Printf.sprintf "stat %s is still %d" name v))
+
+(* poll a daemon's journal until job [id] has its terminal record *)
+let until_terminal path id =
+  poll (fun () ->
+      match Journal.replay path with
+      | Error e -> Error (Printf.sprintf "journal replay: %s" e)
+      | Ok r
+        when List.exists
+               (fun s -> s.Journal.sj_id = id)
+               r.Journal.rj_pending ->
+        Error (Printf.sprintf "job %s has no terminal record yet" id)
+      | Ok _ -> Ok ())
 
 (* ----- raw wire access, for the malformed-input tests ----- *)
 
@@ -696,7 +717,7 @@ let test_journal_crash_recovery () =
            }));
   with_daemon ~journal:path (fun socket ->
       (* the acked-but-unfinished job reruns without any client *)
-      ignore (eventually socket "done" (fun v -> v >= 1) : int);
+      until_terminal path "replayed-a";
       (match Client.submit ~socket spec_b with
       | Error _ -> Alcotest.fail "submit of recovered-verdict spec failed"
       | Ok o ->
@@ -1146,6 +1167,55 @@ let test_stale_socket_handling () =
   Alcotest.(check string) "file content untouched" "precious"
     (really_input_string ic (in_channel_length ic))
 
+(* [serve] takes no --stats (a daemon would keep every record of its
+   lifetime for the exit report): the CLI refuses it as a usage error
+   before any socket is bound *)
+let test_serve_refuses_stats () =
+  let cli =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../bin/sciduction_cli.exe"
+  in
+  let socket = fresh_socket () and err = fresh_path ".err" in
+  Fun.protect ~finally:(fun () ->
+      rm_f socket;
+      rm_f err)
+  @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let errfd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+  let pid =
+    Fun.protect ~finally:(fun () ->
+        Unix.close null;
+        Unix.close errfd)
+    @@ fun () ->
+    Unix.create_process cli
+      [| cli; "serve"; "--socket"; socket; "--quiet"; "--stats" |]
+      null null errfd
+  in
+  let status =
+    try
+      poll (fun () ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> Error "serve --stats is still running"
+          | _, st -> Ok st)
+    with e ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      raise e
+  in
+  (match status with
+  | Unix.WEXITED code ->
+    Alcotest.(check int) "cmdliner's usage-error exit" 124 code
+  | _ -> Alcotest.fail "serve --stats was killed by a signal");
+  let ic = open_in_bin err in
+  let text =
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    really_input_string ic (in_channel_length ic)
+  in
+  Alcotest.(check bool) "the diagnostic names --stats" true
+    (contains text "--stats");
+  Alcotest.(check bool) "no daemon was started" false (Sys.file_exists socket)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1237,6 +1307,8 @@ let () =
         [
           Alcotest.test_case "stale socket replaced, live refused" `Quick
             test_stale_socket_handling;
+          Alcotest.test_case "serve --stats is a usage error" `Quick
+            test_serve_refuses_stats;
         ] );
       ( "proof",
         [
